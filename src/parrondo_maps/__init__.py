@@ -63,7 +63,6 @@ from .planar import (
     apply_f1,
     apply_tau,
     apply_word,
-    polynomial_demo_step,
     composition_radial_gain,
     from_cartesian,
     inverse_f0,

@@ -41,7 +41,6 @@ from .planar import (
     MapWord,
     apply_f0,
     apply_f1,
-    polynomial_demo_step,
     composition_radial_gain,
     word_step,
 )
@@ -125,12 +124,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(po)
     po.add_argument(
         "--map",
-        choices=["f0", "f1", "h", "hk", "jk", "polyf", "polyg"],
+        choices=["f0", "f1", "h", "hk", "jk"],
         help="named map to iterate (default f0)",
     )
     po.add_argument("--word", help="composition word such as 'f0,f1' or '01'; overrides --map")
     po.add_argument("--start", help="cylinder start 'r,theta' (default '0,0.25')")
-    po.add_argument("--start-cart", dest="start_cart", help="Cartesian start 'x1,x2,...' for hk/jk/cgm18 maps")
+    po.add_argument("--start-cart", dest="start_cart", help="Cartesian start 'x1,x2,...' for the hk/jk maps (default all ones)")
     po.add_argument("--steps", type=int, help="number of iterations (default 1000)")
     po.add_argument("--k", type=int, help="dimension for hk/jk (default 3)")
     po.add_argument("--window", type=int, help="classification window (default 100)")
@@ -315,19 +314,6 @@ def _build_orbit(params: dict):
             start = np.ones(k)
         fn = apply_h_k if name == "hk" else apply_j_k
         return (lambda x: fn(rp, ap, x)), start, None
-    if name in ("polyf", "polyg"):
-        which = "f" if name.endswith("f") else "g"
-        if params["start_cart"] is not None:
-            start = np.asarray(_parse_floats(params["start_cart"]), dtype=float)
-        else:
-            start = np.array([0.1, 0.0])
-        if start.shape[0] != 2:
-            raise ConfigError("the polynomial demo maps are planar; --start-cart needs 'x,y'")
-
-        def step(xy):
-            return np.asarray(polynomial_demo_step(float(xy[0]), float(xy[1]), which))
-
-        return step, start, None
     raise ConfigError(f"unknown map {name!r}")
 
 
@@ -348,7 +334,8 @@ def cmd_orbit(params: dict) -> int:
         raise ConfigError(str(exc)) from exc
     print(
         f"classification={label.value} rate={rate:.6g} "
-        f"steps={trace.n_steps} trap_entry={trace.entered_trap_at}"
+        f"steps={trace.n_steps} trap_entry={trace.entered_trap_at}",
+        file=sys.stderr,
     )
     config = _echo_config(params)
     if params["format"] == "json":

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -87,6 +88,16 @@ def _cart_angle(x: np.ndarray, norm: float) -> float:
     return math.acos(max(-1.0, min(1.0, x[-1] / norm))) / TWO_PI
 
 
+# (log-radius, angle) of each orbit point: stored fields on the cylinder,
+# log-norm and natural angle in Cartesian coordinates.
+_observe_cyl = attrgetter("r", "theta.value")
+
+
+def _observe_cart(x: np.ndarray) -> tuple[float, float]:
+    norm = robust_norm(x)
+    return (math.log(norm) if norm > 0.0 else -math.inf), _cart_angle(x, norm)
+
+
 def iterate(
     step: Callable,
     start,
@@ -99,52 +110,41 @@ def iterate(
 
     ``start`` may be a CylPoint (cylinder maps) or a nonzero array-like point
     (Cartesian maps; gains are log-norm differences).  Iteration stops early
-    once |log-radius| exceeds ``r_escape``.  When ``trap`` is given for a
-    planar orbit, the entry step into the trapping arc is recorded.
+    once the log-radius is non-finite (a step reached the origin) or its
+    magnitude exceeds ``r_escape``.  When ``trap`` is given, the entry step
+    into the trapping arc is recorded from the traced angles, for Cartesian
+    orbits too.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     if isinstance(start, CylPoint):
-        rs = np.empty(n_steps + 1)
-        ths = np.empty(n_steps + 1)
-        p = start
-        rs[0], ths[0] = p.r, p.theta.value
-        n_done = n_steps
-        for i in range(n_steps):
-            p = step(p)
-            rs[i + 1], ths[i + 1] = p.r, p.theta.value
-            if abs(p.r) > r_escape:
-                n_done = i + 1
-                break
-        rs, ths = rs[: n_done + 1], ths[: n_done + 1]
-        trace = OrbitTrace(rs=rs, gains=np.diff(rs), thetas=ths)
-        if trap is not None:
-            trace.entered_trap_at = detect_trap_entry(trace, trap)
-        return trace
-
-    x = np.asarray(start, dtype=float)
-    k = x.shape[0]
-    pts = np.empty((n_steps + 1, k))
+        x, observe, cart = start, _observe_cyl, None
+    else:
+        x, observe = np.asarray(start, dtype=float), _observe_cart
+        cart = np.empty((n_steps + 1, x.shape[0]))
+        cart[0] = x
     rs = np.empty(n_steps + 1)
     ths = np.empty(n_steps + 1)
-    pts[0] = x
-    norm = robust_norm(x)
-    if norm == 0.0:
+    rs[0], ths[0] = observe(x)
+    if rs[0] == -math.inf:
         raise OriginNotRepresentableError("Cartesian orbits must start off the origin")
-    rs[0] = math.log(norm)
-    ths[0] = _cart_angle(x, norm)
     n_done = n_steps
-    for i in range(n_steps):
+    for i in range(1, n_steps + 1):
         x = step(x)
-        pts[i + 1] = x
-        norm = robust_norm(x)
-        rs[i + 1] = math.log(norm) if norm > 0.0 else -math.inf
-        ths[i + 1] = _cart_angle(x, norm)
-        if not math.isfinite(rs[i + 1]) or abs(rs[i + 1]) > r_escape:
-            n_done = i + 1
+        r, ths[i] = observe(x)
+        rs[i] = r
+        if cart is not None:
+            cart[i] = x
+        if not math.isfinite(r) or abs(r) > r_escape:
+            n_done = i
             break
     sl = slice(0, n_done + 1)
-    return OrbitTrace(rs=rs[sl], gains=np.diff(rs[sl]), thetas=ths[sl], cart=pts[sl])
+    trace = OrbitTrace(
+        rs=rs[sl], gains=np.diff(rs[sl]), thetas=ths[sl], cart=None if cart is None else cart[sl]
+    )
+    if trap is not None:
+        trace.entered_trap_at = detect_trap_entry(trace, trap)
+    return trace
 
 
 def classify_orbit(

@@ -44,30 +44,17 @@ __all__ = [
 ]
 
 
-def robust_norm(x) -> float:
-    """Euclidean norm rescaled by the largest component.
+def robust_norm(x) -> float | np.ndarray:
+    """Euclidean norm of a point, or of each row of a batch, free of over- and underflow.
 
-    Plain sum-of-squares norms underflow below ~1.5e-154 per component; the
-    cylinder picture is only faithful down to radius ~1e-300, so norms are
-    rescaled first.
+    A plain sum of squares underflows below ~1.5e-154 per component, while the
+    cylinder picture stays faithful down to radius ~1e-300; ``hypot`` scales
+    internally, so no component is squared unscaled.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1 and x.size <= 16:
-        vals = x.tolist()
-        scale = max(abs(v) for v in vals)
-        if scale == 0.0 or not math.isfinite(scale):
-            return scale
-        return scale * math.sqrt(sum((v / scale) ** 2 for v in vals))
-    scale = float(np.max(np.abs(x)))
-    if scale == 0.0 or not math.isfinite(scale):
-        return scale
-    return scale * float(np.linalg.norm(x / scale))
-
-
-def _robust_norm_rows(X: np.ndarray) -> np.ndarray:
-    scale = np.max(np.abs(X), axis=-1, keepdims=True)
-    safe = np.where(scale > 0.0, scale, 1.0)
-    return np.linalg.norm(X / safe, axis=-1) * scale[..., 0]
+    if x.ndim == 1:
+        return math.hypot(*x.tolist())
+    return np.hypot.reduce(x, axis=-1)
 
 
 def _half_step(rp: RadialProfile, ap: AngularProfile, r, polar):
@@ -106,49 +93,16 @@ class SphericalDecomp:
     k: int
 
 
-def spherical_decompose(x) -> SphericalDecomp:
-    """Factor a nonzero point of R^k, k >= 2, into its spherical parts."""
-    x = np.asarray(x, dtype=float)
-    k = x.shape[0]
-    norm = robust_norm(x)
-    if norm == 0.0:
-        raise OriginNotRepresentableError("the origin has no polar decomposition")
-    polar = math.acos(max(-1.0, min(1.0, x[-1] / norm))) / TWO_PI
-    proj = x[:-1]
-    pnorm = robust_norm(proj)
-    if pnorm == 0.0:
-        return SphericalDecomp(math.log(norm), polar, None, k)
-    return SphericalDecomp(math.log(norm), polar, proj / pnorm, k)
-
-
-def spherical_compose(s: SphericalDecomp) -> np.ndarray:
-    """Inverse of spherical_decompose; exact on the axis."""
-    rho = math.exp(s.r)
-    if s.equatorial_dir is None:
-        if s.polar not in (0.0, 0.5):
-            raise ValueError(
-                f"equatorial direction required off the poles (polar={s.polar})"
-            )
-        out = np.zeros(s.k)
-        out[-1] = rho if s.polar == 0.0 else -rho
-        return out
-    ang = TWO_PI * s.polar
-    out = np.empty(s.k)
-    out[:-1] = (rho * math.sin(ang)) * s.equatorial_dir
-    out[-1] = rho * math.cos(ang)
-    return out
-
-
 def _decompose_batch(X: np.ndarray):
     """Batch split of nonzero rows into (log-radius, polar, unit equatorial part).
 
     Pole rows get a zero equatorial part, which composes back to the exact
     axis point; callers must exclude zero rows beforehand.
     """
-    norms = _robust_norm_rows(X)
+    norms = robust_norm(X)
     polar = np.arccos(np.clip(X[:, -1] / norms, -1.0, 1.0)) / TWO_PI
     proj = X[:, :-1]
-    pnorms = _robust_norm_rows(proj)[:, None]
+    pnorms = robust_norm(proj)[:, None]
     dirs = np.divide(proj, pnorms, out=np.zeros_like(proj), where=pnorms > 0.0)
     return np.log(norms), polar, dirs
 
@@ -160,6 +114,28 @@ def _compose_batch(r: np.ndarray, polar: np.ndarray, dirs: np.ndarray) -> np.nda
     out[:, :-1] = (rho * np.sin(ang))[:, None] * dirs
     out[:, -1] = rho * np.cos(ang)
     return out
+
+
+def spherical_decompose(x) -> SphericalDecomp:
+    """Factor a nonzero point of R^k, k >= 2, into its spherical parts."""
+    x = np.asarray(x, dtype=float)
+    if not x.any():
+        raise OriginNotRepresentableError("the origin has no polar decomposition")
+    r, polar, dirs = _decompose_batch(x[None, :])
+    direction = dirs[0] if dirs.any() else None
+    return SphericalDecomp(float(r[0]), float(polar[0]), direction, x.shape[0])
+
+
+def spherical_compose(s: SphericalDecomp) -> np.ndarray:
+    """Inverse of spherical_decompose; exact on the axis."""
+    direction = s.equatorial_dir
+    if direction is None:
+        if s.polar not in (0.0, 0.5):
+            raise ValueError(
+                f"equatorial direction required off the poles (polar={s.polar})"
+            )
+        direction = np.zeros(s.k - 1)
+    return _compose_batch(np.array([s.r]), np.array([s.polar]), direction[None, :])[0]
 
 
 def _h_k_batch(rp: RadialProfile, ap: AngularProfile, X: np.ndarray) -> np.ndarray:
@@ -193,22 +169,20 @@ def apply_h_k(rp: RadialProfile, ap: AngularProfile, x) -> np.ndarray:
         raise ValueError(f"the suspension needs dimension k >= 3, got {k}")
     if x.ndim == 2:
         return _h_k_batch(rp, ap, x)
-    # Single-point fast path in scalar arithmetic; orbit iteration calls this
-    # hundreds of thousands of times.
+    # One point stays in scalar arithmetic: on a single row the batch path costs
+    # about eight times as much, and orbit iteration calls this once per step.
     vals = x.tolist()
-    scale = max(abs(v) for v in vals)
-    if scale == 0.0:
+    norm = math.hypot(*vals)
+    if norm == 0.0:
         return np.zeros(k)
-    norm = scale * math.sqrt(sum((v / scale) ** 2 for v in vals))
     polar = math.acos(max(-1.0, min(1.0, vals[-1] / norm))) / TWO_PI
     r2, p2 = _half_step(rp, ap, math.log(norm), polar)
     rho = math.exp(r2)
-    eq_scale = max(abs(v) for v in vals[:-1])
-    if eq_scale == 0.0:
+    eq_norm = math.hypot(*vals[:-1])
+    if eq_norm == 0.0:
         out = np.zeros(k)
         out[-1] = math.copysign(rho, vals[-1])
         return out
-    eq_norm = eq_scale * math.sqrt(sum((v / eq_scale) ** 2 for v in vals[:-1]))
     ang = TWO_PI * p2
     factor = rho * math.sin(ang) / eq_norm
     out = [factor * v for v in vals[:-1]]
@@ -258,7 +232,7 @@ class DoubleCone:
 def _axis_aperture(x, axis_index: int):
     """Angular distance (turns) from a point's direction to the +/- axis ``axis_index``."""
     x = np.asarray(x, dtype=float)
-    norms = _robust_norm_rows(x) if x.ndim == 2 else robust_norm(x)
+    norms = robust_norm(x)
     if np.any(norms == 0.0):
         raise OriginNotRepresentableError("cone membership is undefined at the origin")
     ratio = np.clip(np.abs(x[..., axis_index]) / norms, 0.0, 1.0)
@@ -339,11 +313,11 @@ def check_cone_condition(
     axes[2, 0] = 1.0
     axes[3, 0] = -1.0
     pts = np.vstack([pts, axes])
-    log_norm = np.log(_robust_norm_rows(pts))
+    log_norm = np.log(robust_norm(pts))
 
     jh = apply_j_k(rp, ap, _h_k_batch(rp, ap, pts))
-    min_gain_jh = float(np.min(np.log(_robust_norm_rows(jh)) - log_norm))
+    min_gain_jh = float(np.min(np.log(robust_norm(jh)) - log_norm))
     hj = _h_k_batch(rp, ap, apply_j_k(rp, ap, pts))
-    min_gain_hj = float(np.min(np.log(_robust_norm_rows(hj)) - log_norm))
+    min_gain_hj = float(np.min(np.log(robust_norm(hj)) - log_norm))
 
     return ConeCheck(holds=holds, min_gain_jh=min_gain_jh, min_gain_hj=min_gain_hj)

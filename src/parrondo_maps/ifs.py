@@ -83,6 +83,8 @@ class IfsConfig:
             raise ValueError(f"expansion a must be positive, got {self.a}")
         if not 0.0 < self.w < 0.25:
             raise ValueError(f"w must lie in (0, 1/4), got {self.w}")
+        if not math.isfinite(self.escape_threshold):
+            raise ValueError(f"escape_threshold must be finite, got {self.escape_threshold}")
 
     @property
     def pairs(self) -> int:

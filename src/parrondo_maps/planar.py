@@ -36,7 +36,6 @@ __all__ = [
     "apply_f1",
     "apply_tau",
     "apply_word",
-    "polynomial_demo_step",
     "composition_radial_gain",
     "from_cartesian",
     "inverse_f0",
@@ -267,19 +266,3 @@ def semistable_1d(x: float, which: str) -> float:
         return x / 9.0 if x <= 0 else 4.0 * x
     raise ValueError(f"which must be 'F', 'G' or 'FoG', got {which!r}")
 
-
-def polynomial_demo_step(x: float, y: float, which: str) -> tuple[float, float]:
-    """One step of a contrasting polynomial planar pair (orbit demos only).
-
-    Both maps have rotation-type local dynamics at the origin, unlike the
-    drift-based construction above; this module only emits their orbits and
-    makes no stability claims about them.
-    """
-    w = which.lower()
-    if w == "f":
-        return (-y + 2.0 * x * x + 6.0 * x * y, x - 3.0 * x * x + 2.0 * x * y + 3.0 * y * y)
-    if w == "g":
-        half_root3 = 0.5 * math.sqrt(3.0)
-        sq = x * x + y * y
-        return (0.5 * x - half_root3 * y - x * sq, half_root3 * x + 0.5 * y - y * sq)
-    raise ValueError(f"which must be 'F' or 'G', got {which!r}")

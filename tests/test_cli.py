@@ -77,7 +77,7 @@ class TestOrbit:
         out = tmp_path / "trace.csv"
         code = run(["orbit", "--map", "f0", "--start", "0,0.5", "--steps", "300", "--out", str(out)])
         assert code == 0
-        assert "classification=attracted" in capsys.readouterr().out
+        assert "classification=attracted" in capsys.readouterr().err
         lines = out.read_text().splitlines()
         assert lines[0] == f"# version: {__version__}"
         assert lines[1].startswith("# config: {")
@@ -118,28 +118,15 @@ class TestOrbit:
             ["orbit", "--map", "h", "--start", "0,0.3", "--steps", "400", "--out", str(out)]
         )
         assert code == 0
-        assert "classification=attracted" in capsys.readouterr().out
+        assert "classification=attracted" in capsys.readouterr().err
 
-    def test_polynomial_demo_orbit(self, tmp_path, capsys):
-        out = tmp_path / "trace.csv"
-        code = run(
-            [
-                "orbit",
-                "--map",
-                "polyf",
-                "--start-cart",
-                "0.1,0.0",
-                "--steps",
-                "200",
-                "--window",
-                "50",
-                "--out",
-                str(out),
-            ]
-        )
+    def test_stdout_holds_only_the_trace(self, capsys):
+        code = run(["orbit", "--map", "f0", "--start", "0,0.5", "--steps", "300"])
         assert code == 0
-        lines = out.read_text().splitlines()
-        assert lines[2] == "step,r,theta,gain"
+        captured = capsys.readouterr()
+        assert captured.out.startswith("# version:")
+        assert "classification=" not in captured.out
+        assert captured.err.startswith("classification=attracted")
 
     def test_suspension_orbit(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
@@ -159,7 +146,7 @@ class TestOrbit:
             ]
         )
         assert code == 0
-        assert "classification=attracted" in capsys.readouterr().out
+        assert "classification=attracted" in capsys.readouterr().err
 
     def test_start_dimension_mismatch(self):
         assert run(["orbit", "--map", "hk", "--k", "4", "--start-cart", "1,1,1"]) == 2
@@ -276,6 +263,13 @@ class TestIfs:
 
     def test_bad_probability(self):
         assert run(["ifs", "--p", "1.5", "--horizon", "100", "--sequences", "2"]) == 2
+
+    def test_non_finite_escape_threshold(self, tmp_path, capsys):
+        out = tmp_path / "stats.json"
+        argv = ["ifs", "--escape-threshold", "nan", "--horizon", "100", "--sequences", "2"]
+        assert run(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert "escape_threshold" in capsys.readouterr().err
 
     def test_unwritable_output(self, tmp_path):
         code = run(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from parrondo_maps.circle import Angle
+from parrondo_maps.circle import Angle, CircleInterval
 from parrondo_maps.dynamics import (
     OrbitClass,
     OrbitTrace,
@@ -17,8 +17,8 @@ from parrondo_maps.planar import (
     CylPoint,
     MapWord,
     apply_f0,
+    apply_f0_cartesian,
     apply_f1,
-    polynomial_demo_step,
     word_step,
 )
 from parrondo_maps.profiles import trapping_interval
@@ -89,11 +89,24 @@ class TestIterate:
         oracle = [math.log(np.linalg.norm(row)) for row in trace.cart]
         np.testing.assert_allclose(trace.rs, oracle, rtol=1e-12)
 
-    def test_polynomial_demo_orbit_runs(self):
-        step = lambda xy: np.asarray(polynomial_demo_step(xy[0], xy[1], "f"))
+    def test_polynomial_demo_orbit_runs(self, profiles):
+        # The 2-D Cartesian path of iterate, on the planar extension of f0.
+        rp, ap = profiles
+        step = lambda xy: apply_f0_cartesian(rp, ap, xy)
         trace = iterate(step, np.array([0.1, 0.0]), 50)
         assert trace.cart.shape == (51, 2)
         assert trace.thetas is not None
+
+    def test_cartesian_orbit_stops_at_the_origin(self):
+        # Halve the point until its first coordinate is at most 0.1, then map
+        # it to the origin: five steps, the last with log-radius -inf.
+        step = lambda x: x / 2.0 if x[0] > 0.1 else np.zeros(3)
+        trace = iterate(step, np.ones(3), 50)
+        assert trace.n_steps == 5
+        assert trace.rs[-1] == -math.inf
+        assert np.all(np.isfinite(trace.rs[:-1]))
+        np.testing.assert_array_equal(trace.cart[:-1], [np.ones(3) / 2.0**i for i in range(5)])
+        np.testing.assert_array_equal(trace.cart[-1], np.zeros(3))
 
     def test_points_property(self, profiles):
         trace = iterate(_f0_step(profiles), CylPoint(0.0, Angle(0.25)), 5)
@@ -185,6 +198,13 @@ class TestTrapEntry:
         # The pair's angular displacement is bounded below off the fixed set,
         # so angles keep circulating; this seed/length ends outside the trap.
         assert detect_trap_entry(trace, trapping_interval(rp)) is None
+
+    def test_cartesian_orbit_records_entry(self, profiles):
+        rp, ap = profiles
+        trap = CircleInterval(Angle(0.5), rp.w / (2.0 * rp.a))
+        trace = iterate(lambda x: apply_h_k(rp, ap, x), np.ones(3), 300, trap=trap)
+        assert trace.entered_trap_at is not None
+        assert trace.entered_trap_at == detect_trap_entry(trace, trap)
 
     def test_requires_angles(self, profiles):
         rp, ap = profiles

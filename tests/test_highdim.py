@@ -111,6 +111,25 @@ class TestSphericalCoords:
             5e-200, rel=1e-15
         )
         assert robust_norm(np.array([3e200, 4e200])) == pytest.approx(5e200, rel=1e-15)
+        rows = robust_norm(
+            np.array(
+                [
+                    [1e-300, 0.0, 0.0],
+                    [3e-200, 4e-200, 0.0],
+                    [3e200, 4e200, 0.0],
+                    [0.0, 0.0, 0.0],
+                ]
+            )
+        )
+        assert rows.shape == (4,)
+        assert rows[0] == 1e-300
+        assert rows[1] == pytest.approx(5e-200, rel=1e-15)
+        assert rows[2] == pytest.approx(5e200, rel=1e-15)
+        assert rows[3] == 0.0
+        long = np.full(20, 3e-200)
+        long[0] = 4e200
+        assert robust_norm(long) == pytest.approx(4e200, rel=1e-15)
+        assert robust_norm(np.full(25, 1e200)) == pytest.approx(5e200, rel=1e-15)
 
 
 class TestSuspension:

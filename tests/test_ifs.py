@@ -87,6 +87,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(w=0.3)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_escape_threshold_rejected(self, bad):
+        with pytest.raises(ValueError, match="escape_threshold"):
+            small_config(escape_threshold=bad)
+
     def test_admissibility(self):
         assert small_config(a=5.0).admissible
         assert not small_config(a=4.0).admissible

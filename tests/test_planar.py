@@ -17,7 +17,6 @@ from parrondo_maps.planar import (
     apply_f1,
     apply_tau,
     apply_word,
-    polynomial_demo_step,
     composition_radial_gain,
     from_cartesian,
     inverse_f0,
@@ -324,27 +323,6 @@ class TestSemistable1d:
     def test_unknown_branch(self):
         with pytest.raises(ValueError):
             semistable_1d(1.0, "h")
-
-
-class TestPolynomialDemo:
-    def test_origin_fixed(self):
-        assert polynomial_demo_step(0.0, 0.0, "F") == (0.0, 0.0)
-        assert polynomial_demo_step(0.0, 0.0, "G") == (0.0, 0.0)
-
-    def test_f_at_printed_point(self):
-        # Oracle: plug (0.1, 0) into the polynomials by hand.
-        fx, fy = polynomial_demo_step(0.1, 0.0, "F")
-        assert fx == pytest.approx(2 * 0.1**2, abs=1e-15)
-        assert fy == pytest.approx(0.1 - 3 * 0.1**2, abs=1e-15)
-
-    def test_g_at_printed_point(self):
-        gx, gy = polynomial_demo_step(0.1, 0.0, "G")
-        assert gx == pytest.approx(0.1 / 2 - 0.1**3, abs=1e-15)
-        assert gy == pytest.approx(math.sqrt(3) * 0.1 / 2, abs=1e-15)
-
-    def test_unknown_branch(self):
-        with pytest.raises(ValueError):
-            polynomial_demo_step(0.0, 0.0, "X")
 
 
 class TestWordStep:
