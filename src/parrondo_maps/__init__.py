@@ -75,7 +75,6 @@ from .profiles import (
     AngularShape,
     CheckResult,
     RadialProfile,
-    RadialShape,
     ValidationReport,
     default_profiles,
     make_angular_profile,

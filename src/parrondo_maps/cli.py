@@ -11,15 +11,18 @@ sweep    tabulate admissibility and empirical growth over (p, a) grids
 Exit codes: 0 success / checks passed, 1 a verification check failed,
 2 malformed configuration, 3 output could not be written.
 
-Flags override values from an optional JSON config file (--config); every
-output embeds the fully resolved configuration and the library version, and
-rerunning an echoed configuration reproduces the output byte for byte.
+Each option and its default are declared once, in the parser.  Flags override
+values from an optional JSON config file (--config), which override the
+declared defaults; every output embeds the fully resolved configuration and
+the library version, and rerunning an echoed configuration reproduces the
+output byte for byte.  JSON outputs write non-finite numbers as null.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -27,10 +30,11 @@ import numpy as np
 
 from . import __version__
 from .circle import Angle, CircleInterval
-from .dynamics import classify_orbit, iterate
-from .errors import ParrondoError, WindowTooLargeError
+from .dynamics import DEFAULT_TOL, DEFAULT_WINDOW, classify_orbit, iterate
+from .errors import ParrondoError
 from .highdim import apply_h, apply_h_k, apply_j_k, check_cone_condition
 from .ifs import (
+    ESCAPE_THRESHOLD,
     IfsConfig,
     expectation_recurrence_check,
     monte_carlo,
@@ -45,6 +49,9 @@ from .planar import (
     word_step,
 )
 from .profiles import (
+    DEFAULT_A,
+    DEFAULT_D,
+    DEFAULT_W,
     AngularProfile,
     RadialProfile,
     default_profiles,
@@ -58,109 +65,78 @@ EXIT_BAD_CONFIG = 2
 EXIT_WRITE_FAILED = 3
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
-_COMMON = {"a": 5.0, "w": 0.125, "d": 0.25, "seed": 0, "out": None, "format": None}
-
-_DEFAULTS = {
-    "verify": {**_COMMON, "k": 2, "grid": 100_000, "samples": 100_000},
-    "orbit": {
-        **_COMMON,
-        "map": "f0",
-        "word": None,
-        "start": "0,0.25",
-        "start_cart": None,
-        "steps": 1000,
-        "k": 3,
-        "window": 100,
-        "tol": 1e-3,
-    },
-    "ifs": {
-        **_COMMON,
-        "p": 0.5,
-        "horizon": 2000,
-        "sequences": 1000,
-        "escape_threshold": 100.0,
-        "start": "0,0.25",
-    },
-    "sweep": {
-        **_COMMON,
-        "p_grid": None,
-        "a_grid": None,
-        "horizon": 400,
-        "sequences": 100,
-    },
-}
-
-_FORMAT_DEFAULT = {"verify": "json", "orbit": "csv", "ifs": "json", "sweep": "csv"}
-
-
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers():
+    """The top-level parser and the action holding its subcommand parsers."""
     parser = argparse.ArgumentParser(
         prog="parrondo",
         description="Attracting map pairs with repelling compositions: verification and experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--a", type=float, help="radial expansion parameter (default 5)")
-        p.add_argument("--w", type=float, help="slow-arc half width in turns (default 1/8)")
-        p.add_argument("--d", type=float, help="angular drift amplitude in turns (default 1/4)")
-        p.add_argument("--seed", type=int, help="root seed for seeded sampling (default 0)")
+    def add_command(name, handler, fmt, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--a", type=float, default=DEFAULT_A,
+                       help="radial expansion parameter (default %(default)s)")
+        p.add_argument("--w", type=float, default=DEFAULT_W,
+                       help="slow-arc half width in turns (default %(default)s)")
+        p.add_argument("--d", type=float, default=DEFAULT_D,
+                       help="angular drift amplitude in turns (default %(default)s)")
+        p.add_argument("--seed", type=int, default=0, help="root seed for seeded sampling (default %(default)s)")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=["csv", "json"], help="output format")
+        p.add_argument("--format", choices=["csv", "json"], default=fmt, help="output format (default %(default)s)")
         p.add_argument("--config", help="JSON config file; flags override its values")
+        p.set_defaults(handler=handler)
+        return p
 
-    pv = sub.add_parser("verify", help="run the structural checks and certified gain bounds")
-    add_common(pv)
-    pv.add_argument("--k", type=int, help="dimension; k >= 3 adds the cone condition check")
-    pv.add_argument("--grid", type=int, help="grid size for the gain certificates")
-    pv.add_argument("--samples", type=int, help="sample count for the cone check")
-    pv.set_defaults(handler=cmd_verify)
+    def add_start(p):
+        p.add_argument("--start", default="0,0.25", help="cylinder start 'r,theta' (default %(default)s)")
 
-    po = sub.add_parser("orbit", help="iterate a map and write the trace")
-    add_common(po)
-    po.add_argument(
-        "--map",
-        choices=["f0", "f1", "h", "hk", "jk"],
-        help="named map to iterate (default f0)",
-    )
+    pv = add_command("verify", cmd_verify, "json", "run the structural checks and certified gain bounds")
+    pv.add_argument("--k", type=int, default=2,
+                    help="dimension; k >= 3 adds the cone condition check (default %(default)s)")
+    pv.add_argument("--grid", type=int, default=100_000,
+                    help="grid size for the gain certificates (default %(default)s)")
+    pv.add_argument("--samples", type=int, default=100_000,
+                    help="sample count for the cone check (default %(default)s)")
+
+    po = add_command("orbit", cmd_orbit, "csv", "iterate a map and write the trace")
+    po.add_argument("--map", choices=["f0", "f1", "h", "hk", "jk"], default="f0",
+                    help="named map to iterate (default %(default)s)")
     po.add_argument("--word", help="composition word such as 'f0,f1' or '01'; overrides --map")
-    po.add_argument("--start", help="cylinder start 'r,theta' (default '0,0.25')")
-    po.add_argument("--start-cart", dest="start_cart", help="Cartesian start 'x1,x2,...' for the hk/jk maps (default all ones)")
-    po.add_argument("--steps", type=int, help="number of iterations (default 1000)")
-    po.add_argument("--k", type=int, help="dimension for hk/jk (default 3)")
-    po.add_argument("--window", type=int, help="classification window (default 100)")
-    po.add_argument("--tol", type=float, help="classification tolerance (default 1e-3)")
-    po.set_defaults(handler=cmd_orbit)
+    add_start(po)
+    po.add_argument("--start-cart", dest="start_cart",
+                    help="Cartesian start 'x1,x2,...' for the hk/jk maps (default all ones)")
+    po.add_argument("--steps", type=int, default=1000, help="number of iterations (default %(default)s)")
+    po.add_argument("--k", type=int, default=3, help="dimension for hk/jk (default %(default)s)")
+    po.add_argument("--window", type=int, default=DEFAULT_WINDOW,
+                    help="classification window, at most --steps (default %(default)s)")
+    po.add_argument("--tol", type=float, default=DEFAULT_TOL, help="classification tolerance (default %(default)s)")
 
-    pi = sub.add_parser("ifs", help="randomized-composition Monte Carlo")
-    add_common(pi)
-    pi.add_argument("--p", type=float, help="probability of the first map (default 0.5)")
-    pi.add_argument(
-        "--horizon",
-        "--steps",
-        dest="horizon",
-        type=int,
-        help="steps per sequence, even (default 2000)",
-    )
-    pi.add_argument("--sequences", type=int, help="number of sequences (default 1000)")
-    pi.add_argument("--escape-threshold", dest="escape_threshold", type=float,
-                    help="terminal gain counted as escape (default 100)")
-    pi.add_argument("--start", help="cylinder start 'r,theta' (default '0,0.25')")
-    pi.set_defaults(handler=cmd_ifs)
+    pi = add_command("ifs", cmd_ifs, "json", "randomized-composition Monte Carlo")
+    pi.add_argument("--p", type=float, default=0.5, help="probability of the first map (default %(default)s)")
+    pi.add_argument("--horizon", "--steps", dest="horizon", type=int, default=2000,
+                    help="steps per sequence, even (default %(default)s)")
+    pi.add_argument("--sequences", type=int, default=1000, help="number of sequences (default %(default)s)")
+    pi.add_argument("--escape-threshold", dest="escape_threshold", type=float, default=ESCAPE_THRESHOLD,
+                    help="terminal gain counted as escape (default %(default)s)")
+    add_start(pi)
 
-    ps = sub.add_parser("sweep", help="admissibility and growth over (p, a) grids")
-    add_common(ps)
+    ps = add_command("sweep", cmd_sweep, "csv", "admissibility and growth over (p, a) grids")
     ps.add_argument("--p-grid", dest="p_grid", help="comma list '0.1,0.5' or range 'start:stop:count'")
     ps.add_argument("--a-grid", dest="a_grid", help="comma list or range of expansion values")
-    ps.add_argument("--horizon", type=int, help="steps per sequence in each cell (default 400)")
-    ps.add_argument("--sequences", type=int, help="sequences per cell (default 100)")
-    ps.set_defaults(handler=cmd_sweep)
+    ps.add_argument("--horizon", type=int, default=400,
+                    help="steps per sequence in each cell (default %(default)s)")
+    ps.add_argument("--sequences", type=int, default=100, help="sequences per cell (default %(default)s)")
 
-    return parser
+    return parser, sub
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
 
 
 def _load_file_config(path: str) -> dict:
@@ -175,29 +151,29 @@ def _load_file_config(path: str) -> dict:
     return obj
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    defaults = _DEFAULTS[args.command]
-    file_cfg = _load_file_config(args.config) if args.config else {}
-    unknown = set(file_cfg) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    params = {"command": args.command}
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            params[key] = flag
-        elif key in file_cfg:
-            params[key] = file_cfg[key]
-        else:
-            params[key] = default
-    if params["format"] is None:
-        params["format"] = _FORMAT_DEFAULT[args.command]
-    return params
+def _parse(argv) -> argparse.Namespace:
+    """Parse the command line; with --config, parse it again over the file's values.
+
+    The file's values become the subcommand's defaults, so flags still win
+    and string values pass through each option's type like flags do.
+    """
+    parser, sub = _build_parsers()
+    args = parser.parse_args(argv)
+    if args.config:
+        file_cfg = _load_file_config(args.config)
+        # Every option of the subcommand is a config key; the command, the
+        # config path and the handler are not.
+        unknown = set(file_cfg) - (set(vars(args)) - {"command", "config", "handler"})
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        sub.choices[args.command].set_defaults(**file_cfg)
+        args = parser.parse_args(argv)
+    return args
 
 
 def _echo_config(params: dict) -> dict:
-    """The reproducibility record: everything except the output destination."""
-    return {k: v for k, v in params.items() if k not in ("out", "config")}
+    """The reproducibility record: every option except the output and config paths."""
+    return {k: v for k, v in params.items() if k not in ("out", "config", "handler")}
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -235,14 +211,20 @@ def _write(out: str | None, text: str) -> None:
     Path(out).write_text(text)
 
 
+def _finite(x) -> float | None:
+    """JSON has no Infinity or NaN, so non-finite numbers are written as null."""
+    x = float(x)
+    return x if math.isfinite(x) else None
+
+
 def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _csv_header(config: dict, columns: str) -> list[str]:
     return [
         f"# version: {__version__}",
-        f"# config: {json.dumps(config, sort_keys=True)}",
+        f"# config: {json.dumps(config, sort_keys=True, allow_nan=False)}",
         columns,
     ]
 
@@ -262,14 +244,8 @@ def cmd_verify(params: dict) -> int:
     cone = None
     if k >= 3:
         cone = check_cone_condition(rp, ap, k, n_samples=int(params["samples"]), seed=int(params["seed"]))
-    passed = (
-        report.passed
-        and gain_01.certified
-        and gain_10.certified
-        and gain_01.min_gain > 0.0
-        and gain_10.min_gain > 0.0
-        and (cone is None or cone.holds)
-    )
+    gains_ok = all(g.certified and g.min_gain > 0.0 for g in (gain_01, gain_10))
+    passed = report.passed and gains_ok and (cone is None or cone.holds)
     payload = {
         "version": __version__,
         "config": _echo_config(params),
@@ -296,14 +272,14 @@ def _build_orbit(params: dict):
     if params["word"]:
         word = MapWord.parse(str(params["word"]))
         return word_step(word, rp, ap), _parse_cyl_start(params["start"]), None
-    if name == "f0":
-        return (lambda p: apply_f0(rp, ap, p)), _parse_cyl_start(params["start"]), trapping_interval(rp)
-    if name == "f1":
-        trap = trapping_interval(rp).translate(0.5)
-        return (lambda p: apply_f1(rp, ap, p)), _parse_cyl_start(params["start"]), trap
-    if name == "h":
-        trap = CircleInterval(Angle(0.5), rp.w / (2.0 * rp.a))
-        return (lambda p: apply_h(rp, ap, p)), _parse_cyl_start(params["start"]), trap
+    planar = {
+        "f0": (apply_f0, trapping_interval(rp)),
+        "f1": (apply_f1, trapping_interval(rp).translate(0.5)),
+        "h": (apply_h, CircleInterval(Angle(0.5), rp.w / (2.0 * rp.a))),
+    }
+    if name in planar:
+        fn, trap = planar[name]
+        return (lambda p: fn(rp, ap, p)), _parse_cyl_start(params["start"]), trap
     if name in ("hk", "jk"):
         k = int(params["k"])
         if params["start_cart"] is not None:
@@ -327,11 +303,12 @@ def _trace_rows(trace) -> list[str]:
 
 def cmd_orbit(params: dict) -> int:
     step, start, trap = _build_orbit(params)
-    trace = iterate(step, start, int(params["steps"]), trap=trap)
-    try:
-        label, rate = classify_orbit(trace, int(params["window"]), float(params["tol"]))
-    except WindowTooLargeError as exc:
-        raise ConfigError(str(exc)) from exc
+    steps, window = int(params["steps"]), int(params["window"])
+    if window > steps:
+        raise ConfigError(f"window {window} exceeds the {steps}-step orbit")
+    trace = iterate(step, start, steps, trap=trap)
+    # An orbit cut short by an escape is classified over the steps it ran.
+    label, rate = classify_orbit(trace, min(window, trace.n_steps), float(params["tol"]))
     print(
         f"classification={label.value} rate={rate:.6g} "
         f"steps={trace.n_steps} trap_entry={trace.entered_trap_at}",
@@ -343,12 +320,12 @@ def cmd_orbit(params: dict) -> int:
             "version": __version__,
             "config": config,
             "points": [
-                [i, float(r), float(t)]
+                [i, _finite(r), _finite(t)]
                 for i, (r, t) in enumerate(zip(trace.rs, trace.thetas))
             ],
-            "gains": [float(g) for g in trace.gains],
+            "gains": [_finite(g) for g in trace.gains],
             "classification": label.value,
-            "rate": rate,
+            "rate": _finite(rate),
         }
         _write(params["out"], _dump_json(payload))
     else:
@@ -358,23 +335,13 @@ def cmd_orbit(params: dict) -> int:
 
 
 def cmd_ifs(params: dict) -> int:
-    try:
-        config = IfsConfig(
-            p=float(params["p"]),
-            a=float(params["a"]),
-            seed=int(params["seed"]),
-            horizon=int(params["horizon"]),
-            n_sequences=int(params["sequences"]),
-            w=float(params["w"]),
-            d=float(params["d"]),
-            escape_threshold=float(params["escape_threshold"]),
-        )
-    except (ValueError, ParrondoError) as exc:
-        raise ConfigError(str(exc)) from exc
+    config = IfsConfig(
+        p=float(params["p"]), a=float(params["a"]), seed=int(params["seed"]), horizon=int(params["horizon"]),
+        n_sequences=int(params["sequences"]), w=float(params["w"]), d=float(params["d"]),
+        escape_threshold=float(params["escape_threshold"]),
+    )
     start = _parse_cyl_start(params["start"])
     stats = monte_carlo(config, start)
-    bounds = theoretical_bounds(config.p, config.a)
-    recurrence = expectation_recurrence_check(config, stats=stats)
     echo = _echo_config(params)
     if params["format"] == "csv":
         lines = _csv_header(echo, "sequence_id,m,k_m,delta_2m")
@@ -385,11 +352,11 @@ def cmd_ifs(params: dict) -> int:
     payload = {
         "version": __version__,
         "config": echo,
-        "bounds": bounds.to_dict(),
+        "bounds": theoretical_bounds(config.p, config.a).to_dict(),
         "admissible": config.admissible,
         "label": "ADMISSIBLE" if config.admissible else "INADMISSIBLE",
         "stats": stats.to_dict(),
-        "recurrence": recurrence.to_dict(),
+        "recurrence": expectation_recurrence_check(config, stats=stats).to_dict(),
     }
     _write(params["out"], _dump_json(payload))
     return EXIT_OK
@@ -415,18 +382,10 @@ def cmd_sweep(params: dict) -> int:
     for p in ps:
         for a in a_values:
             bounds = theoretical_bounds(p, a)
-            try:
-                config = IfsConfig(
-                    p=p,
-                    a=a,
-                    seed=int(params["seed"]),
-                    horizon=int(params["horizon"]),
-                    n_sequences=int(params["sequences"]),
-                    w=float(params["w"]),
-                    d=float(params["d"]),
-                )
-            except (ValueError, ParrondoError) as exc:
-                raise ConfigError(str(exc)) from exc
+            config = IfsConfig(
+                p=p, a=a, seed=int(params["seed"]), horizon=int(params["horizon"]),
+                n_sequences=int(params["sequences"]), w=float(params["w"]), d=float(params["d"]),
+            )
             stats = monte_carlo(config)
             lines.append(
                 f"{p!r},{a!r},{bounds.a_min!r},{bounds.K!r},{bounds.pair_slope_lb!r},"
@@ -438,14 +397,9 @@ def cmd_sweep(params: dict) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        params = _resolve(args)
-        return args.handler(params)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        args = _parse(argv)
+        return args.handler(vars(args))
     except (ValueError, ParrondoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

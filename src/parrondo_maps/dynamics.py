@@ -109,11 +109,12 @@ def iterate(
     """Run ``n_steps`` of a map and record the full trace.
 
     ``start`` may be a CylPoint (cylinder maps) or a nonzero array-like point
-    (Cartesian maps; gains are log-norm differences).  Iteration stops early
-    once the log-radius is non-finite (a step reached the origin) or its
-    magnitude exceeds ``r_escape``.  When ``trap`` is given, the entry step
-    into the trapping arc is recorded from the traced angles, for Cartesian
-    orbits too.
+    (Cartesian maps; gains are log-norm differences).  A start whose
+    log-radius magnitude already exceeds ``r_escape`` is rejected with
+    ``ValueError``.  Iteration stops early once the log-radius is non-finite
+    (a step reached the origin) or its magnitude exceeds ``r_escape``.  When
+    ``trap`` is given, the entry step into the trapping arc is recorded from
+    the traced angles, for Cartesian orbits too.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
@@ -128,6 +129,8 @@ def iterate(
     rs[0], ths[0] = observe(x)
     if rs[0] == -math.inf:
         raise OriginNotRepresentableError("Cartesian orbits must start off the origin")
+    if not abs(rs[0]) <= r_escape:
+        raise ValueError(f"start log-radius {rs[0]:g} already exceeds the escape bound {r_escape:g} in magnitude")
     n_done = n_steps
     for i in range(1, n_steps + 1):
         x = step(x)

@@ -166,14 +166,11 @@ class IfsRun:
     pair_mixed: np.ndarray
     pair_gains: np.ndarray
     k_series: np.ndarray
+    delta_total: float
 
     @property
     def k_m(self) -> int:
         return int(self.k_series[-1])
-
-    @property
-    def delta_total(self) -> float:
-        return float(self.trace.rs[-1] - self.trace.rs[0])
 
 
 def run_ifs(
@@ -197,7 +194,9 @@ def run_ifs(
     n = len(symbols)
     rs = np.empty(n + 1)
     ths = np.empty(n + 1)
-    r = start.r
+    # The log-radius change is summed from 0 and the start added once at the
+    # end, so no gain is lost to rounding against a huge start radius.
+    r = 0.0
     th = start.theta.value
     rs[0], ths[0] = r, th
     delta_r = rp.delta_r
@@ -208,6 +207,8 @@ def run_ifs(
         th = (th + delta_theta(t)) % 1.0
         rs[i + 1], ths[i + 1] = r, th
     gains = np.diff(rs)
+    delta_total = float(rs[-1])
+    rs += start.r
     pair_gains = gains[0::2] + gains[1::2]
     pair_mixed = symbols[0::2] != symbols[1::2]
     trace = OrbitTrace(rs=rs, gains=gains, thetas=ths)
@@ -217,6 +218,7 @@ def run_ifs(
         pair_mixed=pair_mixed,
         pair_gains=pair_gains,
         k_series=np.cumsum(pair_mixed),
+        delta_total=delta_total,
     )
 
 

@@ -42,7 +42,6 @@ __all__ = [
     "AngularShape",
     "CheckResult",
     "RadialProfile",
-    "RadialShape",
     "ValidationReport",
     "default_profiles",
     "make_angular_profile",
@@ -58,10 +57,6 @@ TWO_PI = 2.0 * math.pi
 DEFAULT_A = 5.0
 DEFAULT_W = 0.125
 DEFAULT_D = 0.25
-
-
-class RadialShape(str, Enum):
-    PIECEWISE_LINEAR = "piecewise_linear"
 
 
 class AngularShape(str, Enum):
@@ -95,7 +90,6 @@ class RadialProfile:
 
     a: float
     w: float
-    shape: RadialShape = RadialShape.PIECEWISE_LINEAR
 
     def delta_r(self, theta):
         dist = _dist_to_zero(theta)
@@ -384,14 +378,18 @@ def profiles_to_json(rp: RadialProfile, ap: AngularProfile) -> dict:
         "a": rp.a,
         "w": rp.w,
         "d": ap.d,
-        "radial_shape": rp.shape.value,
         "angular_shape": ap.shape.value,
     }
 
 
 def profiles_from_json(obj: dict) -> tuple[RadialProfile, AngularProfile]:
-    """Rebuild a validated profile pair from its JSON parameter object."""
-    RadialShape(obj.get("radial_shape", RadialShape.PIECEWISE_LINEAR.value))
+    """Rebuild a validated profile pair from its JSON parameter object.
+
+    The radial increment has one shape, so a ``radial_shape`` field, which
+    older objects carry, must name it.
+    """
+    if obj.get("radial_shape", "piecewise_linear") != "piecewise_linear":
+        raise ValueError(f"unknown radial_shape {obj['radial_shape']!r}; the tent is 'piecewise_linear'")
     shape = AngularShape(obj.get("angular_shape", AngularShape.RAISED_COSINE.value))
     rp = make_radial_profile(float(obj["a"]), float(obj["w"]))
     ap = make_angular_profile(float(obj["d"]), w_ref=rp.w, shape=shape)

@@ -1,12 +1,58 @@
 import json
+import math
 
+import pytest
 
-from parrondo_maps import __version__
+from parrondo_maps import __version__, cli
 from parrondo_maps.cli import main
 
 
 def run(argv):
     return main(argv)
+
+
+def strict_json(text):
+    """Parse JSON as a strict parser does: NaN and Infinity are not JSON."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+# The configuration each command echoes when given no flags, as literal JSON.
+ECHOED_DEFAULTS = {
+    "verify": '{"a": 5.0, "command": "verify", "d": 0.25, "format": "json", "grid": 100000, "k": 2, '
+    '"samples": 100000, "seed": 0, "w": 0.125}',
+    "orbit": '{"a": 5.0, "command": "orbit", "d": 0.25, "format": "csv", "k": 3, "map": "f0", "seed": 0, '
+    '"start": "0,0.25", "start_cart": null, "steps": 1000, "tol": 0.001, "w": 0.125, "window": 100, "word": null}',
+    "ifs": '{"a": 5.0, "command": "ifs", "d": 0.25, "escape_threshold": 100.0, "format": "json", "horizon": 2000, '
+    '"p": 0.5, "seed": 0, "sequences": 1000, "start": "0,0.25", "w": 0.125}',
+    "sweep": '{"a": 5.0, "a_grid": null, "command": "sweep", "d": 0.25, "format": "csv", "horizon": 400, '
+    '"p_grid": null, "seed": 0, "sequences": 100, "w": 0.125}',
+}
+
+
+@pytest.mark.parametrize("command", sorted(ECHOED_DEFAULTS))
+def test_echoed_default_config(command, monkeypatch):
+    seen = {}
+
+    def handler(params):
+        seen.update(cli._echo_config(params))
+        return 0
+
+    monkeypatch.setattr(cli, f"cmd_{command}", handler)
+    assert run([command]) == 0
+    assert json.dumps(seen, sort_keys=True) == ECHOED_DEFAULTS[command]
+
+
+def test_help_shows_the_declared_defaults(capsys):
+    with pytest.raises(SystemExit):
+        run(["ifs", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "(default 5.0)" in text
+    assert "(default 2000)" in text
+    assert "(default 100.0)" in text
 
 
 class TestVerify:
@@ -61,10 +107,14 @@ class TestVerify:
     def test_missing_config_file(self):
         assert run(["verify", "--config", "/no/such/file.json"]) == 2
 
-    def test_unknown_config_key(self, tmp_path):
+    def test_unknown_config_key(self, tmp_path, capsys):
+        # command, config and handler live in the parsed namespace but are
+        # not options, so a config file may not set them.
         cfg = tmp_path / "c.json"
-        cfg.write_text('{"bogus": 1}')
-        assert run(["verify", "--config", str(cfg)]) == 2
+        for key in ("bogus", "command", "config", "handler"):
+            cfg.write_text(json.dumps({key: "ifs"}))
+            assert run(["verify", "--config", str(cfg)]) == 2
+            assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
 
     def test_invalid_json_config(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -156,6 +206,34 @@ class TestOrbit:
 
     def test_bad_start(self):
         assert run(["orbit", "--start", "1;2"]) == 2
+
+    def test_non_finite_values_are_json_null(self, tmp_path, capsys):
+        # The orbit underflows to the origin at step 120: log-radius -inf.
+        out = tmp_path / "trace.json"
+        argv = ["orbit", "--map", "hk", "--k", "3", "--start-cart", "1e-300,0,0", "--steps", "200"]
+        assert run(argv + ["--format", "json", "--out", str(out)]) == 0
+        payload = strict_json(out.read_text())
+        assert payload["points"][-1][1] is None
+        assert payload["gains"][-1] is None
+        assert payload["rate"] is None
+        assert all(math.isfinite(r) for _, r, _ in payload["points"][:-1])
+        with pytest.raises(ValueError):
+            cli._dump_json({"x": math.nan})
+
+    def test_start_beyond_escape_bound(self, capsys):
+        assert run(["orbit", "--map", "f0", "--start", "1e300,0.3"]) == 2
+        assert "escape bound" in capsys.readouterr().err
+
+    def test_early_escape_is_classified_over_the_steps_run(self, tmp_path, capsys):
+        # log-radius 999990 crosses the escape bound 1e6 at the second step.
+        out = tmp_path / "trace.csv"
+        assert run(["orbit", "--word", "f0,f1", "--start", "999990,0.3", "--out", str(out)]) == 0
+        assert capsys.readouterr().err.startswith("classification=repelled")
+        assert len(out.read_text().splitlines()) == 3 + 3
+
+    def test_escaping_orbit_still_needs_a_fitting_window(self):
+        argv = ["orbit", "--word", "f0,f1", "--start", "999990,0.3", "--steps", "50"]
+        assert run(argv) == 2
 
 
 class TestIfs:
@@ -260,6 +338,28 @@ class TestIfs:
         payload = json.loads(out.read_text())
         assert payload["config"]["p"] == 0.5
         assert payload["config"]["horizon"] == 100
+
+    def test_config_file_strings_are_converted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": "5", "a": "6", "horizon": 100, "sequences": 2}))
+        out = tmp_path / "stats.json"
+        assert run(["ifs", "--config", str(cfg), "--out", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]
+        assert config["seed"] == 5 and isinstance(config["seed"], int)
+        assert config["a"] == 6.0 and isinstance(config["a"], float)
+
+    def test_huge_start_keeps_every_gain(self, tmp_path):
+        # The angle dynamics ignores the radius, so a start at log-radius
+        # 1e308 has exactly the gains of the same angle at log-radius 0.
+        stats = {}
+        for r in ("0", "1e308"):
+            out = tmp_path / f"stats_{r}.json"
+            argv = ["ifs", "--start", f"{r},0.3", "--horizon", "100", "--sequences", "3"]
+            assert run(argv + ["--out", str(out)]) == 0
+            stats[r] = json.loads(out.read_text())["stats"]
+        assert stats["1e308"] == stats["0"]
+        assert stats["1e308"]["escape_fraction"] == 1.0
+        assert stats["1e308"]["mean_pair_gain"] > 1.0
 
     def test_bad_probability(self):
         assert run(["ifs", "--p", "1.5", "--horizon", "100", "--sequences", "2"]) == 2

@@ -35,6 +35,13 @@ class TestIterate:
         np.testing.assert_array_equal(trace.rs, -np.arange(11.0))
         np.testing.assert_array_equal(trace.thetas, np.zeros(11))
 
+    def test_start_beyond_escape_bound_is_rejected(self, profiles):
+        for r in (2e3, -2e3):
+            with pytest.raises(ValueError, match="escape bound"):
+                iterate(_f0_step(profiles), CylPoint(r, Angle(0.3)), 10, r_escape=1e3)
+        trace = iterate(_f0_step(profiles), CylPoint(1e3, Angle(0.3)), 10, r_escape=1e3)
+        assert trace.n_steps == 1
+
     def test_gains_match_radius_differences(self, profiles):
         trace = iterate(_f0_step(profiles), CylPoint(0.0, Angle(0.37)), 200)
         np.testing.assert_array_equal(trace.gains, np.diff(trace.rs))

@@ -135,6 +135,16 @@ class TestRunIfs:
         with pytest.raises(ValueError):
             run_ifs(small_config(horizon=10), symbols=np.zeros(4, int))
 
+    def test_huge_start_keeps_every_gain(self):
+        # Against log-radius 1e308 every gain rounds away, so the change is
+        # summed on its own; the angle orbit does not depend on the radius.
+        config = small_config(horizon=100)
+        base = run_ifs(config, CylPoint(0.0, Angle(0.3)), stream=1)
+        huge = run_ifs(config, CylPoint(1e308, Angle(0.3)), stream=1)
+        assert huge.delta_total == base.delta_total > 0.0
+        np.testing.assert_array_equal(huge.pair_gains, base.pair_gains)
+        assert huge.trace.rs[0] == 1e308
+
     def test_trace_is_consistent(self):
         config = small_config(horizon=50)
         run = run_ifs(config, stream=2)

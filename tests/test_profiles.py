@@ -224,7 +224,14 @@ class TestValidateProfiles:
 class TestJsonInterface:
     def test_schema(self, profiles):
         obj = profiles_to_json(*profiles)
-        assert set(obj) == {"a", "w", "d", "radial_shape", "angular_shape"}
+        assert set(obj) == {"a", "w", "d", "angular_shape"}
+
+    def test_radial_shape_field(self):
+        obj = {"a": 5.0, "w": 0.125, "d": 0.25}
+        rp, _ = profiles_from_json({**obj, "radial_shape": "piecewise_linear"})
+        assert rp == profiles_from_json(obj)[0]
+        with pytest.raises(ValueError):
+            profiles_from_json({**obj, "radial_shape": "raised_cosine"})
 
     def test_round_trip(self, profiles_by_shape):
         for rp, ap in profiles_by_shape.values():
