@@ -48,6 +48,7 @@ from .ifs import (
     bernoulli_sequence,
     expectation_recurrence_check,
     monte_carlo,
+    monte_carlo_grid,
     run_ifs,
     sequence_rng,
     theoretical_bounds,

@@ -38,6 +38,7 @@ from .ifs import (
     IfsConfig,
     expectation_recurrence_check,
     monte_carlo,
+    monte_carlo_grid,
     theoretical_bounds,
 )
 from .planar import (
@@ -151,22 +152,48 @@ def _load_file_config(path: str) -> dict:
     return obj
 
 
+def _file_value(action: argparse.Action, value):
+    """A config-file value, checked and converted as the same flag's text would be.
+
+    argparse converts only string defaults and never checks them against
+    ``choices``, so this does both.  ``null`` is kept only where the option's
+    own default is null (an echoed, unset ``--word`` or ``--start-cart``).
+    """
+    key = action.dest
+    if value is None and action.default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        kind = action.type.__name__ if action.type else "str"
+        raise ConfigError(f"config key {key!r} takes a {kind}, got {json.dumps(value)}")
+    text = str(value)
+    try:
+        value = action.type(text) if action.type else text
+    except ValueError as exc:
+        raise ConfigError(f"config key {key!r}: invalid {action.type.__name__} value {text!r}") from exc
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"config key {key!r}: {value!r} is not one of {sorted(action.choices)}")
+    return value
+
+
 def _parse(argv) -> argparse.Namespace:
     """Parse the command line; with --config, parse it again over the file's values.
 
-    The file's values become the subcommand's defaults, so flags still win
-    and string values pass through each option's type like flags do.
+    The file's values become the subcommand's defaults, so flags still win;
+    each value is checked and converted like the same flag first.
     """
     parser, sub = _build_parsers()
     args = parser.parse_args(argv)
     if args.config:
         file_cfg = _load_file_config(args.config)
+        command = sub.choices[args.command]
         # Every option of the subcommand is a config key; the command, the
-        # config path and the handler are not.
-        unknown = set(file_cfg) - (set(vars(args)) - {"command", "config", "handler"})
+        # config path and the handler are not.  argparse offers no public
+        # list of a parser's options, hence ``_actions``.
+        options = {a.dest: a for a in command._actions if a.dest in vars(args) and a.dest != "config"}
+        unknown = set(file_cfg) - set(options)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        sub.choices[args.command].set_defaults(**file_cfg)
+        command.set_defaults(**{key: _file_value(options[key], v) for key, v in file_cfg.items()})
         args = parser.parse_args(argv)
     return args
 
@@ -380,13 +407,16 @@ def cmd_sweep(params: dict) -> int:
         echo, "p,a,a_min,K,pair_slope_lb,empirical_slope,escape_fraction,admissibility"
     )
     for p in ps:
-        for a in a_values:
-            bounds = theoretical_bounds(p, a)
-            config = IfsConfig(
+        # One row of cells differs only in a, so it shares one angle orbit per stream.
+        configs = [
+            IfsConfig(
                 p=p, a=a, seed=int(params["seed"]), horizon=int(params["horizon"]),
                 n_sequences=int(params["sequences"]), w=float(params["w"]), d=float(params["d"]),
             )
-            stats = monte_carlo(config)
+            for a in a_values
+        ]
+        for a, stats in zip(a_values, monte_carlo_grid(configs)):
+            bounds = theoretical_bounds(p, a)
             lines.append(
                 f"{p!r},{a!r},{bounds.a_min!r},{bounds.K!r},{bounds.pair_slope_lb!r},"
                 f"{stats.mean_pair_gain!r},{stats.escape_fraction!r},"

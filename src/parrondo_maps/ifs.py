@@ -12,6 +12,11 @@ probability ``2 p (1 - p)``, which makes the expected per-pair gain at least
 One root seed plus a per-sequence stream index gives fully reproducible,
 embarrassingly parallel experiments: stream ``i`` uses the child generator
 ``SeedSequence(seed, spawn_key=(i,))``.
+
+``run_ifs`` records one orbit with its per-pair gains.  ``monte_carlo`` and
+``monte_carlo_grid`` keep only each stream's terminal gain and mixed-pair
+count, and advance all streams in lock-step, one numpy step per map
+application; each stream's numbers are bit-identical to its ``run_ifs``.
 """
 
 from __future__ import annotations
@@ -43,12 +48,17 @@ __all__ = [
     "bernoulli_sequence",
     "expectation_recurrence_check",
     "monte_carlo",
+    "monte_carlo_grid",
     "run_ifs",
     "sequence_rng",
     "theoretical_bounds",
 ]
 
 ESCAPE_THRESHOLD = 100.0
+
+# Symbols held at once by the lock-step engine: streams are processed in
+# chunks of at most this many int8 symbols (1 MiB), whatever the horizon.
+CHUNK_SYMBOLS = 1 << 20
 
 # Generic start: off both invariant rays and equidistant from both slow arcs.
 DEFAULT_START = CylPoint(0.0, Angle(0.25))
@@ -303,13 +313,49 @@ class IfsStats:
 
 def monte_carlo(config: IfsConfig, start: CylPoint = DEFAULT_START) -> IfsStats:
     """Aggregate independent runs over streams 0 .. n_sequences - 1."""
-    deltas = np.empty(config.n_sequences)
-    k_counts = np.empty(config.n_sequences, dtype=np.int64)
-    for s in range(config.n_sequences):
-        run = run_ifs(config, start, stream=s)
-        deltas[s] = run.delta_total
-        k_counts[s] = run.k_m
-    return IfsStats(config=config, deltas=deltas, k_counts=k_counts)
+    return monte_carlo_grid([config], start)[0]
+
+
+def monte_carlo_grid(configs, start: CylPoint = DEFAULT_START) -> list[IfsStats]:
+    """``monte_carlo`` of each config, for configs that differ only in ``a``.
+
+    The symbols and the angle orbit depend on ``p``, ``d`` and the seed but
+    not on ``a``, so the configs share one run: every stream's angle moves
+    once per step, and its radial increment is read for the whole column of
+    ``a`` values at once.  Streams advance in lock-step, in chunks of at most
+    ``CHUNK_SYMBOLS`` symbols.
+    """
+    configs = list(configs)
+    if not configs:
+        raise ValueError("monte_carlo_grid needs at least one config")
+    base = configs[0]
+    if any(replace(c, a=base.a) != base for c in configs):
+        raise ValueError("the configs of one grid may differ only in a")
+    _, ap = base.profiles()
+    radial = RadialProfile(np.array([[c.a] for c in configs]), base.w)
+    n, horizon = base.n_sequences, base.horizon
+    deltas = np.empty((len(configs), n))
+    k_counts = np.empty(n, dtype=np.int64)
+    lanes = max(1, CHUNK_SYMBOLS // horizon)
+    for lo in range(0, n, lanes):
+        hi = min(lo + lanes, n)
+        # Step-major, so that each step reads one contiguous column.
+        cols = np.empty((horizon, hi - lo), dtype=np.int8)
+        for s in range(lo, hi):
+            cols[:, s - lo] = bernoulli_sequence(base.p, horizon, base.seed, s)
+        k_counts[lo:hi] = np.count_nonzero(cols[0::2] != cols[1::2], axis=0)
+        # The same operations as run_ifs, one lane per stream.
+        r = np.zeros((len(configs), hi - lo))
+        th = np.full(hi - lo, start.theta.value)
+        for col in cols:
+            t = th + 0.5 * col
+            r += radial.delta_r(t)
+            th = (th + ap.delta_theta(t)) % 1.0
+        deltas[:, lo:hi] = r
+    return [
+        IfsStats(config=c, deltas=row, k_counts=k_counts.copy())
+        for c, row in zip(configs, deltas)
+    ]
 
 
 @dataclass(frozen=True)

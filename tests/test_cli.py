@@ -1,10 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from parrondo_maps import __version__, cli
 from parrondo_maps.cli import main
+from parrondo_maps.ifs import IfsConfig, monte_carlo, theoretical_bounds
 
 
 def run(argv):
@@ -53,6 +55,50 @@ def test_help_shows_the_declared_defaults(capsys):
     assert "(default 5.0)" in text
     assert "(default 2000)" in text
     assert "(default 100.0)" in text
+
+
+# Each command's numeric options, as config-file keys.
+NUMERIC_OPTIONS = {
+    "verify": ["a", "w", "d", "seed", "k", "grid", "samples"],
+    "orbit": ["a", "w", "d", "seed", "steps", "k", "window", "tol"],
+    "ifs": ["a", "w", "d", "seed", "p", "horizon", "sequences", "escape_threshold"],
+    "sweep": ["a", "w", "d", "seed", "horizon", "sequences"],
+}
+
+
+@pytest.mark.parametrize("command, key", [(c, k) for c, keys in NUMERIC_OPTIONS.items() for k in keys])
+def test_config_file_numeric_option_of_the_wrong_json_type(command, key, tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    for value in (None, [1], {"x": 1}, True):
+        cfg.write_text(json.dumps({key: value}))
+        assert run([command, "--config", str(cfg)]) == 2
+        assert f"config key {key!r} takes a" in capsys.readouterr().err
+
+
+class TestConfigFileValues:
+    def test_value_outside_choices(self, tmp_path, capsys):
+        cfg, out = tmp_path / "c.json", tmp_path / "t.csv"
+        for key, value in (("format", "xml"), ("map", "f9")):
+            cfg.write_text(json.dumps({key: value}))
+            assert run(["orbit", "--config", str(cfg), "--out", str(out)]) == 2
+            assert f"config key {key!r}: {value!r} is not one of" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_numbers_are_converted_like_flags(self, tmp_path, capsys):
+        cfg, out = tmp_path / "c.json", tmp_path / "stats.json"
+        cfg.write_text(json.dumps({"a": 6, "horizon": 100, "sequences": 2}))
+        assert run(["ifs", "--config", str(cfg), "--out", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]
+        assert config["a"] == 6.0 and isinstance(config["a"], float)
+        cfg.write_text(json.dumps({"horizon": 100.5}))
+        assert run(["ifs", "--config", str(cfg)]) == 2
+        assert "config key 'horizon': invalid int value '100.5'" in capsys.readouterr().err
+
+    def test_null_keeps_an_option_that_defaults_to_null(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"word": None, "start_cart": None, "steps": 5, "window": 5}))
+        assert run(["orbit", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.count("\n") == 3 + 6
 
 
 class TestVerify:
@@ -476,6 +522,25 @@ class TestSweep:
         )
         assert code == 0
         assert len(out.read_text().splitlines()) == 3 + 4
+
+    def test_rows_equal_each_cells_own_monte_carlo(self, tmp_path):
+        # The cells of a row share one angle orbit per stream; that must not
+        # change a digit against running each cell on its own.
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--p-grid", "0.2:0.8:3", "--a-grid", "3.5,5,9", "--horizon", "100",
+                "--sequences", "20", "--seed", "11", "--out", str(out)]
+        assert run(argv) == 0
+        rows = out.read_text().splitlines()[3:]
+        expected = []
+        for p in np.linspace(0.2, 0.8, 3).tolist():
+            for a in (3.5, 5.0, 9.0):
+                b = theoretical_bounds(p, a)
+                stats = monte_carlo(IfsConfig(p=p, a=a, seed=11, horizon=100, n_sequences=20))
+                expected.append(
+                    f"{p!r},{a!r},{b.a_min!r},{b.K!r},{b.pair_slope_lb!r},{stats.mean_pair_gain!r},"
+                    f"{stats.escape_fraction!r},{cli._admissibility_label(p, a)}"
+                )
+        assert rows == expected
 
     def test_empty_grid_rejected(self):
         assert run(["sweep", "--p-grid", "", "--a-grid", "5"]) == 2

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from parrondo_maps import ifs
 from parrondo_maps.circle import Angle
 from parrondo_maps.ifs import (
     IfsConfig,
@@ -10,6 +13,7 @@ from parrondo_maps.ifs import (
     bernoulli_sequence,
     expectation_recurrence_check,
     monte_carlo,
+    monte_carlo_grid,
     run_ifs,
     sequence_rng,
     theoretical_bounds,
@@ -204,6 +208,74 @@ class TestMonteCarlo:
             "slope_ci_low",
             "slope_ci_high",
         } == set(d)
+
+
+@st.composite
+def grids(draw):
+    """Configs differing only in a, with a start on or off the invariant rays."""
+    w = draw(st.floats(min_value=0.01, max_value=0.24))
+    d = min(1.0 / math.pi, 0.5 - 2.0 * w) * draw(st.floats(min_value=0.01, max_value=0.99))
+    shared = dict(
+        p=draw(st.floats(min_value=0.01, max_value=0.99)),
+        seed=draw(st.integers(min_value=0, max_value=2**32)),
+        horizon=2 * draw(st.integers(min_value=1, max_value=40)),
+        n_sequences=draw(st.integers(min_value=1, max_value=6)),
+        w=w,
+        d=d,
+    )
+    a_values = draw(st.lists(st.floats(min_value=0.5, max_value=20.0), min_size=1, max_size=4))
+    theta = draw(st.one_of(st.sampled_from([0.0, 0.5]), st.floats(min_value=0.0, max_value=1.0, exclude_max=True)))
+    r = draw(st.sampled_from([0.0, -3.5, 1e308]))
+    return [IfsConfig(a=a, **shared) for a in a_values], CylPoint(r, Angle(theta))
+
+
+def assert_matches_run_ifs(configs, start, stats):
+    assert [s.config for s in stats] == configs
+    for config, cell in zip(configs, stats):
+        for stream in range(config.n_sequences):
+            run = run_ifs(config, start, stream=stream)
+            assert cell.deltas[stream] == run.delta_total
+            assert cell.k_counts[stream] == run.k_m
+
+
+class TestMonteCarloGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(grids())
+    def test_every_stream_equals_run_ifs(self, grid):
+        configs, start = grid
+        assert_matches_run_ifs(configs, start, monte_carlo_grid(configs, start))
+
+    @pytest.mark.parametrize("chunk", [1, 3 * 40, 3 * 40 + 1])
+    def test_chunk_boundaries(self, chunk, monkeypatch):
+        # 7 streams of 40 symbols: one stream per chunk, then chunks of 3, 3, 1.
+        monkeypatch.setattr(ifs, "CHUNK_SYMBOLS", chunk)
+        configs = [small_config(a=a, horizon=40, n_sequences=7) for a in (3.0, 5.0)]
+        start = CylPoint(0.0, Angle(0.4))
+        assert_matches_run_ifs(configs, start, monte_carlo_grid(configs, start))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("p", 0.4), ("seed", 1), ("horizon", 402), ("n_sequences", 99), ("w", 0.1), ("d", 0.2),
+         ("escape_threshold", 50.0)],
+    )
+    def test_rejects_configs_differing_in_more_than_a(self, field, value):
+        configs = [small_config(a=5.0), small_config(a=6.0, **{field: value})]
+        with pytest.raises(ValueError, match="differ only in a"):
+            monte_carlo_grid(configs)
+
+    def test_rejects_an_empty_grid(self):
+        with pytest.raises(ValueError):
+            monte_carlo_grid([])
+
+    def test_cells_share_no_writable_arrays(self):
+        first, second = monte_carlo_grid([small_config(a=a, n_sequences=5, horizon=20) for a in (5.0, 6.0)])
+        for x, y in ((first.deltas, second.deltas), (first.k_counts, second.k_counts)):
+            assert not np.shares_memory(x, y)
+        before = second.deltas.copy(), second.k_counts.copy()
+        first.deltas[:] = 0.0
+        first.k_counts[:] = 0
+        np.testing.assert_array_equal(second.deltas, before[0])
+        np.testing.assert_array_equal(second.k_counts, before[1])
 
 
 class TestRecurrence:
