@@ -27,7 +27,7 @@ __all__ = [
 
 MONOTONE_GRID = 4096
 INVERSE_TOL = 1e-12
-BISECTION_BUDGET = 200
+INVERSE_BUDGET = 200
 
 
 def wrap_turns(x):
@@ -151,31 +151,54 @@ def monotone_circle_inverse(
     y,
     tol: float = INVERSE_TOL,
     *,
-    knots: Iterable[float] = (),
-    max_iter: int = BISECTION_BUDGET,
+    max_iter: int = INVERSE_BUDGET,
     precheck: bool = True,
 ) -> Angle:
     """Invert a strictly increasing degree-one lift at the circle point ``y``.
 
     Returns an Angle ``x`` with ``circle_dist(lift(x) mod 1, y) <= tol``.  The
-    root is bracketed by bisection on [0, 1], which is unconditionally safe for
-    monotone lifts.  ``precheck=False`` skips the sampled monotonicity sweep
-    for lifts already known to be monotone (e.g. validated drift profiles).
+    root of ``g(x) = lift(x) - target`` stays bracketed in a shrinking
+    subinterval of [0, 1].  Each step is a false-position (secant) step inside
+    the bracket, with the Anderson-Bjorck rescaling that keeps one end from
+    sticking, unless the last three evaluations have not halved the bracket:
+    then it bisects.  So any four consecutive evaluations at least halve the
+    bracket, whatever the lift.  The first step, from all of [0, 1],
+    bisects; on the piecewise-linear drift it lands on the kink at 1/2 and
+    leaves a bracket on which the lift is linear.  ``g(1)`` is taken as
+    ``g(0) + 1``, the degree-one identity, so ``lift`` is evaluated once per
+    step after ``lift(0)``.  ``precheck=False`` skips the sampled monotonicity
+    sweep for lifts already known to be monotone (e.g. validated drift
+    profiles).
     """
     if precheck:
-        check_monotone_lift(lift, knots=knots)
+        check_monotone_lift(lift)
     base = lift(0.0)
-    target = base + ((_as_turns(y) - base) % 1.0)
+    # wrap_turns keeps the target below base + 1, so g(1) > 0.
+    target = base + wrap_turns(_as_turns(y) - base)
     lo, hi = 0.0, 1.0
+    g_lo, g_hi = base - target, base + 1.0 - target
+    if g_lo >= -tol:
+        return Angle(0.0)
+    moved = 0  # the end the last step replaced: -1 for lo, +1 for hi
+    w1 = w2 = w3 = 1.0  # bracket widths before the last three evaluations
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        val = lift(mid)
-        if abs(val - target) <= tol:
-            return Angle(mid)
-        if val < target:
-            lo = mid
+        x = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+        if hi - lo > 0.5 * w3 or not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        g = lift(x) - target
+        if abs(g) <= tol:
+            return Angle(x)
+        w1, w2, w3 = hi - lo, w1, w2
+        if g < 0.0:
+            if moved < 0:
+                m = 1.0 - g / g_lo
+                g_hi *= m if m > 0.0 else 0.5
+            lo, g_lo, moved = x, g, -1
         else:
-            hi = mid
+            if moved > 0:
+                m = 1.0 - g / g_hi
+                g_lo *= m if m > 0.0 else 0.5
+            hi, g_hi, moved = x, g, 1
     raise NoConvergenceError(
-        f"bisection did not reach tol={tol} within {max_iter} iterations"
+        f"inverse did not reach tol={tol} within {max_iter} iterations"
     )

@@ -3,19 +3,21 @@
 Commands
 --------
 verify   check the profile conditions, the certified composition gains and
-         (for k >= 3) the cone condition; exit 0 only if everything passes
+         (for k >= 3) the cone condition; exit 0 only if everything passes (JSON)
 orbit    iterate a named map or a word and write the trace (CSV or JSON)
 ifs      run the randomized-composition Monte Carlo and write statistics
-sweep    tabulate admissibility and empirical growth over (p, a) grids
+         (JSON or CSV)
+sweep    tabulate admissibility and empirical growth over (p, a) grids (CSV)
 
 Exit codes: 0 success / checks passed, 1 a verification check failed,
 2 malformed configuration, 3 output could not be written.
 
-Each option and its default are declared once, in the parser.  Flags override
-values from an optional JSON config file (--config), which override the
-declared defaults; every output embeds the fully resolved configuration and
-the library version, and rerunning an echoed configuration reproduces the
-output byte for byte.  JSON outputs write non-finite numbers as null.
+Each option and its default are declared once, in the parser, and each
+command declares only the options it reads.  Flags override values from an
+optional JSON config file (--config), which override the declared defaults;
+every output embeds the fully resolved configuration and the library version,
+and rerunning an echoed configuration reproduces the output byte for byte.
+JSON outputs write non-finite numbers as null.
 """
 
 from __future__ import annotations
@@ -78,17 +80,24 @@ def _build_parsers():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, handler, fmt, help):
-        p = sub.add_parser(name, help=help)
-        p.add_argument("--a", type=float, default=DEFAULT_A,
-                       help="radial expansion parameter (default %(default)s)")
+    def add_command(name, handler, help, *, fmt=None, a=True, seed=True):
+        """A subcommand with the common options it reads.  Abbreviations are
+        off, so an undeclared option is an error, not a prefix of a declared
+        one (sweep's --a of --a-grid)."""
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        if a:
+            p.add_argument("--a", type=float, default=DEFAULT_A,
+                           help="radial expansion parameter (default %(default)s)")
         p.add_argument("--w", type=float, default=DEFAULT_W,
                        help="slow-arc half width in turns (default %(default)s)")
         p.add_argument("--d", type=float, default=DEFAULT_D,
                        help="angular drift amplitude in turns (default %(default)s)")
-        p.add_argument("--seed", type=int, default=0, help="root seed for seeded sampling (default %(default)s)")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="root seed for seeded sampling (default %(default)s)")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=["csv", "json"], default=fmt, help="output format (default %(default)s)")
+        if fmt is not None:
+            p.add_argument("--format", choices=["csv", "json"], default=fmt,
+                           help="output format (default %(default)s)")
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.set_defaults(handler=handler)
         return p
@@ -96,7 +105,7 @@ def _build_parsers():
     def add_start(p):
         p.add_argument("--start", default="0,0.25", help="cylinder start 'r,theta' (default %(default)s)")
 
-    pv = add_command("verify", cmd_verify, "json", "run the structural checks and certified gain bounds")
+    pv = add_command("verify", cmd_verify, "run the structural checks and certified gain bounds (JSON)")
     pv.add_argument("--k", type=int, default=2,
                     help="dimension; k >= 3 adds the cone condition check (default %(default)s)")
     pv.add_argument("--grid", type=int, default=100_000,
@@ -104,7 +113,7 @@ def _build_parsers():
     pv.add_argument("--samples", type=int, default=100_000,
                     help="sample count for the cone check (default %(default)s)")
 
-    po = add_command("orbit", cmd_orbit, "csv", "iterate a map and write the trace")
+    po = add_command("orbit", cmd_orbit, "iterate a map and write the trace", fmt="csv", seed=False)
     po.add_argument("--map", choices=["f0", "f1", "h", "hk", "jk"], default="f0",
                     help="named map to iterate (default %(default)s)")
     po.add_argument("--word", help="composition word such as 'f0,f1' or '01'; overrides --map")
@@ -117,7 +126,7 @@ def _build_parsers():
                     help="classification window, at most --steps (default %(default)s)")
     po.add_argument("--tol", type=float, default=DEFAULT_TOL, help="classification tolerance (default %(default)s)")
 
-    pi = add_command("ifs", cmd_ifs, "json", "randomized-composition Monte Carlo")
+    pi = add_command("ifs", cmd_ifs, "randomized-composition Monte Carlo", fmt="json")
     pi.add_argument("--p", type=float, default=0.5, help="probability of the first map (default %(default)s)")
     pi.add_argument("--horizon", "--steps", dest="horizon", type=int, default=2000,
                     help="steps per sequence, even (default %(default)s)")
@@ -126,7 +135,7 @@ def _build_parsers():
                     help="terminal gain counted as escape (default %(default)s)")
     add_start(pi)
 
-    ps = add_command("sweep", cmd_sweep, "csv", "admissibility and growth over (p, a) grids")
+    ps = add_command("sweep", cmd_sweep, "admissibility and growth over (p, a) grids (CSV)", a=False)
     ps.add_argument("--p-grid", dest="p_grid", help="comma list '0.1,0.5' or range 'start:stop:count'")
     ps.add_argument("--a-grid", dest="a_grid", help="comma list or range of expansion values")
     ps.add_argument("--horizon", type=int, default=400,

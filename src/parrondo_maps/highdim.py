@@ -49,12 +49,18 @@ def robust_norm(x) -> float | np.ndarray:
 
     A plain sum of squares underflows below ~1.5e-154 per component, while the
     cylinder picture stays faithful down to radius ~1e-300; ``hypot`` scales
-    internally, so no component is squared unscaled.
+    internally, so no component is squared unscaled.  A batch is folded column
+    by column, ``hypot(hypot(|x_0|, x_1), x_2)...``: the same left fold, in the
+    same order, as ``np.hypot.reduce(x, axis=-1)``, so the same bits, but with
+    one vectorised call per column instead of a short reduction per row.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         return math.hypot(*x.tolist())
-    return np.hypot.reduce(x, axis=-1)
+    out = np.abs(x[..., 0])
+    for j in range(1, x.shape[-1]):
+        np.hypot(out, x[..., j], out=out)
+    return out
 
 
 def _half_step(rp: RadialProfile, ap: AngularProfile, r, polar):
@@ -94,15 +100,19 @@ class SphericalDecomp:
 
 
 def _decompose_batch(X: np.ndarray):
-    """Batch split of nonzero rows into (log-radius, polar, unit equatorial part).
+    """Batch split of rows into (log-radius, polar, unit equatorial part).
 
     Pole rows get a zero equatorial part, which composes back to the exact
-    axis point; callers must exclude zero rows beforehand.
+    axis point.  A zero row gets log-radius -inf and a NaN polar angle, with
+    divide and invalid warnings, which ``_h_k_batch`` silences.
     """
-    norms = robust_norm(X)
-    polar = np.arccos(np.clip(X[:, -1] / norms, -1.0, 1.0)) / TWO_PI
     proj = X[:, :-1]
-    pnorms = robust_norm(proj)[:, None]
+    # The full norm continues the equatorial fold by one column, so the
+    # equatorial columns are folded once.
+    pnorms = robust_norm(proj)
+    norms = np.hypot(pnorms, X[:, -1])
+    polar = np.arccos(np.clip(X[:, -1] / norms, -1.0, 1.0)) / TWO_PI
+    pnorms = pnorms[:, None]
     dirs = np.divide(proj, pnorms, out=np.zeros_like(proj), where=pnorms > 0.0)
     return np.log(norms), polar, dirs
 
@@ -139,11 +149,8 @@ def spherical_compose(s: SphericalDecomp) -> np.ndarray:
 
 
 def _h_k_batch(rp: RadialProfile, ap: AngularProfile, X: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(X)
-    nonzero = np.any(X != 0.0, axis=-1)
-    if not nonzero.any():
-        return out
-    r, polar, dirs = _decompose_batch(X[nonzero])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r, polar, dirs = _decompose_batch(X)
     r2, p2 = _half_step(rp, ap, r, polar)
     Y = _compose_batch(r2, p2, dirs)
     # Axis rows: zero equatorial part means sin(pi * ...) rounding would leak a
@@ -152,8 +159,48 @@ def _h_k_batch(rp: RadialProfile, ap: AngularProfile, X: np.ndarray) -> np.ndarr
     if on_axis.any():
         Y[on_axis, :-1] = 0.0
         Y[on_axis, -1] = np.where(polar[on_axis] < 0.25, np.exp(r2[on_axis]), -np.exp(r2[on_axis]))
-    out[nonzero] = Y
+    # The origin (log-radius -inf) is fixed; its row went through as NaN.
+    origin = r == -np.inf
+    if origin.any():
+        Y[origin] = 0.0
+    return Y
+
+
+def _h_k_point(rp: RadialProfile, ap: AngularProfile, vals: list) -> list:
+    """``apply_h_k`` of one point held as a list of floats, on Python floats.
+
+    On a single row the batch path costs several times as much, and orbit
+    iteration calls this once per step.  A step whose radius overflows gives
+    infinite (or NaN) coordinates, as the batch path does, instead of raising.
+    """
+    norm = math.hypot(*vals)
+    if norm == 0.0:
+        return [0.0] * len(vals)
+    c = vals[-1] / norm
+    polar = math.acos(-1.0 if c < -1.0 else 1.0 if c > 1.0 else c) / TWO_PI
+    r2, p2 = _half_step(rp, ap, math.log(norm), polar)
+    try:
+        rho = math.exp(r2)
+    except OverflowError:
+        rho = math.inf
+    eq_norm = math.hypot(*vals[:-1])
+    if eq_norm == 0.0:
+        out = [0.0] * len(vals)
+        out[-1] = math.copysign(rho, vals[-1])
+        return out
+    ang = TWO_PI * p2
+    factor = rho * math.sin(ang) / eq_norm
+    out = [factor * v for v in vals[:-1]]
+    out.append(rho * math.cos(ang))
     return out
+
+
+def _point_or_batch(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    k = x.shape[-1]
+    if k < 3:
+        raise ValueError(f"the suspension needs dimension k >= 3, got {k}")
+    return x
 
 
 def apply_h_k(rp: RadialProfile, ap: AngularProfile, x) -> np.ndarray:
@@ -163,31 +210,10 @@ def apply_h_k(rp: RadialProfile, ap: AngularProfile, x) -> np.ndarray:
     direction untouched; the origin is fixed and axis points stay on the axis
     exactly.  Accepts a single point of shape (k,) or a batch of shape (n, k).
     """
-    x = np.asarray(x, dtype=float)
-    k = x.shape[-1]
-    if k < 3:
-        raise ValueError(f"the suspension needs dimension k >= 3, got {k}")
+    x = _point_or_batch(x)
     if x.ndim == 2:
         return _h_k_batch(rp, ap, x)
-    # One point stays in scalar arithmetic: on a single row the batch path costs
-    # about eight times as much, and orbit iteration calls this once per step.
-    vals = x.tolist()
-    norm = math.hypot(*vals)
-    if norm == 0.0:
-        return np.zeros(k)
-    polar = math.acos(max(-1.0, min(1.0, vals[-1] / norm))) / TWO_PI
-    r2, p2 = _half_step(rp, ap, math.log(norm), polar)
-    rho = math.exp(r2)
-    eq_norm = math.hypot(*vals[:-1])
-    if eq_norm == 0.0:
-        out = np.zeros(k)
-        out[-1] = math.copysign(rho, vals[-1])
-        return out
-    ang = TWO_PI * p2
-    factor = rho * math.sin(ang) / eq_norm
-    out = [factor * v for v in vals[:-1]]
-    out.append(rho * math.cos(ang))
-    return np.array(out)
+    return np.array(_h_k_point(rp, ap, x.tolist()))
 
 
 def rotate90(x) -> np.ndarray:
@@ -209,7 +235,14 @@ def rotate90_inv(x) -> np.ndarray:
 
 def apply_j_k(rp: RadialProfile, ap: AngularProfile, x) -> np.ndarray:
     """The rotated conjugate of the suspension; its invariant axis is the first coordinate axis."""
-    return rotate90_inv(apply_h_k(rp, ap, rotate90(x)))
+    x = _point_or_batch(x)
+    if x.ndim == 2:
+        return rotate90_inv(_h_k_batch(rp, ap, rotate90(x)))
+    # One point: the quarter turns only move and negate coordinates, which is
+    # exact, so they are done on the list around the scalar path.
+    v = x.tolist()
+    y = _h_k_point(rp, ap, [v[-1], *v[1:-1], -v[0]])
+    return np.array([-y[-1], *y[1:-1], y[0]])
 
 
 @dataclass(frozen=True)

@@ -141,10 +141,11 @@ def inverse_f0(
 ) -> CylPoint:
     """Preimage under the first map.
 
-    The angular lift is inverted by bisection, then the radial increment at the
-    recovered angle is subtracted.  A validated drift profile (d < 1/pi for the
-    raised cosine, d < 1/2 for the piecewise-linear tent) has a strictly
-    increasing lift, so the sampled monotonicity sweep is skipped.
+    The angular lift ``ap.lift`` is inverted by the bracketed secant search of
+    ``monotone_circle_inverse``, then the radial increment at the recovered
+    angle is subtracted.  A validated drift profile (d < 1/pi for the raised
+    cosine, d < 1/2 for the piecewise-linear tent) has a strictly increasing
+    lift, so the sampled monotonicity sweep is skipped.
     """
     theta = monotone_circle_inverse(ap.lift, q.theta, tol, precheck=False)
     return CylPoint(q.r - rp.delta_r(theta.value), theta)

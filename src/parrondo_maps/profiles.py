@@ -92,9 +92,14 @@ class RadialProfile:
     w: float
 
     def delta_r(self, theta):
-        dist = _dist_to_zero(theta)
-        if isinstance(dist, np.ndarray):
-            return np.where(dist >= self.w, self.a - 1.0, self.a * (dist / self.w) - 1.0)
+        # A plain float, one orbit step, skips the Angle and array tests.
+        if isinstance(theta, float):
+            t = theta % 1.0
+            dist = t if t <= 0.5 else 1.0 - t
+        else:
+            dist = _dist_to_zero(theta)
+            if isinstance(dist, np.ndarray):
+                return np.where(dist >= self.w, self.a - 1.0, self.a * (dist / self.w) - 1.0)
         if dist >= self.w:
             return self.a - 1.0
         return self.a * (dist / self.w) - 1.0
@@ -141,9 +146,12 @@ class AngularProfile:
             object.__setattr__(self, "delta_theta", self._piecewise_linear_drift)
 
     def delta_theta(self, theta):
-        t = _as_turns(theta) % 1.0
-        if isinstance(t, np.ndarray):
-            return 0.5 * self.d * (1.0 - np.cos(TWO_PI * t))
+        if isinstance(theta, float):
+            t = theta % 1.0
+        else:
+            t = _as_turns(theta) % 1.0
+            if isinstance(t, np.ndarray):
+                return 0.5 * self.d * (1.0 - np.cos(TWO_PI * t))
         return 0.5 * self.d * (1.0 - math.cos(TWO_PI * t))
 
     def _piecewise_linear_drift(self, theta):
@@ -157,10 +165,6 @@ class AngularProfile:
     def lipschitz(self) -> float:
         """Lipschitz constant of the drift: pi * d (raised cosine) or 2 * d (tent)."""
         return DRIFT_LIPSCHITZ_FACTOR[self.shape] * self.d
-
-    @property
-    def max_drift(self) -> float:
-        return self.d
 
 
 def make_radial_profile(a: float, w: float) -> RadialProfile:

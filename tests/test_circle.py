@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from parrondo_maps.errors import (
     NonDisjointError,
     NotMonotoneError,
 )
-from parrondo_maps.profiles import AngularProfile
+from parrondo_maps.profiles import AngularProfile, AngularShape
 
 angles = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
 
@@ -112,8 +114,36 @@ class TestIntervalGap:
         assert abs(interval_gap(arc) + 2.0 * half_width - 0.5) <= 1e-12
 
 
-def _drift_lift(d):
-    return AngularProfile(d, 0.125).lift
+def _drift_lift(d, shape=AngularShape.RAISED_COSINE):
+    return AngularProfile(d, 0.125, shape).lift
+
+
+# Targets on and next to the wrap point and the kink of the tent at 1/2.
+EDGE_TARGETS = [0.0, 0.5, math.nextafter(1.0, 0.0), 1e-17]
+
+
+def _counting(lift):
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return lift(x)
+
+    return counted, calls
+
+
+def _bisection_evaluations(lift, y, tol):
+    """Lift evaluations of plain bisection on [0, 1], counting lift(0)."""
+    base = lift(0.0)
+    target = base + ((y - base) % 1.0)
+    lo, hi, n = 0.0, 1.0, 1
+    while True:
+        mid = 0.5 * (lo + hi)
+        val = lift(mid)
+        n += 1
+        if abs(val - target) <= tol:
+            return n
+        lo, hi = (mid, hi) if val < target else (lo, mid)
 
 
 class TestMonotoneInverse:
@@ -142,6 +172,32 @@ class TestMonotoneInverse:
 
     def test_knots_are_sampled(self):
         check_monotone_lift(lambda t: t, knots=(0.1, 0.9))
+
+    @settings(max_examples=300)
+    @given(
+        st.one_of(angles, st.sampled_from(EDGE_TARGETS)),
+        st.sampled_from(list(AngularShape)),
+        st.floats(min_value=0.01, max_value=0.31),
+        st.sampled_from([1e-9, 1e-12, 1e-14]),
+    )
+    def test_round_trip_on_both_drift_shapes(self, y, shape, d, tol):
+        lift = _drift_lift(d, shape)
+        x = monotone_circle_inverse(lift, y, tol, precheck=False)
+        assert circle_dist(wrap_turns(lift(float(x))), y) <= tol
+
+    @pytest.mark.parametrize("shape", list(AngularShape))
+    def test_lift_evaluations_on_a_target_sweep(self, shape):
+        lift, calls = _counting(_drift_lift(0.25, shape))
+        targets = np.linspace(0.0, 1.0, 10_000, endpoint=False).tolist() + EDGE_TARGETS
+        counts = []
+        for y in targets:
+            calls[0] = 0
+            x = monotone_circle_inverse(lift, y, precheck=False)
+            counts.append(calls[0])
+            assert circle_dist(wrap_turns(lift(float(x))), y) <= 1e-12
+        bisection = max(_bisection_evaluations(lift, y, 1e-12) for y in targets)
+        assert np.mean(counts) <= 12.0
+        assert max(counts) <= bisection
 
     @settings(max_examples=200)
     @given(angles, st.floats(min_value=0.01, max_value=0.31))

@@ -24,13 +24,13 @@ def strict_json(text):
 
 # The configuration each command echoes when given no flags, as literal JSON.
 ECHOED_DEFAULTS = {
-    "verify": '{"a": 5.0, "command": "verify", "d": 0.25, "format": "json", "grid": 100000, "k": 2, '
+    "verify": '{"a": 5.0, "command": "verify", "d": 0.25, "grid": 100000, "k": 2, '
     '"samples": 100000, "seed": 0, "w": 0.125}',
-    "orbit": '{"a": 5.0, "command": "orbit", "d": 0.25, "format": "csv", "k": 3, "map": "f0", "seed": 0, '
+    "orbit": '{"a": 5.0, "command": "orbit", "d": 0.25, "format": "csv", "k": 3, "map": "f0", '
     '"start": "0,0.25", "start_cart": null, "steps": 1000, "tol": 0.001, "w": 0.125, "window": 100, "word": null}',
     "ifs": '{"a": 5.0, "command": "ifs", "d": 0.25, "escape_threshold": 100.0, "format": "json", "horizon": 2000, '
     '"p": 0.5, "seed": 0, "sequences": 1000, "start": "0,0.25", "w": 0.125}',
-    "sweep": '{"a": 5.0, "a_grid": null, "command": "sweep", "d": 0.25, "format": "csv", "horizon": 400, '
+    "sweep": '{"a_grid": null, "command": "sweep", "d": 0.25, "horizon": 400, '
     '"p_grid": null, "seed": 0, "sequences": 100, "w": 0.125}',
 }
 
@@ -60,10 +60,26 @@ def test_help_shows_the_declared_defaults(capsys):
 # Each command's numeric options, as config-file keys.
 NUMERIC_OPTIONS = {
     "verify": ["a", "w", "d", "seed", "k", "grid", "samples"],
-    "orbit": ["a", "w", "d", "seed", "steps", "k", "window", "tol"],
+    "orbit": ["a", "w", "d", "steps", "k", "window", "tol"],
     "ifs": ["a", "w", "d", "seed", "p", "horizon", "sequences", "escape_threshold"],
-    "sweep": ["a", "w", "d", "seed", "horizon", "sequences"],
+    "sweep": ["w", "d", "seed", "horizon", "sequences"],
 }
+
+# Options a command does not read, so does not declare: sweep takes each a
+# from --a-grid and always writes CSV, orbit samples nothing, verify writes JSON.
+UNREAD_OPTIONS = [("sweep", "a", "5"), ("sweep", "format", "json"), ("orbit", "seed", "1"), ("verify", "format", "csv")]
+
+
+@pytest.mark.parametrize("command, key, value", UNREAD_OPTIONS)
+def test_options_a_command_does_not_read_are_rejected(command, key, value, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([command, f"--{key}", value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{key}" in capsys.readouterr().err
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert run([command, "--config", str(cfg)]) == 2
+    assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, key", [(c, k) for c, keys in NUMERIC_OPTIONS.items() for k in keys])
@@ -265,6 +281,20 @@ class TestOrbit:
         assert all(math.isfinite(r) for _, r, _ in payload["points"][:-1])
         with pytest.raises(ValueError):
             cli._dump_json({"x": math.nan})
+
+    def test_overflowing_suspension_step_stops_the_orbit(self, tmp_path, capsys):
+        # The first step overflows the radius; the orbit stops there and is
+        # classified over that one step.
+        out = tmp_path / "trace.json"
+        argv = ["orbit", "--map", "hk", "--k", "3", "--start-cart", "1e307,1e307,1e307", "--steps", "200",
+                "--window", "10", "--format", "json", "--out", str(out)]
+        assert run(argv) == 0
+        assert capsys.readouterr().err.startswith("classification=repelled rate=inf steps=1 ")
+        payload = strict_json(out.read_text())
+        assert len(payload["points"]) == 2
+        assert payload["points"][1][1] is None
+        assert payload["gains"] == [None]
+        assert payload["rate"] is None
 
     def test_start_beyond_escape_bound(self, capsys):
         assert run(["orbit", "--map", "f0", "--start", "1e300,0.3"]) == 2

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parrondo_maps.circle import Angle, circle_dist
+from parrondo_maps.dynamics import iterate
 from parrondo_maps.errors import OriginNotRepresentableError
 from parrondo_maps.highdim import (
     DoubleCone,
@@ -21,9 +22,34 @@ from parrondo_maps.highdim import (
     spherical_decompose,
 )
 from parrondo_maps.planar import CylPoint, apply_f0
-from parrondo_maps.profiles import AngularProfile, RadialProfile, default_profiles
+from parrondo_maps.profiles import TWO_PI, AngularProfile, AngularShape, RadialProfile, default_profiles
 
 angles = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
+shapes = st.sampled_from(list(AngularShape))
+
+
+@st.composite
+def scaled_batches(draw, min_k=2, max_k=25):
+    """Batches whose rows sit at scales 1e-300 to 1e300, with zero rows and axis rows."""
+    k = draw(st.integers(min_k, max_k))
+    n = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-300.0, 300.0, (n, 1))
+    kinds = draw(st.lists(st.sampled_from(["general", "zero", "pole", "equator"]), min_size=n, max_size=n))
+    for row, kind in zip(X, kinds):
+        if kind == "zero":
+            row[:] = 0.0
+        elif kind == "pole":
+            row[:-1] = 0.0
+        elif kind == "equator":
+            row[-1] = 0.0
+    return X
+
+
+def _profiles_with(shape):
+    rp, _ = default_profiles()
+    return rp, AngularProfile(0.25, 0.125, shape)
 
 
 class TestApplyH:
@@ -131,6 +157,11 @@ class TestSphericalCoords:
         assert robust_norm(long) == pytest.approx(4e200, rel=1e-15)
         assert robust_norm(np.full(25, 1e200)) == pytest.approx(5e200, rel=1e-15)
 
+    @settings(max_examples=300)
+    @given(scaled_batches())
+    def test_batch_norm_is_the_row_reduction_bit_for_bit(self, X):
+        assert robust_norm(X).tobytes() == np.hypot.reduce(X, axis=-1).tobytes()
+
 
 class TestSuspension:
     def test_origin_fixed(self, profiles):
@@ -165,6 +196,46 @@ class TestSuspension:
             np.testing.assert_allclose(
                 apply_h_k(rp, ap, row_in), row_out, rtol=1e-12, atol=1e-300
             )
+
+    @settings(max_examples=200)
+    @given(scaled_batches(min_k=3, max_k=8), shapes)
+    def test_batch_matches_the_masked_row_reduction_bit_for_bit(self, X, shape):
+        # Reference: the same formula on the gathered nonzero rows, with a
+        # per-row norm reduction, scattered back into a zero batch.
+        rp, ap = _profiles_with(shape)
+        out = np.zeros_like(X)
+        nonzero = np.any(X != 0.0, axis=-1)
+        Z = X[nonzero]
+        norms = np.hypot.reduce(Z, axis=-1)
+        polar = np.arccos(np.clip(Z[:, -1] / norms, -1.0, 1.0)) / TWO_PI
+        pnorms = np.hypot.reduce(Z[:, :-1], axis=-1)[:, None]
+        dirs = np.divide(Z[:, :-1], pnorms, out=np.zeros_like(Z[:, :-1]), where=pnorms > 0.0)
+        doubled = 2.0 * polar
+        r2 = np.log(norms) + rp.delta_r(doubled)
+        p2 = polar + 0.5 * ap.delta_theta(doubled)
+        rho = np.exp(r2)
+        Y = np.empty_like(Z)
+        Y[:, :-1] = (rho * np.sin(TWO_PI * p2))[:, None] * dirs
+        Y[:, -1] = rho * np.cos(TWO_PI * p2)
+        on_axis = ~np.any(dirs != 0.0, axis=-1)
+        Y[on_axis, :-1] = 0.0
+        Y[on_axis, -1] = np.where(polar[on_axis] < 0.25, rho[on_axis], -rho[on_axis])
+        out[nonzero] = Y
+        with np.errstate(over="ignore"):
+            assert apply_h_k(rp, ap, X).tobytes() == out.tobytes()
+
+    def test_overflowing_step_gives_infinity_like_the_batch(self, profiles):
+        rp, ap = profiles
+        x = np.full(3, 1e307)
+        with np.errstate(over="ignore"):
+            batch = apply_h_k(rp, ap, x[None, :])[0]
+        single = apply_h_k(rp, ap, x)
+        assert np.array_equal(single, [math.inf, math.inf, math.inf])
+        assert np.array_equal(single, batch)
+        trace = iterate(lambda y: apply_h_k(rp, ap, y), x, 200)
+        assert trace.n_steps == 1
+        assert trace.rs[-1] == math.inf
+        assert np.array_equal(trace.cart[-1], single)
 
     def test_equatorial_direction_preserved(self, profiles):
         rp, ap = profiles
@@ -230,6 +301,14 @@ class TestRotatedConjugate:
             manual = rotate90_inv(apply_h_k(rp, ap, rotate90(x)))
             np.testing.assert_array_equal(apply_j_k(rp, ap, x), manual)
 
+    @settings(max_examples=300)
+    @given(scaled_batches(min_k=3, max_k=8), shapes)
+    def test_single_point_is_the_conjugate_formula_bit_for_bit(self, X, shape):
+        rp, ap = _profiles_with(shape)
+        for x in X:
+            conjugate = rotate90_inv(apply_h_k(rp, ap, rotate90(x)))
+            assert apply_j_k(rp, ap, x).tobytes() == conjugate.tobytes()
+
     def test_composed_gain_depends_only_on_direction(self, profiles):
         rp, ap = profiles
         rng = np.random.default_rng(8)
@@ -270,6 +349,16 @@ class TestConeCondition:
         assert result.holds
         assert result.min_gain_jh >= 3.0 - 1e-9
         assert result.min_gain_hj >= 3.0 - 1e-9
+
+    def test_results_are_pinned(self, profiles):
+        # The results of the gather-and-reduce batch formula at one seed.
+        rp, ap = profiles
+        for k in (3, 4, 5):
+            assert check_cone_condition(rp, ap, k, n_samples=5000, seed=11).to_dict() == {
+                "holds": True, "min_gain_jh": 3.0, "min_gain_hj": 3.0,
+            }
+            wide = check_cone_condition(RadialProfile(5.0, 0.24), AngularProfile(0.25, 0.24), k, 5000, seed=11)
+            assert wide.to_dict() == {"holds": False, "min_gain_jh": 3.0, "min_gain_hj": 3.0}
 
     def test_widened_cone_overlaps(self):
         # Pushing the slow arc to w = 0.24 makes the image of the cone reach
