@@ -28,7 +28,6 @@ from .dynamics import (
 )
 from .highdim import (
     ConeCheck,
-    DoubleCone,
     SphericalDecomp,
     apply_h,
     apply_h_k,

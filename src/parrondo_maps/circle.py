@@ -46,6 +46,14 @@ def _as_turns(x):
     return x.value if isinstance(x, Angle) else x
 
 
+def _dist_to_zero(theta):
+    """Distance from a circle point to 0, in [0, 1/2] turns; elementwise on arrays."""
+    t = _as_turns(theta) % 1.0
+    if isinstance(t, np.ndarray):
+        return np.minimum(t, 1.0 - t)
+    return t if t <= 0.5 else 1.0 - t
+
+
 def circle_dist(x, y=0.0):
     """Shortest distance between two circle points, in [0, 1/2] turns.
 
@@ -53,10 +61,7 @@ def circle_dist(x, y=0.0):
     arguments are normalized before differencing, which keeps the result
     exactly symmetric in its arguments.
     """
-    t = abs(wrap_turns(_as_turns(x)) - wrap_turns(_as_turns(y)))
-    if isinstance(t, np.ndarray):
-        return np.minimum(t, 1.0 - t)
-    return t if t <= 0.5 else 1.0 - t
+    return _dist_to_zero(abs(wrap_turns(_as_turns(x)) - wrap_turns(_as_turns(y))))
 
 
 @dataclass(frozen=True)
@@ -102,12 +107,6 @@ class CircleInterval:
 
     def translate(self, shift) -> "CircleInterval":
         return CircleInterval(self.center + shift, self.half_width)
-
-    @property
-    def endpoints(self) -> tuple[float, float]:
-        lo = (self.center.value - self.half_width) % 1.0
-        hi = (self.center.value + self.half_width) % 1.0
-        return lo, hi
 
 
 def interval_gap(interval: CircleInterval) -> float:

@@ -111,7 +111,8 @@ def _build_parsers():
     pv.add_argument("--grid", type=int, default=100_000,
                     help="grid size for the gain certificates (default %(default)s)")
     pv.add_argument("--samples", type=int, default=100_000,
-                    help="sample count for the cone check (default %(default)s)")
+                    help="seeded directions on the (x_0, x_last) great circle for the cone check's "
+                         "composed-gain minima (default %(default)s)")
 
     po = add_command("orbit", cmd_orbit, "iterate a map and write the trace", fmt="csv", seed=False)
     po.add_argument("--map", choices=["f0", "f1", "h", "hk", "jk"], default="f0",

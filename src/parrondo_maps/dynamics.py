@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .circle import Angle, CircleInterval
+from .circle import CircleInterval
 from .errors import OriginNotRepresentableError, WindowTooLargeError
 from .highdim import robust_norm
 from .planar import CylPoint
@@ -67,17 +67,6 @@ class OrbitTrace:
     @property
     def n_steps(self) -> int:
         return len(self.gains)
-
-    @property
-    def is_planar(self) -> bool:
-        return self.cart is None
-
-    @property
-    def points(self):
-        """Recorded points: CylPoint list for planar traces, row arrays otherwise."""
-        if self.is_planar:
-            return [CylPoint(float(r), Angle(float(t))) for r, t in zip(self.rs, self.thetas)]
-        return list(self.cart)
 
 
 def _cart_angle(x: np.ndarray, norm: float) -> float:

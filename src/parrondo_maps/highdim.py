@@ -30,7 +30,6 @@ from .profiles import TWO_PI, AngularProfile, RadialProfile
 
 __all__ = [
     "ConeCheck",
-    "DoubleCone",
     "SphericalDecomp",
     "apply_h",
     "apply_h_k",
@@ -246,40 +245,8 @@ def apply_j_k(rp: RadialProfile, ap: AngularProfile, x) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DoubleCone:
-    """Open double cone around the north-south axis with polar aperture ``half_angle`` (turns)."""
-
-    half_angle: float
-
-    def __post_init__(self):
-        if not 0.0 < self.half_angle < 0.25:
-            raise ValueError(
-                f"half_angle must lie in (0, 1/4) turns, got {self.half_angle}"
-            )
-
-    def contains(self, x):
-        """Strict membership for nonzero points; elementwise on batches."""
-        return _axis_aperture(x, -1) < self.half_angle
-
-
-def _axis_aperture(x, axis_index: int):
-    """Angular distance (turns) from a point's direction to the +/- axis ``axis_index``."""
-    x = np.asarray(x, dtype=float)
-    norms = robust_norm(x)
-    if np.any(norms == 0.0):
-        raise OriginNotRepresentableError("cone membership is undefined at the origin")
-    ratio = np.clip(np.abs(x[..., axis_index]) / norms, 0.0, 1.0)
-    return np.arccos(ratio) / TWO_PI
-
-
-def _random_unit(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    v = rng.standard_normal((n, dim))
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
-
-
-@dataclass(frozen=True)
 class ConeCheck:
-    """Outcome of the cone-disjointness audit plus composed-gain minima."""
+    """Whether the cone condition holds, plus the composed-gain minima."""
 
     holds: bool
     min_gain_jh: float
@@ -300,52 +267,44 @@ def check_cone_condition(
     n_samples: int = 100_000,
     seed: int = 0,
 ) -> ConeCheck:
-    """Audit the no-double-contraction condition in dimension k.
+    """Decide the no-double-contraction condition in dimension k >= 3.
 
-    The cone ``C`` has aperture ``w / 2``: the doubled polar angle leaves the
-    radial profile's constant region exactly there.  The audit samples the
-    cone's interior and boundary, checks that suspension images avoid the
-    rotated cone (and that rotated-cone points leave the original cone under
-    the conjugate map), and reports empirical minima of the composed radial
-    gains over ``n_samples`` general directions.
+    The double cone ``C`` around the last axis has aperture ``w / 2``: the
+    doubled polar angle leaves the radial profile's constant region exactly
+    there.  ``holds`` says whether ``h_k`` maps ``C`` clear of the quarter-turned
+    cone; ``j_k`` mapping the rotated cone clear of ``C`` is the same statement
+    conjugated by the quarter turn.  It is decided exactly, for every k: on
+    both drift shapes ``|delta_theta|`` grows with the distance to 0, so the
+    worst point of ``C`` is its edge with equatorial direction +-e_0.  The
+    north edge maps to polar angle ``(w + delta_theta(w)) / 2`` (for a
+    negative drift the south edge moves by as much towards the equator), so
+    the images stay out of the open rotated cone iff
+    ``|delta_theta(w)| <= 1/2 - 2w``, which for d >= 0 reads
+    ``angular_escape_margin >= 0``.
+
+    The composed-gain minima are taken over ``n_samples`` seeded angles of the
+    (x_0, x_last) great circle plus the four axes, where the minimum ``a - 2``
+    sits whenever ``holds``.  Both maps keep that circle, and a point off it
+    gains at least as much as the circle point with the same polar angle
+    (``j_k`` after ``h_k``) or the same angle from the first axis (``h_k``
+    after ``j_k``), so the result does not depend on k.
     """
     if k < 3:
         raise ValueError(f"cone check needs dimension k >= 3, got {k}")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
-    cone = DoubleCone(0.5 * rp.w)
+    if not 0.0 < rp.w < 0.5:
+        raise ValueError(f"w must lie in (0, 1/2) turns, got {rp.w}")
+    gap = 0.5 - 2.0 * rp.w
+    holds = bool(gap > 0.0 and abs(ap.delta_theta(rp.w)) <= gap)
 
-    # Cone samples: random apertures plus an exact-boundary share and both poles.
-    u = rng.random(n_samples)
-    u[: n_samples // 8] = 1.0
-    u[n_samples // 8 : n_samples // 4] = 0.0
-    polar = cone.half_angle * u
-    south = rng.random(n_samples) < 0.5
-    polar = np.where(south, 0.5 - polar, polar)
-    dirs = _random_unit(rng, n_samples, k - 1)
-    r = rng.uniform(-3.0, 3.0, n_samples)
-    cone_pts = _compose_batch(r, polar, dirs)
-
-    images = _h_k_batch(rp, ap, cone_pts)
-    hits_rotated = _axis_aperture(images, 0) < cone.half_angle
-
-    rotated_pts = rotate90(cone_pts)
-    back = apply_j_k(rp, ap, rotated_pts)
-    hits_original = _axis_aperture(back, -1) < cone.half_angle
-
-    holds = not (bool(hits_rotated.any()) or bool(hits_original.any()))
-
-    # Gain minima over general directions; the gain depends only on the
-    # direction, and the axes (where the composed minimum is attained) are
-    # probed explicitly.
-    pts = _random_unit(rng, n_samples, k) * np.exp(rng.uniform(-3.0, 3.0, n_samples))[:, None]
-    axes = np.zeros((4, k))
-    axes[0, -1] = 1.0
-    axes[1, -1] = -1.0
-    axes[2, 0] = 1.0
-    axes[3, 0] = -1.0
-    pts = np.vstack([pts, axes])
+    # Points (sin, 0, cos) of the great circle, then +-e_last and +-e_0.
+    phi = TWO_PI * np.random.default_rng(seed).random(n_samples)
+    pts = np.zeros((n_samples + 4, 3))
+    pts[:n_samples, 0] = np.sin(phi)
+    pts[:n_samples, 2] = np.cos(phi)
+    pts[n_samples:, 0] = [0.0, 0.0, 1.0, -1.0]
+    pts[n_samples:, 2] = [1.0, -1.0, 0.0, 0.0]
     log_norm = np.log(robust_norm(pts))
 
     jh = apply_j_k(rp, ap, _h_k_batch(rp, ap, pts))

@@ -277,21 +277,6 @@ class IfsStats:
         half = z * self.slope_se
         return (self.mean_pair_gain - half, self.mean_pair_gain + half)
 
-    def merge(self, other: "IfsStats") -> "IfsStats":
-        """Combine partial results from disjoint stream ranges."""
-
-        def key(cfg: IfsConfig):
-            return (cfg.p, cfg.a, cfg.seed, cfg.horizon, cfg.w, cfg.d, cfg.escape_threshold)
-
-        if key(self.config) != key(other.config):
-            raise ValueError("cannot merge statistics from different experiment configs")
-        merged = replace(self.config, n_sequences=self.n + other.n)
-        return IfsStats(
-            config=merged,
-            deltas=np.concatenate([self.deltas, other.deltas]),
-            k_counts=np.concatenate([self.k_counts, other.k_counts]),
-        )
-
     def to_dict(self) -> dict:
         # Single-sequence runs have no spread estimate; JSON has no Infinity,
         # so non-finite values become null.

@@ -192,10 +192,6 @@ class GainStudy:
     certified: bool
     lower_bound: float
 
-    @property
-    def undershoot(self) -> float:
-        return self.min_gain - self.lower_bound
-
     def to_dict(self) -> dict:
         return {
             "min_gain": self.min_gain,

@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .circle import Angle, CircleInterval, _as_turns
+from .circle import Angle, CircleInterval, _as_turns, _dist_to_zero
 from .errors import (
     BadExpansionError,
     BadWidthError,
@@ -70,13 +70,6 @@ DRIFT_LIPSCHITZ_FACTOR = {
     AngularShape.RAISED_COSINE: math.pi,
     AngularShape.PIECEWISE_LINEAR: 2.0,
 }
-
-
-def _dist_to_zero(theta):
-    t = _as_turns(theta) % 1.0
-    if isinstance(t, np.ndarray):
-        return np.minimum(t, 1.0 - t)
-    return t if t <= 0.5 else 1.0 - t
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,29 @@ from parrondo_maps.errors import (
 from parrondo_maps.profiles import AngularProfile, AngularShape
 
 angles = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
+turns = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1.0 - 2.0**-53, 1e16, -1e16, 0.5, -0.5]),
+)
+
+
+def _forked_circle_dist(x, y):
+    """The two-branch formula that circle_dist replaced, kept as the reference."""
+    t = abs(wrap_turns(getattr(x, "value", x)) - wrap_turns(getattr(y, "value", y)))
+    if isinstance(t, np.ndarray):
+        return np.minimum(t, 1.0 - t)
+    return t if t <= 0.5 else 1.0 - t
+
+
+@st.composite
+def circle_point_pairs(draw):
+    """Two points of one kind: floats, Angles, or arrays of one length."""
+    kind = draw(st.sampled_from(["float", "angle", "array"]))
+    if kind == "array":
+        n = draw(st.integers(1, 6))
+        return tuple(np.array(draw(st.lists(turns, min_size=n, max_size=n))) for _ in range(2))
+    point = Angle if kind == "angle" else float
+    return point(draw(turns)), point(draw(turns))
 
 
 class TestCircleDist:
@@ -49,6 +72,14 @@ class TestCircleDist:
     @given(angles)
     def test_self_distance_zero(self, x):
         assert circle_dist(x, x) == 0.0
+
+    @settings(max_examples=500)
+    @given(circle_point_pairs())
+    def test_same_bits_as_the_forked_formula(self, pair):
+        x, y = pair
+        got, want = circle_dist(x, y), _forked_circle_dist(x, y)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestAngle:

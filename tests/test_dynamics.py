@@ -115,12 +115,6 @@ class TestIterate:
         np.testing.assert_array_equal(trace.cart[:-1], [np.ones(3) / 2.0**i for i in range(5)])
         np.testing.assert_array_equal(trace.cart[-1], np.zeros(3))
 
-    def test_points_property(self, profiles):
-        trace = iterate(_f0_step(profiles), CylPoint(0.0, Angle(0.25)), 5)
-        pts = trace.points
-        assert len(pts) == 6
-        assert pts[0] == CylPoint(0.0, Angle(0.25))
-
 
 class TestClassify:
     def test_attracted_orbit(self, profiles):

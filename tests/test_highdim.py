@@ -2,14 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from parrondo_maps.circle import Angle, circle_dist
 from parrondo_maps.dynamics import iterate
 from parrondo_maps.errors import OriginNotRepresentableError
 from parrondo_maps.highdim import (
-    DoubleCone,
     SphericalDecomp,
     apply_h,
     apply_h_k,
@@ -21,7 +20,7 @@ from parrondo_maps.highdim import (
     spherical_compose,
     spherical_decompose,
 )
-from parrondo_maps.planar import CylPoint, apply_f0
+from parrondo_maps.planar import CylPoint, angular_escape_margin, apply_f0
 from parrondo_maps.profiles import TWO_PI, AngularProfile, AngularShape, RadialProfile, default_profiles
 
 angles = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
@@ -321,19 +320,14 @@ class TestRotatedConjugate:
             assert max(gains) - min(gains) <= 1e-10
 
 
+def _circle_point(k, polar):
+    """The point of the (x_0, x_last) great circle at ``polar`` turns from e_last."""
+    x = np.zeros(k)
+    x[0], x[-1] = math.sin(TWO_PI * polar), math.cos(TWO_PI * polar)
+    return x
+
+
 class TestConeCondition:
-    def test_membership(self):
-        cone = DoubleCone(0.0625)
-        assert cone.contains(np.array([0.01, 0.0, 1.0]))
-        assert cone.contains(np.array([0.01, 0.0, -1.0]))
-        assert not cone.contains(np.array([1.0, 0.0, 1.0]))
-        with pytest.raises(OriginNotRepresentableError):
-            cone.contains(np.zeros(3))
-
-    def test_aperture_range(self):
-        with pytest.raises(ValueError):
-            DoubleCone(0.3)
-
     @pytest.mark.parametrize("k", [3, 4])
     def test_holds_at_defaults(self, profiles, k):
         rp, ap = profiles
@@ -374,3 +368,79 @@ class TestConeCondition:
             check_cone_condition(rp, ap, 2, n_samples=10)
         with pytest.raises(ValueError):
             check_cone_condition(rp, ap, 3, n_samples=0)
+        for w in (0.0, -0.1, 0.5, 0.7, math.nan):
+            with pytest.raises(ValueError):
+                check_cone_condition(RadialProfile(5.0, w), AngularProfile(0.25, w), 3, n_samples=10)
+
+    def test_missed_overlap_is_found(self):
+        # The cone edge in direction e_0 maps to aperture 0.11979 from the e_0
+        # axis, below w/2 = 0.12045; a sampled audit at this seed missed it.
+        rp, ap = RadialProfile(5.0, 0.2409), AngularProfile(0.0414, 0.2409)
+        assert not check_cone_condition(rp, ap, 5, n_samples=5000, seed=3).holds
+
+    def test_zero_margin_holds(self):
+        # At zero margin the edge images touch the rotated cone's boundary,
+        # and both cones are open; one ulp more drift crosses it.
+        w, d = 0.21875, 1.0 / 7.0
+        rp = RadialProfile(5.0, w)
+        ap = AngularProfile(d, w, AngularShape.PIECEWISE_LINEAR)
+        assert angular_escape_margin(rp, ap) == 0.0
+        assert check_cone_condition(rp, ap, 3, n_samples=10).holds
+        wider = AngularProfile(math.nextafter(d, 1.0), w, AngularShape.PIECEWISE_LINEAR)
+        assert not check_cone_condition(rp, wider, 3, n_samples=10).holds
+
+    @pytest.mark.parametrize("shape", list(AngularShape))
+    @pytest.mark.parametrize("w", [0.125, 0.24, 0.3, 0.45])
+    def test_same_result_in_every_dimension(self, shape, w):
+        rp, ap = RadialProfile(5.0, w), AngularProfile(0.25, w, shape)
+        results = {check_cone_condition(rp, ap, k, n_samples=2000, seed=4) for k in range(3, 9)}
+        assert len(results) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(1e-3, 0.499),
+        st.floats(1e-4, 0.49),
+        st.booleans(),
+        shapes,
+        st.integers(3, 8),
+    )
+    def test_fails_iff_a_cone_edge_enters_the_rotated_cone(self, w, size, negative, shape, k):
+        # Witnesses, not the margin formula: the north and south edges of the
+        # cone, just inside it, in equatorial direction e_0.  The margin only
+        # keeps the draw away from the boundary case.
+        d = -size if negative else size
+        rp, ap = RadialProfile(5.0, w), AngularProfile(d, w, shape)
+        assume(abs(0.5 - 2.0 * w - abs(ap.delta_theta(w))) > 1e-9)
+        edge = 0.5 * w * (1.0 - 1e-12)
+        entered = False
+        for polar in (edge, 0.5 - edge):
+            y = apply_h_k(rp, ap, _circle_point(k, polar))
+            entered |= math.acos(min(1.0, abs(y[0]) / robust_norm(y))) / TWO_PI < 0.5 * w
+        assert check_cone_condition(rp, ap, k, n_samples=1, seed=0).holds is not entered
+
+
+def _composed_gain(rp, ap, first, second, x):
+    y = second(rp, ap, first(rp, ap, x))
+    return math.log(robust_norm(y)) - math.log(robust_norm(x))
+
+
+class TestGreatCircleBound:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(3, 9),
+        shapes,
+        st.sampled_from([(5.0, 0.125, 0.25), (8.0, 0.2, 0.1), (5.0, 0.24, 0.25), (6.0, 0.4, 0.2)]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_off_circle_points_gain_at_least_the_circle(self, k, shape, params, seed):
+        # The first two pairs hold the cone condition, the last two do not.
+        a, w, d = params
+        rp, ap = RadialProfile(a, w), AngularProfile(d, w, shape)
+        x = np.random.default_rng(seed).standard_normal(k)
+        norm = robust_norm(x)
+        polar = math.acos(x[-1] / norm) / TWO_PI
+        from_first = math.acos(x[0] / norm) / TWO_PI
+        jh = _composed_gain(rp, ap, apply_h_k, apply_j_k, x)
+        assert jh >= _composed_gain(rp, ap, apply_h_k, apply_j_k, _circle_point(k, polar)) - 1e-9
+        hj = _composed_gain(rp, ap, apply_j_k, apply_h_k, x)
+        assert hj >= _composed_gain(rp, ap, apply_j_k, apply_h_k, _circle_point(k, 0.25 - from_first)) - 1e-9

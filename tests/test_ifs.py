@@ -183,19 +183,6 @@ class TestMonteCarlo:
         stats = monte_carlo(small_config(horizon=2000, n_sequences=50))
         assert stats.escape_fraction == 1.0
 
-    def test_merge(self):
-        c1 = small_config(n_sequences=10)
-        c2 = small_config(n_sequences=20)
-        merged = monte_carlo(c1).merge(monte_carlo(c2))
-        assert merged.n == 30
-        assert merged.config.n_sequences == 30
-
-    def test_merge_rejects_mismatched_configs(self):
-        with pytest.raises(ValueError):
-            monte_carlo(small_config(n_sequences=2)).merge(
-                monte_carlo(small_config(n_sequences=2, a=6.0))
-            )
-
     def test_stats_serialization_keys(self):
         d = monte_carlo(small_config(n_sequences=3, horizon=50)).to_dict()
         assert {
