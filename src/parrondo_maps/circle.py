@@ -8,6 +8,7 @@ caller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -66,12 +67,16 @@ def circle_dist(x, y=0.0):
 
 @dataclass(frozen=True)
 class Angle:
-    """A point of R/Z; the stored value is always normalized to [0, 1) turns."""
+    """A point of R/Z; the stored value is always normalized to [0, 1) turns.
+    NaN and infinities name no point, so they raise ``ValueError``."""
 
     value: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "value", wrap_turns(float(self.value)))
+        value = float(self.value)
+        if not math.isfinite(value):
+            raise ValueError(f"an angle must be a finite number of turns, got {value}")
+        object.__setattr__(self, "value", wrap_turns(value))
 
     def __float__(self) -> float:
         return self.value

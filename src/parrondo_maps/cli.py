@@ -299,7 +299,10 @@ def _parse_cyl_start(text) -> CylPoint:
     values = _parse_floats(text)
     if len(values) != 2:
         raise ConfigError(f"cylinder start needs 'r,theta', got {text!r}")
-    return CylPoint(values[0], Angle(values[1]))
+    try:
+        return CylPoint(values[0], Angle(values[1]))
+    except ValueError as exc:
+        raise ConfigError(f"bad cylinder start {text!r}: {exc}") from exc
 
 
 def _build_orbit(params: dict):

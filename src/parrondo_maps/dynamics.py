@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -69,22 +68,21 @@ class OrbitTrace:
         return len(self.gains)
 
 
-def _cart_angle(x: np.ndarray, norm: float) -> float:
-    if x.shape[0] == 2:
-        return (math.atan2(x[1], x[0]) / TWO_PI) % 1.0
-    if norm == 0.0 or not math.isfinite(norm):
-        return 0.0
-    return math.acos(max(-1.0, min(1.0, x[-1] / norm))) / TWO_PI
-
-
-# (log-radius, angle) of each orbit point: stored fields on the cylinder,
-# log-norm and natural angle in Cartesian coordinates.
-_observe_cyl = attrgetter("r", "theta.value")
-
-
-def _observe_cart(x: np.ndarray) -> tuple[float, float]:
+def _observe_cart(x, rows: list) -> tuple[float, float]:
+    """Log-norm and natural angle (planar for k = 2, polar for k >= 3) of one
+    Cartesian point, on Python floats.  Appends the point's coordinates to
+    ``rows`` as a new list, which a step that mutates the point cannot change.
+    """
+    vals = x.tolist() if isinstance(x, np.ndarray) else [float(v) for v in x]
+    rows.append(vals)
     norm = robust_norm(x)
-    return (math.log(norm) if norm > 0.0 else -math.inf), _cart_angle(x, norm)
+    r = math.log(norm) if norm > 0.0 else -math.inf
+    if len(vals) == 2:
+        return r, (math.atan2(vals[1], vals[0]) / TWO_PI) % 1.0
+    if norm == 0.0 or not math.isfinite(norm):
+        return r, 0.0
+    c = vals[-1] / norm
+    return r, math.acos(-1.0 if c < -1.0 else 1.0 if c > 1.0 else c) / TWO_PI
 
 
 def iterate(
@@ -98,42 +96,38 @@ def iterate(
     """Run ``n_steps`` of a map and record the full trace.
 
     ``start`` may be a CylPoint (cylinder maps) or a nonzero array-like point
-    (Cartesian maps; gains are log-norm differences).  A start whose
-    log-radius magnitude already exceeds ``r_escape`` is rejected with
-    ``ValueError``.  Iteration stops early once the log-radius is non-finite
-    (a step reached the origin) or its magnitude exceeds ``r_escape``.  When
-    ``trap`` is given, the entry step into the trapping arc is recorded from
-    the traced angles, for Cartesian orbits too.
+    with finite coordinates (Cartesian maps; gains are log-norm differences).
+    A start whose log-radius magnitude already exceeds ``r_escape`` is
+    rejected with ``ValueError``.  Iteration stops early once the log-radius
+    is non-finite (a step reached the origin) or its magnitude exceeds
+    ``r_escape``.  When ``trap`` is given, the entry step into the trapping
+    arc is recorded from the traced angles, for Cartesian orbits too.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     if isinstance(start, CylPoint):
-        x, observe, cart = start, _observe_cyl, None
+        x, rows = start, None
+        r, theta = start.r, start.theta.value
     else:
-        x, observe = np.asarray(start, dtype=float), _observe_cart
-        cart = np.empty((n_steps + 1, x.shape[0]))
-        cart[0] = x
-    rs = np.empty(n_steps + 1)
-    ths = np.empty(n_steps + 1)
-    rs[0], ths[0] = observe(x)
-    if rs[0] == -math.inf:
+        x, rows = np.asarray(start, dtype=float), []
+        r, theta = _observe_cart(x, rows)
+        if not all(map(math.isfinite, rows[0])):
+            raise ValueError(f"a Cartesian start needs finite coordinates, got {rows[0]}")
+    if r == -math.inf:
         raise OriginNotRepresentableError("Cartesian orbits must start off the origin")
-    if not abs(rs[0]) <= r_escape:
-        raise ValueError(f"start log-radius {rs[0]:g} already exceeds the escape bound {r_escape:g} in magnitude")
-    n_done = n_steps
-    for i in range(1, n_steps + 1):
+    if not abs(r) <= r_escape:
+        raise ValueError(f"start log-radius {r:g} already exceeds the escape bound {r_escape:g} in magnitude")
+    rs, thetas = [r], [theta]
+    for _ in range(n_steps):
         x = step(x)
-        r, ths[i] = observe(x)
-        rs[i] = r
-        if cart is not None:
-            cart[i] = x
+        r, theta = (x.r, x.theta.value) if rows is None else _observe_cart(x, rows)
+        rs.append(r)
+        thetas.append(theta)
         if not math.isfinite(r) or abs(r) > r_escape:
-            n_done = i
             break
-    sl = slice(0, n_done + 1)
-    trace = OrbitTrace(
-        rs=rs[sl], gains=np.diff(rs[sl]), thetas=ths[sl], cart=None if cart is None else cart[sl]
-    )
+    rs = np.array(rs)
+    cart = None if rows is None else np.array(rows, dtype=float)
+    trace = OrbitTrace(rs=rs, gains=np.diff(rs), thetas=np.array(thetas), cart=cart)
     if trap is not None:
         trace.entered_trap_at = detect_trap_entry(trace, trap)
     return trace

@@ -18,6 +18,7 @@ across the seams.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -287,7 +288,8 @@ def check_cone_condition(
     sits whenever ``holds``.  Both maps keep that circle, and a point off it
     gains at least as much as the circle point with the same polar angle
     (``j_k`` after ``h_k``) or the same angle from the first axis (``h_k``
-    after ``j_k``), so the result does not depend on k.
+    after ``j_k``), so the result does not depend on k, and every k gets the
+    same memoised ``ConeCheck`` object.
     """
     if k < 3:
         raise ValueError(f"cone check needs dimension k >= 3, got {k}")
@@ -295,6 +297,12 @@ def check_cone_condition(
         raise ValueError("n_samples must be positive")
     if not 0.0 < rp.w < 0.5:
         raise ValueError(f"w must lie in (0, 1/2) turns, got {rp.w}")
+    return _cone_check(rp, ap, n_samples, seed)
+
+
+@functools.lru_cache(maxsize=16)
+def _cone_check(rp: RadialProfile, ap: AngularProfile, n_samples: int, seed: int) -> ConeCheck:
+    """The dimension-free body of ``check_cone_condition``, on validated arguments."""
     gap = 0.5 - 2.0 * rp.w
     holds = bool(gap > 0.0 and abs(ap.delta_theta(rp.w)) <= gap)
 

@@ -20,7 +20,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .circle import Angle, monotone_circle_inverse
+from .circle import Angle, monotone_circle_inverse, wrap_turns
 from .errors import OriginNotRepresentableError
 from .profiles import TWO_PI, AngularProfile, RadialProfile
 from . import circle
@@ -114,8 +114,9 @@ def apply_tau(p: CylPoint) -> CylPoint:
 
 
 def apply_f1(rp: RadialProfile, ap: AngularProfile, p: CylPoint) -> CylPoint:
-    """The half-turn conjugate of the first map."""
-    return apply_tau(apply_f0(rp, ap, apply_tau(p)))
+    """``tau . f0 . tau`` in one hop: its additions, in order, without the middle points."""
+    u = wrap_turns(p.theta.value + 0.5)
+    return CylPoint(p.r + rp.delta_r(u), Angle(wrap_turns(u + ap.delta_theta(u)) + 0.5))
 
 
 _APPLY = {Letter.F0: apply_f0, Letter.F1: apply_f1}
@@ -215,20 +216,18 @@ def composition_radial_gain(
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
-    edges = np.linspace(0.0, 1.0, grid_n + 1)
-    lo = edges[:-1].copy()
-    hi = edges[1:].copy()
+    # Cell i is the arc [e[i], e[i+1]]; neighbouring cells share an edge, so
+    # the grid_n + 1 edges are carried through the word once.
+    e = edges = np.linspace(0.0, 1.0, grid_n + 1)
     gains = np.zeros(grid_n)
     bound = np.zeros(grid_n)
     for letter in word:
-        s = _SHIFT[letter]
-        dlo = rp.delta_r(lo + s)
-        dhi = rp.delta_r(hi + s)
-        gains += dlo
-        contains_zero = (-(lo + s)) % 1.0 <= hi - lo
-        bound += np.where(contains_zero, -1.0, np.minimum(dlo, dhi))
-        lo = lo + ap.delta_theta(lo + s)
-        hi = hi + ap.delta_theta(hi + s)
+        shifted = e + _SHIFT[letter]
+        de = rp.delta_r(shifted)
+        gains += de[:-1]
+        contains_zero = (-shifted[:-1]) % 1.0 <= e[1:] - e[:-1]
+        bound += np.where(contains_zero, -1.0, np.minimum(de[:-1], de[1:]))
+        e = e + ap.delta_theta(shifted)
     i = int(np.argmin(gains))
     min_gain = float(gains[i])
     lower = float(bound.min())

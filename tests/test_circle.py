@@ -94,6 +94,13 @@ class TestAngle:
     def test_dist(self):
         assert Angle(0.1).dist(0.9) == pytest.approx(0.2, abs=1e-15)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            Angle(value)
+        with pytest.raises(ValueError, match="finite"):
+            Angle(0.25) + value
+
 
 class TestCircleInterval:
     def test_contains_wraps(self):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -311,6 +312,27 @@ class TestOrbit:
         argv = ["orbit", "--word", "f0,f1", "--start", "999990,0.3", "--steps", "50"]
         assert run(argv) == 2
 
+    @pytest.mark.parametrize("argv, digest", [
+        (["--map", "f1", "--start", "0,0.5"], "7c649f00e78ba545e7b27a6d598101449bac93940da68ba097060574242db813"),
+        (["--map", "hk", "--k", "4"], "890e17024f2d7691b781abf4f1304038b934027ead7e8093876735acc6eee532"),
+        (["--map", "jk", "--k", "5"], "ad13606ec4ece5bae359e436a5300776bc274d9ddaf900791b06068f71e9d8f1"),
+    ])
+    def test_json_bytes_are_pinned(self, argv, digest, tmp_path):
+        # Single-point steps run on Python floats, so these bytes do not
+        # depend on the numpy build.
+        out = tmp_path / "trace.json"
+        assert run(["orbit", *argv, "--steps", "300", "--format", "json", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_non_finite_cartesian_start(self, capsys):
+        assert run(["orbit", "--map", "jk", "--k", "3", "--start-cart", "1,nan,0"]) == 2
+        assert "error: a Cartesian start needs finite coordinates, got [1.0, nan, 0.0]" in capsys.readouterr().err
+
+    def test_non_finite_start_angle(self, capsys):
+        assert run(["orbit", "--map", "f0", "--start", "0,nan"]) == 2
+        err = capsys.readouterr().err
+        assert "bad cylinder start '0,nan'" in err and "got nan" in err
+
 
 class TestIfs:
     def test_json_output(self, tmp_path):
@@ -436,6 +458,11 @@ class TestIfs:
         assert stats["1e308"] == stats["0"]
         assert stats["1e308"]["escape_fraction"] == 1.0
         assert stats["1e308"]["mean_pair_gain"] > 1.0
+
+    def test_non_finite_start_angle(self, capsys):
+        assert run(["ifs", "--start", "0,nan", "--horizon", "10", "--sequences", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "bad cylinder start '0,nan'" in err and "JSON" not in err
 
     def test_bad_probability(self):
         assert run(["ifs", "--p", "1.5", "--horizon", "100", "--sequences", "2"]) == 2

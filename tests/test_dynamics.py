@@ -5,6 +5,7 @@ import pytest
 
 from parrondo_maps.circle import Angle, CircleInterval
 from parrondo_maps.dynamics import (
+    R_ESCAPE,
     OrbitClass,
     OrbitTrace,
     classify_orbit,
@@ -12,7 +13,7 @@ from parrondo_maps.dynamics import (
     iterate,
 )
 from parrondo_maps.errors import WindowTooLargeError
-from parrondo_maps.highdim import apply_h_k
+from parrondo_maps.highdim import apply_h_k, apply_j_k, robust_norm
 from parrondo_maps.planar import (
     CylPoint,
     MapWord,
@@ -21,7 +22,7 @@ from parrondo_maps.planar import (
     apply_f1,
     word_step,
 )
-from parrondo_maps.profiles import trapping_interval
+from parrondo_maps.profiles import TWO_PI, trapping_interval
 
 
 def _f0_step(profiles):
@@ -114,6 +115,111 @@ class TestIterate:
         assert np.all(np.isfinite(trace.rs[:-1]))
         np.testing.assert_array_equal(trace.cart[:-1], [np.ones(3) / 2.0**i for i in range(5)])
         np.testing.assert_array_equal(trace.cart[-1], np.zeros(3))
+
+
+def _reference_cartesian_iterate(step, start, n_steps):
+    """A per-step Cartesian loop with preallocated arrays and the observer
+    formula on numpy scalars, as ``iterate`` computed it before each point
+    was observed once; the reference for bit identity.  A step's result is
+    taken through ``np.asarray``, so a step may return a list."""
+
+    def observe(x):
+        norm = robust_norm(x)
+        if x.shape[0] == 2:
+            theta = (math.atan2(x[1], x[0]) / TWO_PI) % 1.0
+        elif norm == 0.0 or not math.isfinite(norm):
+            theta = 0.0
+        else:
+            theta = math.acos(max(-1.0, min(1.0, x[-1] / norm))) / TWO_PI
+        return (math.log(norm) if norm > 0.0 else -math.inf), theta
+
+    x = np.asarray(start, dtype=float)
+    rs, thetas, cart = np.empty(n_steps + 1), np.empty(n_steps + 1), np.empty((n_steps + 1, x.shape[0]))
+    rs[0], thetas[0] = observe(x)
+    cart[0] = x
+    n_done = n_steps
+    for i in range(1, n_steps + 1):
+        x = np.asarray(step(x), dtype=float)
+        rs[i], thetas[i] = observe(x)
+        cart[i] = x
+        if not math.isfinite(rs[i]) or abs(rs[i]) > R_ESCAPE:
+            n_done = i
+            break
+    return rs[: n_done + 1], thetas[: n_done + 1], cart[: n_done + 1]
+
+
+def _cartesian_starts(k, n=4, seed=0):
+    rng = np.random.default_rng(seed + k)
+    for _ in range(n):
+        x = rng.standard_normal(k)
+        yield x * math.exp(rng.uniform(-20.0, 20.0)) / np.linalg.norm(x)
+
+
+class TestCartesianObserverBitIdentity:
+    """``iterate`` observes each Cartesian point once, on Python floats; its
+    traces equal the per-step reference loop bit for bit."""
+
+    @staticmethod
+    def _assert_same(step, start, n_steps):
+        trace = iterate(step, np.array(start, dtype=float), n_steps)
+        rs, thetas, cart = _reference_cartesian_iterate(step, np.array(start, dtype=float), n_steps)
+        assert trace.rs.tobytes() == rs.tobytes()
+        assert trace.thetas.tobytes() == thetas.tobytes()
+        assert trace.cart.tobytes() == cart.tobytes()
+        np.testing.assert_array_equal(trace.gains, np.diff(rs))
+        return trace
+
+    def test_planar_extension(self, profiles):
+        rp, ap = profiles
+        step = lambda x: apply_f0_cartesian(rp, ap, x)
+        for start in [[0.1, 0.0], [-3.0, 2.0], *_cartesian_starts(2)]:
+            self._assert_same(step, start, 200)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    @pytest.mark.parametrize("fn", [apply_h_k, apply_j_k])
+    def test_suspension_steps(self, profiles, k, fn):
+        rp, ap = profiles
+        step = lambda x: fn(rp, ap, x)
+        axis = np.zeros(k)
+        axis[-1] = 2.0
+        for start in [np.ones(k), axis, -axis, *_cartesian_starts(k)]:
+            self._assert_same(step, start, 300)
+
+    def test_stop_at_the_origin(self, profiles):
+        rp, ap = profiles
+        trace = self._assert_same(lambda x: apply_h_k(rp, ap, x), [1e-300, 0.0, 0.0], 200)
+        assert trace.n_steps == 120
+        assert trace.rs[-1] == -math.inf
+
+    def test_stop_on_overflow(self, profiles):
+        rp, ap = profiles
+        for fn in (apply_h_k, apply_j_k):
+            trace = self._assert_same(lambda x: fn(rp, ap, x), [1e307, 1e307, 1e307], 200)
+            assert trace.n_steps == 1
+            assert trace.rs[-1] == math.inf
+
+    def test_step_that_mutates_its_input(self, profiles):
+        rp, ap = profiles
+
+        def step(x):
+            x[:] = apply_h_k(rp, ap, x)
+            return x
+
+        trace = self._assert_same(step, [1.0, 2.0, 3.0, 4.0], 100)
+        assert len({row.tobytes() for row in trace.cart}) == 101
+
+    def test_step_that_returns_a_list(self, profiles):
+        rp, ap = profiles
+        trace = self._assert_same(lambda x: apply_j_k(rp, ap, x).tolist(), [1.0, 2.0, 3.0], 100)
+        assert trace.cart.dtype == np.float64
+
+    @pytest.mark.parametrize("start", [[1.0, math.nan, 0.0], [math.inf, 0.0, 0.0], [0.0, -math.inf]])
+    def test_non_finite_start_is_rejected(self, profiles, start):
+        # Checked before the origin test: a NaN coordinate used to read as
+        # the origin (its norm is NaN).
+        rp, ap = profiles
+        with pytest.raises(ValueError, match="finite coordinates"):
+            iterate(lambda x: apply_h_k(rp, ap, x), start, 10)
 
 
 class TestClassify:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from parrondo_maps.circle import Angle, circle_dist
 from parrondo_maps.dynamics import iterate
+from parrondo_maps import highdim
 from parrondo_maps.errors import OriginNotRepresentableError
 from parrondo_maps.highdim import (
     SphericalDecomp,
@@ -417,6 +418,56 @@ class TestConeCondition:
             y = apply_h_k(rp, ap, _circle_point(k, polar))
             entered |= math.acos(min(1.0, abs(y[0]) / robust_norm(y))) / TWO_PI < 0.5 * w
         assert check_cone_condition(rp, ap, k, n_samples=1, seed=0).holds is not entered
+
+
+class TestConeMemo:
+    """The cone check does not depend on k, so it is computed once per
+    (profile pair, n_samples, seed) and shared across dimensions."""
+
+    @staticmethod
+    def _uncached(rp, ap, n_samples, seed):
+        return highdim._cone_check.__wrapped__(rp, ap, n_samples, seed)
+
+    @pytest.mark.parametrize("shape", list(AngularShape))
+    def test_every_dimension_returns_the_same_object(self, shape):
+        rp, ap = RadialProfile(5.0, 0.4), AngularProfile(0.25, 0.4, shape)
+        results = [check_cone_condition(rp, ap, k, n_samples=700, seed=21) for k in range(3, 9)]
+        assert all(r is results[0] for r in results)
+        assert results[0] == self._uncached(rp, ap, 700, 21)
+
+    def test_other_arguments_give_a_fresh_result(self):
+        rp, ap = RadialProfile(5.0, 0.4), AngularProfile(0.25, 0.4)
+        base = check_cone_condition(rp, ap, 3, n_samples=700, seed=21)
+        other_rp, other_ap = RadialProfile(6.0, 0.4), AngularProfile(0.2, 0.4)
+        for args in [(rp, ap, 700, 22), (rp, ap, 300, 21), (other_rp, ap, 700, 21), (rp, other_ap, 700, 21)]:
+            result = check_cone_condition(args[0], args[1], 4, n_samples=args[2], seed=args[3])
+            assert result is not base
+            assert result == self._uncached(*args)
+        assert check_cone_condition(rp, ap, 3, n_samples=700, seed=22) != base
+
+    def test_drift_shapes_do_not_collide(self):
+        rp = RadialProfile(5.0, 0.4)
+        cosine = AngularProfile(0.25, 0.4, AngularShape.RAISED_COSINE)
+        tent = AngularProfile(0.25, 0.4, AngularShape.PIECEWISE_LINEAR)
+        first = check_cone_condition(rp, cosine, 3, n_samples=700, seed=21)
+        second = check_cone_condition(rp, tent, 3, n_samples=700, seed=21)
+        assert first == self._uncached(rp, cosine, 700, 21)
+        assert second == self._uncached(rp, tent, 700, 21)
+        assert first != second
+
+    def test_arguments_are_checked_on_a_warm_cache(self, profiles):
+        rp, ap = profiles
+        check_cone_condition(rp, ap, 3, n_samples=50, seed=1)
+        with pytest.raises(ValueError, match="k >= 3"):
+            check_cone_condition(rp, ap, 2, n_samples=50, seed=1)
+        with pytest.raises(ValueError, match="n_samples"):
+            check_cone_condition(rp, ap, 3, n_samples=0, seed=1)
+        # Warm the memo on a profile the public check rejects.
+        for w in (0.5, 0.7):
+            wide_rp, wide_ap = RadialProfile(5.0, w), AngularProfile(0.25, w)
+            highdim._cone_check(wide_rp, wide_ap, 50, 1)
+            with pytest.raises(ValueError, match="w must lie"):
+                check_cone_condition(wide_rp, wide_ap, 3, n_samples=50, seed=1)
 
 
 def _composed_gain(rp, ap, first, second, x):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from parrondo_maps.circle import Angle, circle_dist, wrap_turns
 from parrondo_maps.errors import OriginNotRepresentableError
 from parrondo_maps.planar import (
+    CERTIFICATE_SLACK,
     CylPoint,
     Letter,
     MapWord,
@@ -28,6 +30,14 @@ from parrondo_maps.profiles import default_profiles, make_angular_profile, make_
 
 angles = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
 radii = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
+# Angles anywhere, and crowded around the half turn and just below one turn,
+# where the half-turn additions of f1 round.
+f1_angles = st.one_of(
+    angles,
+    st.floats(min_value=0.5 - 1e-9, max_value=0.5 + 1e-9),
+    st.floats(min_value=1.0 - 1e-9, max_value=1.0, exclude_max=True),
+    st.sampled_from([0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0), 5e-324]),
+)
 
 
 class TestMapWord:
@@ -93,6 +103,16 @@ class TestApplyMaps:
         rp, ap = default_profiles()
         p = CylPoint(r, Angle(t))
         assert apply_f1(rp, ap, p) == apply_tau(apply_f0(rp, ap, apply_tau(p)))
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=-1e6, max_value=1e6), f1_angles)
+    def test_f1_one_hop_is_the_conjugate_bit_for_bit(self, profiles_by_shape, r, t):
+        for rp, ap in profiles_by_shape.values():
+            p = CylPoint(r, Angle(t))
+            q = apply_f1(rp, ap, p)
+            oracle = apply_tau(apply_f0(rp, ap, apply_tau(p)))
+            assert (q.r.hex(), q.theta.value.hex()) == (oracle.r.hex(), oracle.theta.value.hex())
 
 
 class TestApplyWord:
@@ -279,6 +299,38 @@ class TestCompositionGain:
         )
         assert study.lower_bound <= probe + 1e-9
         assert study.lower_bound <= study.min_gain + 1e-12
+
+
+def _cellwise_gain_study(word, rp, ap, grid_n):
+    """The cell-wise propagation with separate lo and hi edge arrays, as
+    ``composition_radial_gain`` computed it before the shared edges were
+    carried once; the reference for bit identity."""
+    edges = np.linspace(0.0, 1.0, grid_n + 1)
+    lo, hi = edges[:-1].copy(), edges[1:].copy()
+    gains, bound = np.zeros(grid_n), np.zeros(grid_n)
+    for letter in word:
+        s = 0.5 if letter is Letter.F1 else 0.0
+        dlo, dhi = rp.delta_r(lo + s), rp.delta_r(hi + s)
+        gains += dlo
+        contains_zero = (-(lo + s)) % 1.0 <= hi - lo
+        bound += np.where(contains_zero, -1.0, np.minimum(dlo, dhi))
+        lo = lo + ap.delta_theta(lo + s)
+        hi = hi + ap.delta_theta(hi + s)
+    i = int(np.argmin(gains))
+    return float(gains[i]), float(edges[i]), float(bound.min())
+
+
+class TestSharedEdgeBitIdentity:
+    @pytest.mark.parametrize("grid_n", [2, 3, 1000])
+    def test_matches_the_cellwise_propagation(self, profiles_by_shape, grid_n):
+        words = [MapWord(letters) for n in range(1, 5) for letters in itertools.product(Letter, repeat=n)]
+        for rp, ap in profiles_by_shape.values():
+            for word in words:
+                study = composition_radial_gain(word, rp, ap, grid_n=grid_n)
+                min_gain, argmin, lower = _cellwise_gain_study(word, rp, ap, grid_n)
+                got = (study.min_gain.hex(), study.argmin.value.hex(), study.lower_bound.hex())
+                assert got == (min_gain.hex(), argmin.hex(), lower.hex()), (str(word), grid_n)
+                assert study.certified == (min_gain - lower < CERTIFICATE_SLACK)
 
 
 class TestSetCondition:
