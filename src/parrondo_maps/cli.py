@@ -412,29 +412,28 @@ def _admissibility_label(p: float, a: float) -> str:
 def cmd_sweep(params: dict) -> int:
     ps = _parse_grid(params["p_grid"])
     a_values = _parse_grid(params["a_grid"])
-    for p in ps:
-        if not 0.0 < p < 1.0:
-            raise ConfigError(f"grid probability {p} outside (0, 1)")
-    echo = _echo_config(params)
+    # Every cell, in grid order, validated before anything is echoed; the
+    # cells differ only in (p, a), so they all advance in one lock-step run.
+    configs = [
+        IfsConfig(
+            p=p, a=a, seed=int(params["seed"]), horizon=int(params["horizon"]),
+            n_sequences=int(params["sequences"]), w=float(params["w"]), d=float(params["d"]),
+        )
+        for p in ps
+        for a in a_values
+    ]
+    cells = monte_carlo_grid(configs)
     lines = _csv_header(
-        echo, "p,a,a_min,K,pair_slope_lb,empirical_slope,escape_fraction,admissibility"
+        _echo_config(params), "p,a,a_min,K,pair_slope_lb,empirical_slope,escape_fraction,admissibility"
     )
-    for p in ps:
-        # One row of cells differs only in a, so it shares one angle orbit per stream.
-        configs = [
-            IfsConfig(
-                p=p, a=a, seed=int(params["seed"]), horizon=int(params["horizon"]),
-                n_sequences=int(params["sequences"]), w=float(params["w"]), d=float(params["d"]),
-            )
-            for a in a_values
-        ]
-        for a, stats in zip(a_values, monte_carlo_grid(configs)):
-            bounds = theoretical_bounds(p, a)
-            lines.append(
-                f"{p!r},{a!r},{bounds.a_min!r},{bounds.K!r},{bounds.pair_slope_lb!r},"
-                f"{stats.mean_pair_gain!r},{stats.escape_fraction!r},"
-                f"{_admissibility_label(p, a)}"
-            )
+    for stats in cells:
+        p, a = stats.config.p, stats.config.a
+        bounds = theoretical_bounds(p, a)
+        lines.append(
+            f"{p!r},{a!r},{bounds.a_min!r},{bounds.K!r},{bounds.pair_slope_lb!r},"
+            f"{stats.mean_pair_gain!r},{stats.escape_fraction!r},"
+            f"{_admissibility_label(p, a)}"
+        )
     _write(params["out"], "\n".join(lines) + "\n")
     return EXIT_OK
 

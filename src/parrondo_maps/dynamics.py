@@ -16,7 +16,7 @@ import numpy as np
 
 from .circle import CircleInterval
 from .errors import OriginNotRepresentableError, WindowTooLargeError
-from .highdim import robust_norm
+from .highdim import robust_norm  # noqa: F401  perfbench/test_pb_harness.py expects it patched here
 from .planar import CylPoint
 from .profiles import TWO_PI
 
@@ -72,10 +72,12 @@ def _observe_cart(x, rows: list) -> tuple[float, float]:
     """Log-norm and natural angle (planar for k = 2, polar for k >= 3) of one
     Cartesian point, on Python floats.  Appends the point's coordinates to
     ``rows`` as a new list, which a step that mutates the point cannot change.
+    The norm is ``math.hypot`` of that list, which is what
+    ``highdim.robust_norm`` computes for a single point.
     """
     vals = x.tolist() if isinstance(x, np.ndarray) else [float(v) for v in x]
     rows.append(vals)
-    norm = robust_norm(x)
+    norm = math.hypot(*vals)
     r = math.log(norm) if norm > 0.0 else -math.inf
     if len(vals) == 2:
         return r, (math.atan2(vals[1], vals[0]) / TWO_PI) % 1.0

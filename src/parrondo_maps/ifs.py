@@ -15,8 +15,9 @@ embarrassingly parallel experiments: stream ``i`` uses the child generator
 
 ``run_ifs`` records one orbit with its per-pair gains.  ``monte_carlo`` and
 ``monte_carlo_grid`` keep only each stream's terminal gain and mixed-pair
-count, and advance all streams in lock-step, one numpy step per map
-application; each stream's numbers are bit-identical to its ``run_ifs``.
+count, and advance all streams (of every ``p`` and ``a`` in a grid) in
+lock-step, one numpy step per map application; each stream's numbers are
+bit-identical to its ``run_ifs``.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ __all__ = [
 ESCAPE_THRESHOLD = 100.0
 
 # Symbols held at once by the lock-step engine: streams are processed in
-# chunks of at most this many int8 symbols (1 MiB), whatever the horizon.
+# chunks of at most this many int8 symbols (1 MiB), whatever the horizon and
+# however many distinct p values share the run (each adds one lane per stream).
 CHUNK_SYMBOLS = 1 << 20
 
 # Generic start: off both invariant rays and equidistant from both slow arcs.
@@ -89,8 +91,8 @@ class IfsConfig:
             raise ValueError(f"horizon must be an even count >= 2, got {self.horizon}")
         if self.n_sequences < 1:
             raise ValueError(f"n_sequences must be positive, got {self.n_sequences}")
-        if not self.a > 0.0:
-            raise ValueError(f"expansion a must be positive, got {self.a}")
+        if not (math.isfinite(self.a) and self.a > 0.0):
+            raise ValueError(f"expansion a must be finite and positive, got {self.a}")
         if not 0.0 < self.w < 0.25:
             raise ValueError(f"w must lie in (0, 1/4), got {self.w}")
         if not math.isfinite(self.escape_threshold):
@@ -157,9 +159,16 @@ def sequence_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
 
 
-def bernoulli_sequence(p: float, n: int, seed: int, stream: int = 0) -> np.ndarray:
-    """i.i.d. symbols in {0, 1} with P(0) = p, reproducible per (seed, stream)."""
-    if not 0.0 < p < 1.0:
+def bernoulli_sequence(p, n: int, seed: int, stream: int = 0) -> np.ndarray:
+    """i.i.d. symbols in {0, 1} with P(0) = p, reproducible per (seed, stream).
+
+    ``p`` is a probability, giving shape ``(n,)``, or a column of them, shape
+    ``(n_p, 1)``, giving one row per ``p``.  The stream's uniforms are drawn
+    once and thresholded against every ``p``, so each row equals the scalar
+    call with that ``p``.
+    """
+    p = np.asarray(p, dtype=float)
+    if not all(0.0 < q < 1.0 for q in p.ravel().tolist()):
         raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
     if n < 1:
         raise ValueError(f"sequence length must be positive, got {n}")
@@ -302,44 +311,58 @@ def monte_carlo(config: IfsConfig, start: CylPoint = DEFAULT_START) -> IfsStats:
 
 
 def monte_carlo_grid(configs, start: CylPoint = DEFAULT_START) -> list[IfsStats]:
-    """``monte_carlo`` of each config, for configs that differ only in ``a``.
+    """``monte_carlo`` of each config, for configs that differ only in ``a`` and ``p``.
 
     The symbols and the angle orbit depend on ``p``, ``d`` and the seed but
-    not on ``a``, so the configs share one run: every stream's angle moves
-    once per step, and its radial increment is read for the whole column of
-    ``a`` values at once.  Streams advance in lock-step, in chunks of at most
-    ``CHUNK_SYMBOLS`` symbols.
+    not on ``a``, so all configs share one run.  Its lanes are (distinct
+    ``p``) x (stream): every lane's angle moves once per step, and its radial
+    increment is read for the whole column of distinct ``a`` values at once.
+    Every (``a``, ``p``) pair of the distinct values is computed, which is
+    exactly the work of a product grid.  Each stream's uniforms are drawn
+    once for every ``p``.  Streams advance in lock-step, in chunks holding at
+    most ``CHUNK_SYMBOLS`` symbols.
     """
     configs = list(configs)
     if not configs:
         raise ValueError("monte_carlo_grid needs at least one config")
     base = configs[0]
-    if any(replace(c, a=base.a) != base for c in configs):
-        raise ValueError("the configs of one grid may differ only in a")
+    if any(replace(c, a=base.a, p=base.p) != base for c in configs):
+        raise ValueError("the configs of one grid may differ only in a and p")
+    # Distinct values in first-seen order; duplicate cells read the same lanes.
+    p_index = {p: i for i, p in enumerate(dict.fromkeys(c.p for c in configs))}
+    a_index = {a: i for i, a in enumerate(dict.fromkeys(c.a for c in configs))}
     _, ap = base.profiles()
-    radial = RadialProfile(np.array([[c.a] for c in configs]), base.w)
-    n, horizon = base.n_sequences, base.horizon
-    deltas = np.empty((len(configs), n))
-    k_counts = np.empty(n, dtype=np.int64)
-    lanes = max(1, CHUNK_SYMBOLS // horizon)
-    for lo in range(0, n, lanes):
-        hi = min(lo + lanes, n)
-        # Step-major, so that each step reads one contiguous column.
-        cols = np.empty((horizon, hi - lo), dtype=np.int8)
+    radial = RadialProfile(np.array([[a] for a in a_index]), base.w)
+    p_col = np.array([[p] for p in p_index])
+    n_a, n_p, n, horizon = len(a_index), len(p_index), base.n_sequences, base.horizon
+    deltas = np.empty((n_a, n_p, n))
+    k_counts = np.empty((n_p, n), dtype=np.int64)
+    streams = max(1, CHUNK_SYMBOLS // (horizon * n_p))
+    for lo in range(0, n, streams):
+        hi = min(lo + streams, n)
+        width = hi - lo
+        # Step-major, so that each step reads one contiguous column; lane
+        # i * width + (s - lo) holds stream s under the i-th p.
+        cols = np.empty((horizon, n_p * width), dtype=np.int8)
         for s in range(lo, hi):
-            cols[:, s - lo] = bernoulli_sequence(base.p, horizon, base.seed, s)
-        k_counts[lo:hi] = np.count_nonzero(cols[0::2] != cols[1::2], axis=0)
-        # The same operations as run_ifs, one lane per stream.
-        r = np.zeros((len(configs), hi - lo))
-        th = np.full(hi - lo, start.theta.value)
+            cols[:, s - lo::width] = bernoulli_sequence(p_col, horizon, base.seed, s).T
+        k_counts[:, lo:hi] = np.count_nonzero(cols[0::2] != cols[1::2], axis=0).reshape(n_p, width)
+        # The same operations as run_ifs, one lane per (p, stream).
+        r = np.zeros((n_a, n_p * width))
+        th = np.full(n_p * width, start.theta.value)
         for col in cols:
             t = th + 0.5 * col
             r += radial.delta_r(t)
             th = (th + ap.delta_theta(t)) % 1.0
-        deltas[:, lo:hi] = r
+        deltas[:, :, lo:hi] = r.reshape(n_a, n_p, width)
+    # Each cell gets its own arrays, duplicate cells included.
     return [
-        IfsStats(config=c, deltas=row, k_counts=k_counts.copy())
-        for c, row in zip(configs, deltas)
+        IfsStats(
+            config=c,
+            deltas=deltas[a_index[c.a], p_index[c.p]].copy(),
+            k_counts=k_counts[p_index[c.p]].copy(),
+        )
+        for c in configs
     ]
 
 

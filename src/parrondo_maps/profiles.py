@@ -176,7 +176,7 @@ def make_angular_profile(
     monotonicity bound (1/pi for the raised cosine, 1/2 for the tent)."""
     shape = AngularShape(shape)
     if not d > 0.0:
-        raise ValueError(f"drift amplitude must be positive, got {d}")
+        raise ValueError(f"drift amplitude d must be positive, got {d}")
     # The monotonicity bound is checked first: a drift that destroys the
     # homeomorphism is a worse defect than one that merely overshoots the gap.
     bound = 1.0 / DRIFT_LIPSCHITZ_FACTOR[shape]

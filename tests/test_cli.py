@@ -467,6 +467,20 @@ class TestIfs:
     def test_bad_probability(self):
         assert run(["ifs", "--p", "1.5", "--horizon", "100", "--sequences", "2"]) == 2
 
+    def test_infinite_expansion_rejected(self, capsys):
+        assert run(["ifs", "--a", "inf", "--horizon", "10", "--sequences", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "expansion a must be finite and positive, got inf" in err and "JSON" not in err
+
+    def test_csv_bytes_are_pinned(self, tmp_path):
+        # The lock-step engine's numbers rest on numpy's elementwise cos and %
+        # (see README), so these bytes hold where those match math.cos and %.
+        out = tmp_path / "seqs.csv"
+        assert run(["ifs", "--format", "csv", "--horizon", "200", "--sequences", "20", "--seed", "3",
+                    "--out", str(out)]) == 0
+        digest = "61f3a618cd5da4d950d9bcac82e221eb4755eeb0214fce7ca05835449b16e75a"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_non_finite_escape_threshold(self, tmp_path, capsys):
         out = tmp_path / "stats.json"
         argv = ["ifs", "--escape-threshold", "nan", "--horizon", "100", "--sequences", "2"]
@@ -599,8 +613,38 @@ class TestSweep:
                 )
         assert rows == expected
 
+    def test_csv_bytes_are_pinned(self, tmp_path):
+        # The whole grid advances in one lock-step run; its bytes are those of
+        # one run per row, and rest on numpy's elementwise cos and % (see README).
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--p-grid", "0.1:0.9:9", "--a-grid", "4,5,8", "--horizon", "200",
+                "--sequences", "30", "--seed", "3", "--out", str(out)]
+        assert run(argv) == 0
+        digest = "a5162b2d4f17f33dc7b728eaecb4039cb340e6394f302f18b87a00b698e227de"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_empty_grid_rejected(self):
         assert run(["sweep", "--p-grid", "", "--a-grid", "5"]) == 2
+
+    def test_infinite_expansion_rejected(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--p-grid", "0.5", "--a-grid", "inf", "--horizon", "10", "--sequences", "2"]
+        assert run(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert "expansion a must be finite and positive, got inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--w", "w must lie in (0, 1/4), got nan"),
+        ("--d", "drift amplitude d must be positive, got nan"),
+    ])
+    def test_non_finite_profile_parameter_is_named(self, flag, message, tmp_path, capsys):
+        # The configs are validated before the echo, which cannot hold a NaN.
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--p-grid", "0.5", "--a-grid", "5", flag, "nan", "--horizon", "10", "--sequences", "2"]
+        assert run(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert message in err and "JSON" not in err
 
     def test_missing_grid_rejected(self):
         assert run(["sweep", "--a-grid", "5"]) == 2

@@ -46,13 +46,20 @@ class TestBernoulliSequences:
         assert abs(freq - p) <= 3.0 * math.sqrt(p * (1 - p) / n)
 
     def test_boundary_probabilities_rejected(self):
-        for bad in (0.0, 1.0, -0.2, 1.7):
-            with pytest.raises(ValueError):
+        for bad in (0.0, 1.0, -0.2, 1.7, math.nan, np.array([[0.5], [1.0]])):
+            with pytest.raises(ValueError, match="strictly between 0 and 1"):
                 bernoulli_sequence(bad, 10, seed=0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             bernoulli_sequence(0.5, 0, seed=0)
+
+    def test_p_column_equals_scalar_calls(self):
+        ps = [0.1, 0.5, 0.5, 0.93]
+        rows = bernoulli_sequence(np.array([[p] for p in ps]), 500, seed=4, stream=9)
+        assert rows.shape == (4, 500) and rows.dtype == np.int8
+        for p, row in zip(ps, rows):
+            np.testing.assert_array_equal(row, bernoulli_sequence(p, 500, seed=4, stream=9))
 
     def test_stream_rng_is_pcg64(self):
         gen = sequence_rng(0, 3)
@@ -90,6 +97,11 @@ class TestConfig:
             small_config(n_sequences=0)
         with pytest.raises(ValueError):
             small_config(w=0.3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+    def test_non_finite_or_non_positive_expansion_rejected(self, bad):
+        with pytest.raises(ValueError, match="expansion a must be finite and positive"):
+            small_config(a=bad)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_escape_threshold_rejected(self, bad):
@@ -199,21 +211,23 @@ class TestMonteCarlo:
 
 @st.composite
 def grids(draw):
-    """Configs differing only in a, with a start on or off the invariant rays."""
+    """Configs differing only in (p, a), from 1-3 values of p and 1-4 of a, in
+    any order and with repeats, with a start on or off the invariant rays."""
     w = draw(st.floats(min_value=0.01, max_value=0.24))
     d = min(1.0 / math.pi, 0.5 - 2.0 * w) * draw(st.floats(min_value=0.01, max_value=0.99))
     shared = dict(
-        p=draw(st.floats(min_value=0.01, max_value=0.99)),
         seed=draw(st.integers(min_value=0, max_value=2**32)),
         horizon=2 * draw(st.integers(min_value=1, max_value=40)),
         n_sequences=draw(st.integers(min_value=1, max_value=6)),
         w=w,
         d=d,
     )
+    p_values = draw(st.lists(st.floats(min_value=0.01, max_value=0.99), min_size=1, max_size=3))
     a_values = draw(st.lists(st.floats(min_value=0.5, max_value=20.0), min_size=1, max_size=4))
+    cells = draw(st.lists(st.sampled_from([(p, a) for p in p_values for a in a_values]), min_size=1, max_size=6))
     theta = draw(st.one_of(st.sampled_from([0.0, 0.5]), st.floats(min_value=0.0, max_value=1.0, exclude_max=True)))
     r = draw(st.sampled_from([0.0, -3.5, 1e308]))
-    return [IfsConfig(a=a, **shared) for a in a_values], CylPoint(r, Angle(theta))
+    return [IfsConfig(p=p, a=a, **shared) for p, a in cells], CylPoint(r, Angle(theta))
 
 
 def assert_matches_run_ifs(configs, start, stats):
@@ -240,9 +254,31 @@ class TestMonteCarloGrid:
         start = CylPoint(0.0, Angle(0.4))
         assert_matches_run_ifs(configs, start, monte_carlo_grid(configs, start))
 
+    @pytest.mark.parametrize("chunk", [1, 3 * 3 * 40, 3 * 3 * 40 + 1])
+    def test_chunk_boundaries_with_three_p(self, chunk, monkeypatch):
+        # 7 streams of 40 symbols under 3 values of p, 21 lanes in all: one
+        # stream (3 lanes) per chunk, then chunks of 3, 3, 1 streams.
+        monkeypatch.setattr(ifs, "CHUNK_SYMBOLS", chunk)
+        configs = [small_config(p=p, a=a, horizon=40, n_sequences=7) for p in (0.2, 0.5, 0.7) for a in (3.0, 5.0)]
+        start = CylPoint(0.0, Angle(0.4))
+        assert_matches_run_ifs(configs, start, monte_carlo_grid(configs, start))
+
+    def test_accepts_configs_differing_in_p(self):
+        configs = [small_config(a=5.0, horizon=60, n_sequences=6),
+                   small_config(a=6.0, p=0.4, horizon=60, n_sequences=6)]
+        assert_matches_run_ifs(configs, ifs.DEFAULT_START, monte_carlo_grid(configs))
+
+    def test_duplicate_values_give_identical_cells(self):
+        cells = [(0.3, 5.0), (0.6, 5.0), (0.3, 5.0), (0.3, 7.0), (0.6, 5.0)]
+        stats = monte_carlo_grid([small_config(p=p, a=a, horizon=60, n_sequences=8) for p, a in cells])
+        for i, j in ((0, 2), (1, 4)):
+            np.testing.assert_array_equal(stats[i].deltas, stats[j].deltas)
+            np.testing.assert_array_equal(stats[i].k_counts, stats[j].k_counts)
+        np.testing.assert_array_equal(stats[0].k_counts, stats[3].k_counts)
+
     @pytest.mark.parametrize(
         "field, value",
-        [("p", 0.4), ("seed", 1), ("horizon", 402), ("n_sequences", 99), ("w", 0.1), ("d", 0.2),
+        [("seed", 1), ("horizon", 402), ("n_sequences", 99), ("w", 0.1), ("d", 0.2),
          ("escape_threshold", 50.0)],
     )
     def test_rejects_configs_differing_in_more_than_a(self, field, value):
@@ -255,14 +291,20 @@ class TestMonteCarloGrid:
             monte_carlo_grid([])
 
     def test_cells_share_no_writable_arrays(self):
-        first, second = monte_carlo_grid([small_config(a=a, n_sequences=5, horizon=20) for a in (5.0, 6.0)])
-        for x, y in ((first.deltas, second.deltas), (first.k_counts, second.k_counts)):
-            assert not np.shares_memory(x, y)
-        before = second.deltas.copy(), second.k_counts.copy()
+        # Cells of one a, of one p, of mixed p, and a duplicate cell.
+        cells = [(0.5, 5.0), (0.5, 6.0), (0.3, 5.0), (0.3, 6.0), (0.5, 5.0)]
+        stats = monte_carlo_grid([small_config(p=p, a=a, n_sequences=5, horizon=20) for p, a in cells])
+        for i, first in enumerate(stats):
+            for second in stats[i + 1:]:
+                for x, y in ((first.deltas, second.deltas), (first.k_counts, second.k_counts)):
+                    assert not np.shares_memory(x, y)
+        first, rest = stats[0], stats[1:]
+        before = [(s.deltas.copy(), s.k_counts.copy()) for s in rest]
         first.deltas[:] = 0.0
         first.k_counts[:] = 0
-        np.testing.assert_array_equal(second.deltas, before[0])
-        np.testing.assert_array_equal(second.k_counts, before[1])
+        for s, (deltas, k_counts) in zip(rest, before):
+            np.testing.assert_array_equal(s.deltas, deltas)
+            np.testing.assert_array_equal(s.k_counts, k_counts)
 
 
 class TestRecurrence:
