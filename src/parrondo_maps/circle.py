@@ -31,13 +31,27 @@ INVERSE_TOL = 1e-12
 INVERSE_BUDGET = 200
 
 
+def _mod1(x):
+    """``x % 1.0``: numpy's and Python's remainder, computed as ``x - floor(x)`` on arrays.
+
+    The two agree bit for bit on every finite double, sign of zero included.
+    For ``x >= 0`` both are exact.  For ``x < 0`` both round the one exact
+    value ``x - trunc(x) + 1`` once: ``%`` adds 1 to the exact ``fmod``, and
+    ``floor(x)`` is exactly ``trunc(x) - 1`` unless ``x`` is an integer, where
+    both give +0.  The floor form is several times faster than numpy's ``%``.
+    """
+    if isinstance(x, np.ndarray):
+        return x - np.floor(x)
+    return x % 1.0
+
+
 def wrap_turns(x):
     """Reduce turns to the fundamental domain [0, 1); elementwise on arrays.
 
     ``x % 1.0`` alone can round to exactly 1.0 for tiny negative inputs, so
     that value is folded back to 0.
     """
-    t = x % 1.0
+    t = _mod1(x)
     if isinstance(t, np.ndarray):
         return np.where(t == 1.0, 0.0, t)
     return 0.0 if t == 1.0 else t
@@ -49,7 +63,7 @@ def _as_turns(x):
 
 def _dist_to_zero(theta):
     """Distance from a circle point to 0, in [0, 1/2] turns; elementwise on arrays."""
-    t = _as_turns(theta) % 1.0
+    t = _mod1(_as_turns(theta))
     if isinstance(t, np.ndarray):
         return np.minimum(t, 1.0 - t)
     return t if t <= 0.5 else 1.0 - t
@@ -140,7 +154,7 @@ def check_monotone_lift(
     xs = np.linspace(0.0, 1.0, grid_n + 1)
     knots = tuple(knots)
     if knots:
-        xs = np.unique(np.concatenate([xs, np.asarray(knots, float) % 1.0]))
+        xs = np.unique(np.concatenate([xs, _mod1(np.asarray(knots, float))]))
     ys = np.array([lift(float(x)) for x in xs])
     diffs = np.diff(ys)
     if np.any(diffs <= 0.0):

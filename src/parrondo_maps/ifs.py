@@ -16,18 +16,22 @@ embarrassingly parallel experiments: stream ``i`` uses the child generator
 ``run_ifs`` records one orbit with its per-pair gains.  ``monte_carlo`` and
 ``monte_carlo_grid`` keep only each stream's terminal gain and mixed-pair
 count, and advance all streams (of every ``p`` and ``a`` in a grid) in
-lock-step, one numpy step per map application; each stream's numbers are
-bit-identical to its ``run_ifs``.
+lock-step.  The angle does not depend on the radius, so the step loop moves
+only the angles, one numpy step per map application; the log-radius is the
+running sum of ``delta_r`` along the angle orbit, evaluated once per block of
+steps and added in step order.  Each stream's numbers are bit-identical to
+its ``run_ifs``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circle import Angle
+from .circle import Angle, _mod1
 from .dynamics import OrbitTrace
 from .planar import CylPoint
 from .profiles import (
@@ -62,6 +66,12 @@ ESCAPE_THRESHOLD = 100.0
 # however many distinct p values share the run (each adds one lane per stream).
 CHUNK_SYMBOLS = 1 << 20
 
+# Radial increments held at once by the lock-step engine: the angles of a
+# block of steps are kept and their increments read in one call, at most this
+# many float64 values (64 KiB) for all values of ``a``, which keeps the
+# block's temporaries below the allocator's 128 KiB mmap threshold.
+BLOCK_VALUES = 1 << 13
+
 # Generic start: off both invariant rays and equidistant from both slow arcs.
 DEFAULT_START = CylPoint(0.0, Angle(0.25))
 
@@ -87,6 +97,8 @@ class IfsConfig:
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must lie strictly between 0 and 1, got {self.p}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.horizon < 2 or self.horizon % 2 != 0:
             raise ValueError(f"horizon must be an even count >= 2, got {self.horizon}")
         if self.n_sequences < 1:
@@ -173,7 +185,7 @@ def bernoulli_sequence(p, n: int, seed: int, stream: int = 0) -> np.ndarray:
     if n < 1:
         raise ValueError(f"sequence length must be positive, got {n}")
     u = sequence_rng(seed, stream).random(n)
-    return np.where(u < p, 0, 1).astype(np.int8)
+    return (u >= p).astype(np.int8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,7 +332,10 @@ def monte_carlo_grid(configs, start: CylPoint = DEFAULT_START) -> list[IfsStats]
     Every (``a``, ``p``) pair of the distinct values is computed, which is
     exactly the work of a product grid.  Each stream's uniforms are drawn
     once for every ``p``.  Streams advance in lock-step, in chunks holding at
-    most ``CHUNK_SYMBOLS`` symbols.
+    most ``CHUNK_SYMBOLS`` symbols.  Within a chunk the steps run in blocks of
+    at most ``BLOCK_VALUES`` radial increments: the step loop moves the
+    angles only, and after each block one ``delta_r`` call reads every angle
+    of the block, whose rows are added to the log-radius in step order.
     """
     configs = list(configs)
     if not configs:
@@ -332,7 +347,8 @@ def monte_carlo_grid(configs, start: CylPoint = DEFAULT_START) -> list[IfsStats]
     p_index = {p: i for i, p in enumerate(dict.fromkeys(c.p for c in configs))}
     a_index = {a: i for i, a in enumerate(dict.fromkeys(c.a for c in configs))}
     _, ap = base.profiles()
-    radial = RadialProfile(np.array([[a] for a in a_index]), base.w)
+    # a as an (n_a, 1, 1) column, so one call reads a block of (step, lane) angles.
+    radial = RadialProfile(np.array([[[a]] for a in a_index]), base.w)
     p_col = np.array([[p] for p in p_index])
     n_a, n_p, n, horizon = len(a_index), len(p_index), base.n_sequences, base.horizon
     deltas = np.empty((n_a, n_p, n))
@@ -347,13 +363,22 @@ def monte_carlo_grid(configs, start: CylPoint = DEFAULT_START) -> list[IfsStats]
         for s in range(lo, hi):
             cols[:, s - lo::width] = bernoulli_sequence(p_col, horizon, base.seed, s).T
         k_counts[:, lo:hi] = np.count_nonzero(cols[0::2] != cols[1::2], axis=0).reshape(n_p, width)
-        # The same operations as run_ifs, one lane per (p, stream).
-        r = np.zeros((n_a, n_p * width))
-        th = np.full(n_p * width, start.theta.value)
-        for col in cols:
-            t = th + 0.5 * col
-            r += radial.delta_r(t)
-            th = (th + ap.delta_theta(t)) % 1.0
+        # The same operations as run_ifs, one lane per (p, stream); x - floor(x)
+        # is run_ifs's % 1.0 bit for bit (see circle._mod1).
+        lanes = n_p * width
+        block = max(1, BLOCK_VALUES // (n_a * lanes))
+        r = np.zeros((n_a, lanes))
+        th = np.full(lanes, start.theta.value)
+        thetas = np.empty((block, lanes))
+        for b in range(0, horizon, block):
+            half = 0.5 * cols[b:b + block]
+            for t, h in zip(thetas, half):
+                np.add(th, h, out=t)
+                th = _mod1(th + ap.delta_theta(t))
+            # Added one step at a time, as run_ifs adds them; a sum over the
+            # block would round in another order.
+            for row in radial.delta_r(thetas[:len(half)]).swapaxes(0, 1):
+                r += row
         deltas[:, :, lo:hi] = r.reshape(n_a, n_p, width)
     # Each cell gets its own arrays, duplicate cells included.
     return [

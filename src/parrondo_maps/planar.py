@@ -20,7 +20,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .circle import Angle, monotone_circle_inverse, wrap_turns
+from .circle import Angle, _mod1, monotone_circle_inverse, wrap_turns
 from .errors import OriginNotRepresentableError
 from .profiles import TWO_PI, AngularProfile, RadialProfile
 from . import circle
@@ -225,7 +225,7 @@ def composition_radial_gain(
         shifted = e + _SHIFT[letter]
         de = rp.delta_r(shifted)
         gains += de[:-1]
-        contains_zero = (-shifted[:-1]) % 1.0 <= e[1:] - e[:-1]
+        contains_zero = _mod1(-shifted[:-1]) <= e[1:] - e[:-1]
         bound += np.where(contains_zero, -1.0, np.minimum(de[:-1], de[1:]))
         e = e + ap.delta_theta(shifted)
     i = int(np.argmin(gains))

@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .circle import Angle, CircleInterval, _as_turns, _dist_to_zero
+from .circle import Angle, CircleInterval, _as_turns, _dist_to_zero, _mod1
 from .errors import (
     BadExpansionError,
     BadWidthError,
@@ -142,7 +142,7 @@ class AngularProfile:
         if isinstance(theta, float):
             t = theta % 1.0
         else:
-            t = _as_turns(theta) % 1.0
+            t = _mod1(_as_turns(theta))
             if isinstance(t, np.ndarray):
                 return 0.5 * self.d * (1.0 - np.cos(TWO_PI * t))
         return 0.5 * self.d * (1.0 - math.cos(TWO_PI * t))

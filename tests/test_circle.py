@@ -13,6 +13,8 @@ from parrondo_maps.circle import (
     circle_dist,
     interval_gap,
     monotone_circle_inverse,
+    _dist_to_zero,
+    _mod1,
     wrap_turns,
 )
 from parrondo_maps.errors import (
@@ -27,6 +29,21 @@ turns = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([-0.0, 5e-324, -5e-324, 1.0 - 2.0**-53, 1e16, -1e16, 0.5, -0.5]),
 )
+
+
+# Finite doubles of every sign and magnitude, with the edge cases of a
+# reduction mod 1 drawn often: signed zeros, subnormals, integers, huge values
+# and a tiny negative that rounds up to 1.
+reducible = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 3.0, -3.0, 2.0**53, -(2.0**53),
+                     1e300, -1e300, -1e-20, 0.5, -0.5, 1.0 - 2.0**-53, -(1.0 - 2.0**-53)]),
+    st.integers(min_value=-(2**60), max_value=2**60).map(float),
+)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
 
 
 def _forked_circle_dist(x, y):
@@ -80,6 +97,25 @@ class TestCircleDist:
         got, want = circle_dist(x, y), _forked_circle_dist(x, y)
         assert type(got) is type(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestTurnReduction:
+    # Equal bit patterns include the sign bit, so -0.0 and +0.0 differ here.
+    @settings(max_examples=500)
+    @given(st.lists(reducible, min_size=1, max_size=8))
+    def test_floor_form_is_numpy_and_python_mod(self, xs):
+        x = np.array(xs)
+        got = _mod1(x)
+        np.testing.assert_array_equal(_bits(got), _bits(x % 1.0))
+        np.testing.assert_array_equal(_bits(got), _bits([v % 1.0 for v in xs]))
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(x % 1.0))
+
+    @settings(max_examples=300)
+    @given(st.lists(reducible, min_size=1, max_size=8))
+    def test_array_paths_equal_scalar_paths(self, xs):
+        x = np.array(xs)
+        for f in (wrap_turns, _dist_to_zero):
+            np.testing.assert_array_equal(_bits(f(x)), _bits([f(v) for v in xs]))
 
 
 class TestAngle:

@@ -473,13 +473,26 @@ class TestIfs:
         assert "expansion a must be finite and positive, got inf" in err and "JSON" not in err
 
     def test_csv_bytes_are_pinned(self, tmp_path):
-        # The lock-step engine's numbers rest on numpy's elementwise cos and %
-        # (see README), so these bytes hold where those match math.cos and %.
+        # The lock-step engine's numbers rest on numpy's elementwise cos equalling
+        # math.cos (see README); its x - floor(x) equals % exactly everywhere.
         out = tmp_path / "seqs.csv"
         assert run(["ifs", "--format", "csv", "--horizon", "200", "--sequences", "20", "--seed", "3",
                     "--out", str(out)]) == 0
         digest = "61f3a618cd5da4d950d9bcac82e221eb4755eeb0214fce7ca05835449b16e75a"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_csv_bytes_are_pinned_over_many_blocks(self, tmp_path):
+        # 300 sequences x 2000 steps: the radial increments are read in about
+        # 75 blocks of 27 steps, so block boundaries fall all along the run.
+        out = tmp_path / "seqs.csv"
+        assert run(["ifs", "--format", "csv", "--horizon", "2000", "--sequences", "300", "--seed", "7",
+                    "--out", str(out)]) == 0
+        digest = "f1cf44d9c22a4eca3c9164cb5662c8a51677c2447d9c31d06b4603f55d96e6da"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_negative_seed_is_named(self, capsys):
+        assert run(["ifs", "--seed", "-1", "--horizon", "10", "--sequences", "2"]) == 2
+        assert "error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
     def test_non_finite_escape_threshold(self, tmp_path, capsys):
         out = tmp_path / "stats.json"
@@ -615,7 +628,7 @@ class TestSweep:
 
     def test_csv_bytes_are_pinned(self, tmp_path):
         # The whole grid advances in one lock-step run; its bytes are those of
-        # one run per row, and rest on numpy's elementwise cos and % (see README).
+        # one run per row, and rest on numpy's elementwise cos (see README).
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "--p-grid", "0.1:0.9:9", "--a-grid", "4,5,8", "--horizon", "200",
                 "--sequences", "30", "--seed", "3", "--out", str(out)]
@@ -625,6 +638,13 @@ class TestSweep:
 
     def test_empty_grid_rejected(self):
         assert run(["sweep", "--p-grid", "", "--a-grid", "5"]) == 2
+
+    def test_negative_seed_is_named(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--p-grid", "0.5", "--a-grid", "5", "--seed", "-1", "--horizon", "10", "--sequences", "2"]
+        assert run(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert "error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
     def test_infinite_expansion_rejected(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

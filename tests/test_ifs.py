@@ -98,6 +98,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(w=0.3)
 
+    @pytest.mark.parametrize("bad", [-1, 1.5])
+    def test_seed_must_be_a_non_negative_integer(self, bad):
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {bad}"):
+            small_config(seed=bad)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
     def test_non_finite_or_non_positive_expansion_rejected(self, bad):
         with pytest.raises(ValueError, match="expansion a must be finite and positive"):
@@ -262,6 +267,26 @@ class TestMonteCarloGrid:
         configs = [small_config(p=p, a=a, horizon=40, n_sequences=7) for p in (0.2, 0.5, 0.7) for a in (3.0, 5.0)]
         start = CylPoint(0.0, Angle(0.4))
         assert_matches_run_ifs(configs, start, monte_carlo_grid(configs, start))
+
+    @pytest.mark.parametrize("budget, rows", [
+        (1, [1] * 40),
+        (3 * 2 * 21, [3] * 13 + [1]),
+        (41 * 2 * 21, [40]),
+    ])
+    def test_block_boundaries(self, budget, rows, monkeypatch):
+        # 7 streams under 3 values of p are 21 lanes, and 2 values of a make
+        # 42 radial increments a step: one step per block, blocks of 3 steps
+        # with a last block of 1, and one block longer than the 40-step horizon.
+        monkeypatch.setattr(ifs, "BLOCK_VALUES", budget)
+        seen = []
+        delta_r = ifs.RadialProfile.delta_r
+        monkeypatch.setattr(ifs.RadialProfile, "delta_r", lambda rp, t: seen.append(len(t)) or delta_r(rp, t))
+        configs = [small_config(p=p, a=a, horizon=40, n_sequences=7) for p in (0.2, 0.5, 0.7) for a in (3.0, 5.0)]
+        start = CylPoint(0.0, Angle(0.4))
+        stats = monte_carlo_grid(configs, start)
+        assert seen == rows
+        monkeypatch.undo()
+        assert_matches_run_ifs(configs, start, stats)
 
     def test_accepts_configs_differing_in_p(self):
         configs = [small_config(a=5.0, horizon=60, n_sequences=6),
