@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .circle import (
     Angle,
     CircleInterval,
-    check_monotone_lift,
     circle_dist,
     interval_gap,
     monotone_circle_inverse,
@@ -28,15 +27,10 @@ from .dynamics import (
 )
 from .highdim import (
     ConeCheck,
-    SphericalDecomp,
     apply_h,
     apply_h_k,
     apply_j_k,
     check_cone_condition,
-    rotate90,
-    rotate90_inv,
-    spherical_compose,
-    spherical_decompose,
 )
 from .ifs import (
     IfsConfig,
@@ -59,15 +53,11 @@ from .planar import (
     MapWord,
     angular_escape_margin,
     apply_f0,
-    apply_f0_cartesian,
     apply_f1,
-    apply_tau,
     apply_word,
     composition_radial_gain,
-    from_cartesian,
     inverse_f0,
     semistable_1d,
-    to_cartesian,
     word_step,
 )
 from .profiles import (
@@ -79,8 +69,6 @@ from .profiles import (
     default_profiles,
     make_angular_profile,
     make_radial_profile,
-    profiles_from_json,
-    profiles_to_json,
     trapping_interval,
     validate_profiles,
 )

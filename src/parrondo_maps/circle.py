@@ -10,23 +10,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
-from .errors import NoConvergenceError, NonDisjointError, NotMonotoneError
+from .errors import NoConvergenceError, NonDisjointError
 
 __all__ = [
     "Angle",
     "CircleInterval",
     "circle_dist",
-    "check_monotone_lift",
     "interval_gap",
     "monotone_circle_inverse",
     "wrap_turns",
 ]
 
-MONOTONE_GRID = 4096
 INVERSE_TOL = 1e-12
 INVERSE_BUDGET = 200
 
@@ -141,38 +139,18 @@ def interval_gap(interval: CircleInterval) -> float:
     return 0.5 - 2.0 * interval.half_width
 
 
-def check_monotone_lift(
-    lift: Callable[[float], float],
-    knots: Iterable[float] = (),
-    grid_n: int = MONOTONE_GRID,
-) -> None:
-    """Raise NotMonotoneError unless the lift looks strictly increasing and degree one.
-
-    Samples ``grid_n + 1`` points of [0, 1] plus the supplied knot angles, so a
-    piecewise-smooth lift whose breakpoints are listed is covered exactly.
-    """
-    xs = np.linspace(0.0, 1.0, grid_n + 1)
-    knots = tuple(knots)
-    if knots:
-        xs = np.unique(np.concatenate([xs, _mod1(np.asarray(knots, float))]))
-    ys = np.array([lift(float(x)) for x in xs])
-    diffs = np.diff(ys)
-    if np.any(diffs <= 0.0):
-        i = int(np.argmin(diffs))
-        raise NotMonotoneError(f"lift is not strictly increasing near x = {xs[i]!r}")
-    if abs(ys[-1] - (ys[0] + 1.0)) > 1e-9:
-        raise NotMonotoneError("lift is not a degree-one circle map: L(1) != L(0) + 1")
-
-
 def monotone_circle_inverse(
     lift: Callable[[float], float],
     y,
     tol: float = INVERSE_TOL,
     *,
     max_iter: int = INVERSE_BUDGET,
-    precheck: bool = True,
 ) -> Angle:
     """Invert a strictly increasing degree-one lift at the circle point ``y``.
+
+    The caller guarantees both properties (degree one: ``lift(x + 1) =
+    lift(x) + 1``); nothing here checks them.  A validated drift profile's
+    ``lift`` has them.
 
     Returns an Angle ``x`` with ``circle_dist(lift(x) mod 1, y) <= tol``.  The
     root of ``g(x) = lift(x) - target`` stays bracketed in a shrinking
@@ -184,12 +162,8 @@ def monotone_circle_inverse(
     bisects; on the piecewise-linear drift it lands on the kink at 1/2 and
     leaves a bracket on which the lift is linear.  ``g(1)`` is taken as
     ``g(0) + 1``, the degree-one identity, so ``lift`` is evaluated once per
-    step after ``lift(0)``.  ``precheck=False`` skips the sampled monotonicity
-    sweep for lifts already known to be monotone (e.g. validated drift
-    profiles).
+    step after ``lift(0)``.
     """
-    if precheck:
-        check_monotone_lift(lift)
     base = lift(0.0)
     # wrap_turns keeps the target below base + 1, so g(1) > 0.
     target = base + wrap_turns(_as_turns(y) - base)

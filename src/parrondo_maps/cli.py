@@ -268,6 +268,8 @@ def _csv_header(config: dict, columns: str) -> list[str]:
 
 def cmd_verify(params: dict) -> int:
     a, w, d, k = float(params["a"]), float(params["w"]), float(params["d"]), int(params["k"])
+    if k < 2:
+        raise ConfigError(f"--k must be at least 2, got {k}")
     if not 0.0 < w < 0.5:
         raise ConfigError(f"w must lie in (0, 1/2) to describe an arc, got {w}")
     # Raw profiles on purpose: out-of-range parameters must surface as failed

@@ -143,9 +143,14 @@ def classify_orbit(
     """Classify by the trailing-window mean gain and stamp the trace.
 
     Mean below ``-tol`` is attraction, above ``tol`` repulsion, in between
-    undecided; the mean itself is returned as the rate estimate.
+    undecided; the mean itself is returned as the rate estimate.  ``window``
+    must be at least 1 and ``tol`` finite and non-negative.
     """
-    if window >= len(trace.gains) + 1:
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+    if window > len(trace.gains):
         raise WindowTooLargeError(
             f"window {window} exceeds the {len(trace.gains)}-step trace"
         )

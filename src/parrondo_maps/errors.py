@@ -9,10 +9,6 @@ class NonDisjointError(ParrondoError):
     """An arc and its half-turn translate overlap (half width >= 1/4)."""
 
 
-class NotMonotoneError(ParrondoError):
-    """A circle-map lift failed the strict monotonicity check."""
-
-
 class NoConvergenceError(ParrondoError):
     """An iterative solver exhausted its budget before reaching tolerance."""
 

@@ -25,22 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import Angle
-from .errors import OriginNotRepresentableError
 from .planar import CylPoint
 from .profiles import TWO_PI, AngularProfile, RadialProfile
 
 __all__ = [
     "ConeCheck",
-    "SphericalDecomp",
     "apply_h",
     "apply_h_k",
     "apply_j_k",
     "check_cone_condition",
     "robust_norm",
-    "rotate90",
-    "rotate90_inv",
-    "spherical_compose",
-    "spherical_decompose",
 ]
 
 
@@ -84,21 +78,6 @@ def apply_h(rp: RadialProfile, ap: AngularProfile, p: CylPoint) -> CylPoint:
     return CylPoint(r2, Angle(t2))
 
 
-@dataclass(frozen=True, eq=False)
-class SphericalDecomp:
-    """(log-radius, polar angle, equatorial direction) factorization of a point.
-
-    ``polar`` is measured from the last coordinate axis in turns, in [0, 1/2];
-    ``equatorial_dir`` is a unit vector in R^(k-1), or None exactly at the
-    poles where no direction is defined.
-    """
-
-    r: float
-    polar: float
-    equatorial_dir: np.ndarray | None
-    k: int
-
-
 def _decompose_batch(X: np.ndarray):
     """Batch split of rows into (log-radius, polar, unit equatorial part).
 
@@ -124,28 +103,6 @@ def _compose_batch(r: np.ndarray, polar: np.ndarray, dirs: np.ndarray) -> np.nda
     out[:, :-1] = (rho * np.sin(ang))[:, None] * dirs
     out[:, -1] = rho * np.cos(ang)
     return out
-
-
-def spherical_decompose(x) -> SphericalDecomp:
-    """Factor a nonzero point of R^k, k >= 2, into its spherical parts."""
-    x = np.asarray(x, dtype=float)
-    if not x.any():
-        raise OriginNotRepresentableError("the origin has no polar decomposition")
-    r, polar, dirs = _decompose_batch(x[None, :])
-    direction = dirs[0] if dirs.any() else None
-    return SphericalDecomp(float(r[0]), float(polar[0]), direction, x.shape[0])
-
-
-def spherical_compose(s: SphericalDecomp) -> np.ndarray:
-    """Inverse of spherical_decompose; exact on the axis."""
-    direction = s.equatorial_dir
-    if direction is None:
-        if s.polar not in (0.0, 0.5):
-            raise ValueError(
-                f"equatorial direction required off the poles (polar={s.polar})"
-            )
-        direction = np.zeros(s.k - 1)
-    return _compose_batch(np.array([s.r]), np.array([s.polar]), direction[None, :])[0]
 
 
 def _h_k_batch(rp: RadialProfile, ap: AngularProfile, X: np.ndarray) -> np.ndarray:
@@ -216,17 +173,15 @@ def apply_h_k(rp: RadialProfile, ap: AngularProfile, x) -> np.ndarray:
     return np.array(_h_k_point(rp, ap, x.tolist()))
 
 
-def rotate90(x) -> np.ndarray:
+def _rotate90(x: np.ndarray) -> np.ndarray:
     """Quarter turn in the (first, last) coordinate plane: e_last -> e_first -> -e_last."""
-    x = np.asarray(x, dtype=float)
     out = x.copy()
     out[..., 0] = x[..., -1]
     out[..., -1] = -x[..., 0]
     return out
 
 
-def rotate90_inv(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+def _rotate90_inv(x: np.ndarray) -> np.ndarray:
     out = x.copy()
     out[..., 0] = -x[..., -1]
     out[..., -1] = x[..., 0]
@@ -237,7 +192,7 @@ def apply_j_k(rp: RadialProfile, ap: AngularProfile, x) -> np.ndarray:
     """The rotated conjugate of the suspension; its invariant axis is the first coordinate axis."""
     x = _point_or_batch(x)
     if x.ndim == 2:
-        return rotate90_inv(_h_k_batch(rp, ap, rotate90(x)))
+        return _rotate90_inv(_h_k_batch(rp, ap, _rotate90(x)))
     # One point: the quarter turns only move and negate coordinates, which is
     # exact, so they are done on the list around the scalar path.
     v = x.tolist()

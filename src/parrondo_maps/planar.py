@@ -2,8 +2,8 @@
 
 Points off the origin live on the cylinder (log-radius r, angle theta): the
 Cartesian radius is ``exp(r)``, so additive radial increments bounded in
-``[-1, a-1]`` become multiplicative factors in ``[e^-1, e^(a-1)]`` and the
-continuous extension fixing the origin is explicit.
+``[-1, a-1]`` become multiplicative factors in ``[e^-1, e^(a-1)]``, and each
+map extends continuously to the plane by fixing the origin.
 
 The first map ``f0`` adds the profile increments; the second map ``f1`` is its
 conjugate by the half-turn ``tau``, so its slow arc sits antipodally.  Words
@@ -21,8 +21,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .circle import Angle, _mod1, monotone_circle_inverse, wrap_turns
-from .errors import OriginNotRepresentableError
-from .profiles import TWO_PI, AngularProfile, RadialProfile
+from .profiles import AngularProfile, RadialProfile
 from . import circle
 
 __all__ = [
@@ -32,15 +31,11 @@ __all__ = [
     "MapWord",
     "angular_escape_margin",
     "apply_f0",
-    "apply_f0_cartesian",
     "apply_f1",
-    "apply_tau",
     "apply_word",
     "composition_radial_gain",
-    "from_cartesian",
     "inverse_f0",
     "semistable_1d",
-    "to_cartesian",
     "word_step",
 ]
 
@@ -108,11 +103,6 @@ def apply_f0(rp: RadialProfile, ap: AngularProfile, p: CylPoint) -> CylPoint:
     return CylPoint(p.r + rp.delta_r(t), Angle(t + ap.delta_theta(t)))
 
 
-def apply_tau(p: CylPoint) -> CylPoint:
-    """The half-turn rotation; an involution."""
-    return CylPoint(p.r, p.theta + 0.5)
-
-
 def apply_f1(rp: RadialProfile, ap: AngularProfile, p: CylPoint) -> CylPoint:
     """``tau . f0 . tau`` in one hop: its additions, in order, without the middle points."""
     u = wrap_turns(p.theta.value + 0.5)
@@ -144,36 +134,12 @@ def inverse_f0(
 
     The angular lift ``ap.lift`` is inverted by the bracketed secant search of
     ``monotone_circle_inverse``, then the radial increment at the recovered
-    angle is subtracted.  A validated drift profile (d < 1/pi for the raised
-    cosine, d < 1/2 for the piecewise-linear tent) has a strictly increasing
-    lift, so the sampled monotonicity sweep is skipped.
+    angle is subtracted.  The search needs a strictly increasing lift, which a
+    validated drift profile has (d < 1/pi for the raised cosine, d < 1/2 for
+    the piecewise-linear tent).
     """
-    theta = monotone_circle_inverse(ap.lift, q.theta, tol, precheck=False)
+    theta = monotone_circle_inverse(ap.lift, q.theta, tol)
     return CylPoint(q.r - rp.delta_r(theta.value), theta)
-
-
-def to_cartesian(p: CylPoint) -> np.ndarray:
-    """Cartesian image of a cylinder point: radius exp(r), angle in turns."""
-    rho = math.exp(p.r)
-    t = TWO_PI * p.theta.value
-    return np.array([rho * math.cos(t), rho * math.sin(t)])
-
-
-def from_cartesian(x) -> CylPoint:
-    """Cylinder coordinates of a nonzero planar point."""
-    x = np.asarray(x, dtype=float)
-    rho = math.hypot(x[0], x[1])
-    if rho == 0.0:
-        raise OriginNotRepresentableError("the origin has log-radius -inf")
-    return CylPoint(math.log(rho), Angle(math.atan2(x[1], x[0]) / TWO_PI))
-
-
-def apply_f0_cartesian(rp: RadialProfile, ap: AngularProfile, x) -> np.ndarray:
-    """Planar extension of the first map; the origin is a fixed point."""
-    x = np.asarray(x, dtype=float)
-    if x[0] == 0.0 and x[1] == 0.0:
-        return np.zeros(2)
-    return to_cartesian(apply_f0(rp, ap, from_cartesian(x)))
 
 
 @dataclass(frozen=True)

@@ -46,8 +46,6 @@ __all__ = [
     "default_profiles",
     "make_angular_profile",
     "make_radial_profile",
-    "profiles_from_json",
-    "profiles_to_json",
     "trapping_interval",
     "validate_profiles",
 ]
@@ -103,11 +101,6 @@ class RadialProfile:
         return CircleInterval(Angle(0.0), self.w)
 
     @property
-    def lipschitz(self) -> float:
-        """Exact Lipschitz constant of the tent: a / w."""
-        return self.a / self.w
-
-    @property
     def knots(self) -> tuple[float, ...]:
         """Breakpoints of the piecewise structure, as circle points."""
         jw = self.w / self.a
@@ -153,11 +146,6 @@ class AngularProfile:
     def lift(self, x):
         """Lift of ``theta -> theta + delta_theta(theta)``; degree one by construction."""
         return x + self.delta_theta(x)
-
-    @property
-    def lipschitz(self) -> float:
-        """Lipschitz constant of the drift: pi * d (raised cosine) or 2 * d (tent)."""
-        return DRIFT_LIPSCHITZ_FACTOR[self.shape] * self.d
 
 
 def make_radial_profile(a: float, w: float) -> RadialProfile:
@@ -367,27 +355,3 @@ def validate_profiles(
         )
 
     return ValidationReport(tuple(checks))
-
-
-def profiles_to_json(rp: RadialProfile, ap: AngularProfile) -> dict:
-    """JSON-ready parameter object for a profile pair."""
-    return {
-        "a": rp.a,
-        "w": rp.w,
-        "d": ap.d,
-        "angular_shape": ap.shape.value,
-    }
-
-
-def profiles_from_json(obj: dict) -> tuple[RadialProfile, AngularProfile]:
-    """Rebuild a validated profile pair from its JSON parameter object.
-
-    The radial increment has one shape, so a ``radial_shape`` field, which
-    older objects carry, must name it.
-    """
-    if obj.get("radial_shape", "piecewise_linear") != "piecewise_linear":
-        raise ValueError(f"unknown radial_shape {obj['radial_shape']!r}; the tent is 'piecewise_linear'")
-    shape = AngularShape(obj.get("angular_shape", AngularShape.RAISED_COSINE.value))
-    rp = make_radial_profile(float(obj["a"]), float(obj["w"]))
-    ap = make_angular_profile(float(obj["d"]), w_ref=rp.w, shape=shape)
-    return rp, ap

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from parrondo_maps.circle import (
     Angle,
     CircleInterval,
-    check_monotone_lift,
     circle_dist,
     interval_gap,
     monotone_circle_inverse,
@@ -17,11 +16,7 @@ from parrondo_maps.circle import (
     _mod1,
     wrap_turns,
 )
-from parrondo_maps.errors import (
-    NoConvergenceError,
-    NonDisjointError,
-    NotMonotoneError,
-)
+from parrondo_maps.errors import NoConvergenceError, NonDisjointError
 from parrondo_maps.profiles import AngularProfile, AngularShape
 
 angles = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
@@ -231,21 +226,9 @@ class TestMonotoneInverse:
         x = monotone_circle_inverse(lift, y, 1e-12)
         assert circle_dist(x, 0.2) <= 1e-10
 
-    def test_non_monotone_rejected(self):
-        # Drift amplitude 0.5 > 1/pi makes the lift fold back.
-        with pytest.raises(NotMonotoneError):
-            monotone_circle_inverse(_drift_lift(0.5), 0.3)
-
-    def test_wrong_degree_rejected(self):
-        with pytest.raises(NotMonotoneError):
-            check_monotone_lift(lambda t: 2.0 * t)
-
     def test_budget_exhaustion(self):
         with pytest.raises(NoConvergenceError):
             monotone_circle_inverse(_drift_lift(0.25), 0.3, tol=1e-15, max_iter=3)
-
-    def test_knots_are_sampled(self):
-        check_monotone_lift(lambda t: t, knots=(0.1, 0.9))
 
     @settings(max_examples=300)
     @given(
@@ -256,7 +239,7 @@ class TestMonotoneInverse:
     )
     def test_round_trip_on_both_drift_shapes(self, y, shape, d, tol):
         lift = _drift_lift(d, shape)
-        x = monotone_circle_inverse(lift, y, tol, precheck=False)
+        x = monotone_circle_inverse(lift, y, tol)
         assert circle_dist(wrap_turns(lift(float(x))), y) <= tol
 
     @pytest.mark.parametrize("shape", list(AngularShape))
@@ -266,7 +249,7 @@ class TestMonotoneInverse:
         counts = []
         for y in targets:
             calls[0] = 0
-            x = monotone_circle_inverse(lift, y, precheck=False)
+            x = monotone_circle_inverse(lift, y)
             counts.append(calls[0])
             assert circle_dist(wrap_turns(lift(float(x))), y) <= 1e-12
         bisection = max(_bisection_evaluations(lift, y, 1e-12) for y in targets)
@@ -277,5 +260,5 @@ class TestMonotoneInverse:
     @given(angles, st.floats(min_value=0.01, max_value=0.31))
     def test_round_trip_property(self, y, d):
         lift = _drift_lift(d)
-        x = monotone_circle_inverse(lift, y, 1e-12, precheck=False)
+        x = monotone_circle_inverse(lift, y, 1e-12)
         assert circle_dist(wrap_turns(lift(float(x))), y) <= 1e-12

@@ -167,6 +167,13 @@ class TestVerify:
         payload = json.loads(out.read_text())
         assert payload["cone"]["holds"] is True
 
+    @pytest.mark.parametrize("k", [1, 0, -7])
+    def test_dimension_below_two_is_rejected(self, k, tmp_path, capsys):
+        out = tmp_path / "verify.json"
+        assert run(["verify", f"--k={k}", "--grid", "100", "--out", str(out)]) == 2
+        assert f"error: --k must be at least 2, got {k}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file(self):
         assert run(["verify", "--config", "/no/such/file.json"]) == 2
 
@@ -269,6 +276,19 @@ class TestOrbit:
 
     def test_bad_start(self):
         assert run(["orbit", "--start", "1;2"]) == 2
+
+    @pytest.mark.parametrize("option, message", [
+        ("--window=0", "window must be at least 1, got 0"),
+        ("--window=-5", "window must be at least 1, got -5"),
+        ("--tol=-5", "tol must be finite and non-negative, got -5.0"),
+        ("--tol=nan", "tol must be finite and non-negative, got nan"),
+        ("--tol=inf", "tol must be finite and non-negative, got inf"),
+    ])
+    def test_bad_classification_parameter_is_named(self, option, message, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        assert run(["orbit", "--steps", "200", option, "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_values_are_json_null(self, tmp_path, capsys):
         # The orbit underflows to the origin at step 120: log-radius -inf.

@@ -18,7 +18,6 @@ from parrondo_maps.planar import (
     CylPoint,
     MapWord,
     apply_f0,
-    apply_f0_cartesian,
     apply_f1,
     word_step,
 )
@@ -97,11 +96,9 @@ class TestIterate:
         oracle = [math.log(np.linalg.norm(row)) for row in trace.cart]
         np.testing.assert_allclose(trace.rs, oracle, rtol=1e-12)
 
-    def test_polynomial_demo_orbit_runs(self, profiles):
+    def test_polynomial_demo_orbit_runs(self, f0_cartesian):
         # The 2-D Cartesian path of iterate, on the planar extension of f0.
-        rp, ap = profiles
-        step = lambda xy: apply_f0_cartesian(rp, ap, xy)
-        trace = iterate(step, np.array([0.1, 0.0]), 50)
+        trace = iterate(f0_cartesian, np.array([0.1, 0.0]), 50)
         assert trace.cart.shape == (51, 2)
         assert trace.thetas is not None
 
@@ -169,11 +166,9 @@ class TestCartesianObserverBitIdentity:
         np.testing.assert_array_equal(trace.gains, np.diff(rs))
         return trace
 
-    def test_planar_extension(self, profiles):
-        rp, ap = profiles
-        step = lambda x: apply_f0_cartesian(rp, ap, x)
+    def test_planar_extension(self, f0_cartesian):
         for start in [[0.1, 0.0], [-3.0, 2.0], *_cartesian_starts(2)]:
-            self._assert_same(step, start, 200)
+            self._assert_same(f0_cartesian, start, 200)
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     @pytest.mark.parametrize("fn", [apply_h_k, apply_j_k])
@@ -251,6 +246,21 @@ class TestClassify:
         with pytest.raises(WindowTooLargeError):
             classify_orbit(trace, window=51)
         classify_orbit(trace, window=50)
+
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_window_below_one_is_rejected(self, profiles, window):
+        trace = iterate(_f0_step(profiles), CylPoint(0.0, Angle(0.3)), 50)
+        with pytest.raises(ValueError, match=f"window must be at least 1, got {window}"):
+            classify_orbit(trace, window=window)
+        assert trace.rate is None
+
+    @pytest.mark.parametrize("tol", [-5.0, -1e-300, math.nan, math.inf])
+    def test_tol_must_be_finite_and_non_negative(self, profiles, tol):
+        trace = iterate(_f0_step(profiles), CylPoint(0.0, Angle(0.3)), 200)
+        with pytest.raises(ValueError, match=r"tol must be finite and non-negative"):
+            classify_orbit(trace, tol=tol)
+        assert trace.rate is None
+        assert classify_orbit(trace, tol=0.0).label is OrbitClass.ATTRACTED
 
     def test_f1_orbits_attract_too(self, profiles):
         rp, ap = profiles

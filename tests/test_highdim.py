@@ -8,18 +8,12 @@ from hypothesis import strategies as st
 from parrondo_maps.circle import Angle, circle_dist
 from parrondo_maps.dynamics import iterate
 from parrondo_maps import highdim
-from parrondo_maps.errors import OriginNotRepresentableError
 from parrondo_maps.highdim import (
-    SphericalDecomp,
     apply_h,
     apply_h_k,
     apply_j_k,
     check_cone_condition,
     robust_norm,
-    rotate90,
-    rotate90_inv,
-    spherical_compose,
-    spherical_decompose,
 )
 from parrondo_maps.planar import CylPoint, angular_escape_margin, apply_f0
 from parrondo_maps.profiles import TWO_PI, AngularProfile, AngularShape, RadialProfile, default_profiles
@@ -50,6 +44,20 @@ def scaled_batches(draw, min_k=2, max_k=25):
 def _profiles_with(shape):
     rp, _ = default_profiles()
     return rp, AngularProfile(0.25, 0.125, shape)
+
+
+def _quarter_turn(x):
+    """e_last -> e_first -> -e_last, as a permutation of the coordinates with one negation."""
+    return np.concatenate([x[..., -1:], x[..., 1:-1], -x[..., :1]], axis=-1)
+
+
+def _quarter_turn_inv(x):
+    return np.concatenate([-x[..., -1:], x[..., 1:-1], x[..., :1]], axis=-1)
+
+
+def _equatorial_dir(x):
+    """The unit direction of a point's first k - 1 coordinates."""
+    return x[:-1] / np.linalg.norm(x[:-1])
 
 
 class TestApplyH:
@@ -101,34 +109,25 @@ class TestApplyH:
 
 class TestSphericalCoords:
     def test_north_pole(self):
-        s = spherical_decompose(np.array([0.0, 0.0, 1.0]))
-        assert s.polar == 0.0 and s.equatorial_dir is None and s.r == 0.0
+        r, polar, dirs = highdim._decompose_batch(np.array([[0.0, 0.0, 1.0]]))
+        assert (r[0], polar[0]) == (0.0, 0.0)
+        assert not dirs.any()
 
     def test_equator(self):
-        s = spherical_decompose(np.array([1.0, 0.0, 0.0]))
-        assert s.polar == 0.25
-        np.testing.assert_array_equal(s.equatorial_dir, [1.0, 0.0])
-
-    def test_origin_rejected(self):
-        with pytest.raises(OriginNotRepresentableError):
-            spherical_decompose(np.zeros(3))
-
-    def test_compose_requires_direction_off_poles(self):
-        with pytest.raises(ValueError):
-            spherical_compose(SphericalDecomp(0.0, 0.25, None, 3))
+        r, polar, dirs = highdim._decompose_batch(np.array([[1.0, 0.0, 0.0]]))
+        assert (r[0], polar[0]) == (0.0, 0.25)
+        np.testing.assert_array_equal(dirs, [[1.0, 0.0]])
 
     def test_pole_compose_is_exact(self):
-        north = spherical_compose(SphericalDecomp(0.0, 0.0, None, 4))
-        south = spherical_compose(SphericalDecomp(0.0, 0.5, None, 4))
-        assert np.array_equal(north, [0.0, 0.0, 0.0, 1.0])
-        assert np.array_equal(south, [0.0, 0.0, 0.0, -1.0])
+        poles = highdim._compose_batch(np.zeros(2), np.array([0.0, 0.5]), np.zeros((2, 3)))
+        assert np.array_equal(poles, [[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, -1.0]])
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_round_trip(self, k):
         rng = np.random.default_rng(k)
         for _ in range(300):
             x = rng.normal(size=k) * math.exp(rng.uniform(-5, 5))
-            back = spherical_compose(spherical_decompose(x))
+            back = highdim._compose_batch(*highdim._decompose_batch(x[None, :]))[0]
             np.testing.assert_allclose(back, x, rtol=1e-9, atol=0.0)
 
     def test_robust_norm_extreme_scales(self):
@@ -178,8 +177,7 @@ class TestSuspension:
         rp, ap = profiles
         img = apply_h_k(rp, ap, np.array([1.0, 0.0, 0.0]))
         assert robust_norm(img) == pytest.approx(math.exp(4.0), rel=1e-12)
-        s = spherical_decompose(img)
-        np.testing.assert_allclose(s.equatorial_dir, [1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(_equatorial_dir(img), [1.0, 0.0], atol=1e-15)
 
     def test_dimension_guard(self, profiles):
         rp, ap = profiles
@@ -242,8 +240,8 @@ class TestSuspension:
         rng = np.random.default_rng(5)
         for _ in range(100):
             x = rng.normal(size=4)
-            before = spherical_decompose(x).equatorial_dir
-            after = spherical_decompose(apply_h_k(rp, ap, x)).equatorial_dir
+            before = _equatorial_dir(x)
+            after = _equatorial_dir(apply_h_k(rp, ap, x))
             np.testing.assert_allclose(after, before, rtol=0.0, atol=1e-15)
 
     def test_axis_orbit_decreases_one_per_step(self, profiles):
@@ -261,26 +259,26 @@ class TestSuspension:
 
 class TestRotation:
     def test_axis_to_equator(self):
-        np.testing.assert_array_equal(rotate90(np.array([0.0, 0.0, 1.0])), [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(highdim._rotate90(np.array([0.0, 0.0, 1.0])), [1.0, 0.0, 0.0])
 
     def test_order_four(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=5)
         y = x
         for _ in range(4):
-            y = rotate90(y)
+            y = highdim._rotate90(y)
         np.testing.assert_array_equal(y, x)
 
     def test_inverse(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=4)
-        np.testing.assert_array_equal(rotate90_inv(rotate90(x)), x)
+        np.testing.assert_array_equal(highdim._rotate90_inv(highdim._rotate90(x)), x)
 
     def test_isometry(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             x = rng.normal(size=3)
-            assert robust_norm(rotate90(x)) == pytest.approx(robust_norm(x), rel=1e-12)
+            assert robust_norm(highdim._rotate90(x)) == pytest.approx(robust_norm(x), rel=1e-12)
 
 
 class TestRotatedConjugate:
@@ -296,9 +294,11 @@ class TestRotatedConjugate:
     def test_matches_manual_conjugation(self, profiles):
         rp, ap = profiles
         rng = np.random.default_rng(6)
-        for _ in range(50):
-            x = rng.normal(size=3)
-            manual = rotate90_inv(apply_h_k(rp, ap, rotate90(x)))
+        X = rng.normal(size=(50, 3))
+        manual = _quarter_turn_inv(apply_h_k(rp, ap, _quarter_turn(X)))
+        np.testing.assert_array_equal(apply_j_k(rp, ap, X), manual)
+        for x in X:
+            manual = _quarter_turn_inv(apply_h_k(rp, ap, _quarter_turn(x)))
             np.testing.assert_array_equal(apply_j_k(rp, ap, x), manual)
 
     @settings(max_examples=300)
@@ -306,7 +306,7 @@ class TestRotatedConjugate:
     def test_single_point_is_the_conjugate_formula_bit_for_bit(self, X, shape):
         rp, ap = _profiles_with(shape)
         for x in X:
-            conjugate = rotate90_inv(apply_h_k(rp, ap, rotate90(x)))
+            conjugate = _quarter_turn_inv(apply_h_k(rp, ap, _quarter_turn(x)))
             assert apply_j_k(rp, ap, x).tobytes() == conjugate.tobytes()
 
     def test_composed_gain_depends_only_on_direction(self, profiles):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parrondo_maps.circle import Angle, circle_dist, wrap_turns
-from parrondo_maps.errors import OriginNotRepresentableError
 from parrondo_maps.planar import (
     CERTIFICATE_SLACK,
     CylPoint,
@@ -15,15 +14,11 @@ from parrondo_maps.planar import (
     MapWord,
     angular_escape_margin,
     apply_f0,
-    apply_f0_cartesian,
     apply_f1,
-    apply_tau,
     apply_word,
     composition_radial_gain,
-    from_cartesian,
     inverse_f0,
     semistable_1d,
-    to_cartesian,
     word_step,
 )
 from parrondo_maps.profiles import default_profiles, make_angular_profile, make_radial_profile
@@ -38,6 +33,11 @@ f1_angles = st.one_of(
     st.floats(min_value=1.0 - 1e-9, max_value=1.0, exclude_max=True),
     st.sampled_from([0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0), 5e-324]),
 )
+
+
+def _tau(p):
+    """The half-turn rotation, the conjugacy that takes f0 to f1."""
+    return CylPoint(p.r, p.theta + 0.5)
 
 
 class TestMapWord:
@@ -75,15 +75,15 @@ class TestApplyMaps:
         assert q.theta.value == pytest.approx(0.3 + drift, abs=1e-15)
 
     def test_tau(self):
-        assert apply_tau(CylPoint(0.0, Angle(0.0))) == CylPoint(0.0, Angle(0.5))
-        assert apply_tau(CylPoint(3.2, Angle(0.75))) == CylPoint(3.2, Angle(0.25))
+        assert _tau(CylPoint(0.0, Angle(0.0))) == CylPoint(0.0, Angle(0.5))
+        assert _tau(CylPoint(3.2, Angle(0.75))) == CylPoint(3.2, Angle(0.25))
 
     @given(radii, angles)
     def test_tau_involution(self, r, t):
         # Exact for the radius; the angle can lose its last mantissa bit in
         # the +1/2 additions, so one ulp of slack is allowed there.
         p = CylPoint(r, Angle(t))
-        q = apply_tau(apply_tau(p))
+        q = _tau(_tau(p))
         assert q.r == p.r
         assert circle_dist(q.theta, p.theta) <= 2.0**-52
 
@@ -102,7 +102,7 @@ class TestApplyMaps:
     def test_f1_is_conjugate(self, r, t):
         rp, ap = default_profiles()
         p = CylPoint(r, Angle(t))
-        assert apply_f1(rp, ap, p) == apply_tau(apply_f0(rp, ap, apply_tau(p)))
+        assert apply_f1(rp, ap, p) == _tau(apply_f0(rp, ap, _tau(p)))
 
 
     @settings(max_examples=300, deadline=None)
@@ -111,7 +111,7 @@ class TestApplyMaps:
         for rp, ap in profiles_by_shape.values():
             p = CylPoint(r, Angle(t))
             q = apply_f1(rp, ap, p)
-            oracle = apply_tau(apply_f0(rp, ap, apply_tau(p)))
+            oracle = _tau(apply_f0(rp, ap, _tau(p)))
             assert (q.r.hex(), q.theta.value.hex()) == (oracle.r.hex(), oracle.theta.value.hex())
 
 
@@ -172,57 +172,29 @@ class TestInverse:
 
 
 class TestCartesian:
-    def test_unit_circle(self):
-        np.testing.assert_allclose(
-            to_cartesian(CylPoint(0.0, Angle(0.0))), [1.0, 0.0], atol=0
-        )
+    def test_planar_extension_fixes_origin(self, f0_cartesian):
+        assert np.array_equal(f0_cartesian([0.0, 0.0]), [0.0, 0.0])
 
-    def test_quarter_turn(self):
-        np.testing.assert_allclose(
-            to_cartesian(CylPoint(math.log(2.0), Angle(0.25))), [0.0, 2.0], atol=1e-15
-        )
-
-    def test_origin_rejected(self):
-        with pytest.raises(OriginNotRepresentableError):
-            from_cartesian([0.0, 0.0])
-
-    def test_round_trip_over_extreme_radii(self):
-        rng = np.random.default_rng(42)
-        for _ in range(200):
-            r = rng.uniform(-690.0, 690.0)
-            t = rng.uniform(0.0, 1.0)
-            p = CylPoint(r, Angle(t))
-            back = from_cartesian(to_cartesian(p))
-            assert abs(back.r - r) <= 1e-9 * max(1.0, abs(r))
-            assert circle_dist(back.theta, t) <= 1e-9
-
-    def test_planar_extension_fixes_origin(self, profiles):
-        rp, ap = profiles
-        assert np.array_equal(apply_f0_cartesian(rp, ap, [0.0, 0.0]), [0.0, 0.0])
-
-    def test_invariant_ray_contracts(self, profiles):
-        rp, ap = profiles
-        img = apply_f0_cartesian(rp, ap, [1.0, 0.0])
+    def test_invariant_ray_contracts(self, f0_cartesian):
+        img = f0_cartesian([1.0, 0.0])
         np.testing.assert_allclose(img, [math.exp(-1.0), 0.0], rtol=1e-14, atol=0)
 
-    def test_ratio_bounds(self, profiles):
-        rp, ap = profiles
+    def test_ratio_bounds(self, f0_cartesian):
         rng = np.random.default_rng(7)
         pts = rng.normal(size=(1000, 2)) * np.exp(rng.uniform(-5, 5, size=(1000, 1)))
         lo, hi = math.exp(-1.0), math.exp(4.0)
         for x in pts:
-            ratio = np.linalg.norm(apply_f0_cartesian(rp, ap, x)) / np.linalg.norm(x)
+            ratio = np.linalg.norm(f0_cartesian(x)) / np.linalg.norm(x)
             assert lo - 1e-12 <= ratio <= hi + 1e-9
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12])
-    def test_small_balls_stay_controlled(self, profiles, eps):
-        rp, ap = profiles
+    def test_small_balls_stay_controlled(self, f0_cartesian, eps):
         rng = np.random.default_rng(11)
         dirs = rng.normal(size=(200, 2))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         pts = dirs * (eps * rng.uniform(0.0, 1.0, size=(200, 1)))
         for x in pts:
-            img = apply_f0_cartesian(rp, ap, x)
+            img = f0_cartesian(x)
             assert np.linalg.norm(img) <= math.exp(4.0) * eps * (1 + 1e-12)
 
 
