@@ -268,8 +268,16 @@ def _csv_header(config: dict, columns: str) -> list[str]:
 
 def cmd_verify(params: dict) -> int:
     a, w, d, k = float(params["a"]), float(params["w"]), float(params["d"]), int(params["k"])
+    samples, seed = int(params["samples"]), int(params["seed"])
     if k < 2:
         raise ConfigError(f"--k must be at least 2, got {k}")
+    if samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {samples}")
+    if seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {seed}")
+    for name, value in (("a", a), ("d", d)):
+        if not math.isfinite(value):
+            raise ConfigError(f"--{name} must be finite, got {value}")
     if not 0.0 < w < 0.5:
         raise ConfigError(f"w must lie in (0, 1/2) to describe an arc, got {w}")
     # Raw profiles on purpose: out-of-range parameters must surface as failed
@@ -282,7 +290,7 @@ def cmd_verify(params: dict) -> int:
     gain_10 = composition_radial_gain(MapWord.parse("f1,f0"), rp, ap, grid_n=grid)
     cone = None
     if k >= 3:
-        cone = check_cone_condition(rp, ap, k, n_samples=int(params["samples"]), seed=int(params["seed"]))
+        cone = check_cone_condition(rp, ap, k, n_samples=samples, seed=seed)
     gains_ok = all(g.certified and g.min_gain > 0.0 for g in (gain_01, gain_10))
     passed = report.passed and gains_ok and (cone is None or cone.holds)
     payload = {
@@ -309,6 +317,9 @@ def _parse_cyl_start(text) -> CylPoint:
 
 def _build_orbit(params: dict):
     """Resolve (step function, start point, trapping arc) from orbit parameters."""
+    k = int(params["k"])
+    if k < 3:
+        raise ConfigError(f"--k must be at least 3, got {k}")
     rp, ap = default_profiles(float(params["a"]), float(params["w"]), float(params["d"]))
     name = params["map"]
     if params["word"]:
@@ -323,7 +334,6 @@ def _build_orbit(params: dict):
         fn, trap = planar[name]
         return (lambda p: fn(rp, ap, p)), _parse_cyl_start(params["start"]), trap
     if name in ("hk", "jk"):
-        k = int(params["k"])
         if params["start_cart"] is not None:
             start = np.asarray(_parse_floats(params["start_cart"]), dtype=float)
             if start.shape[0] != k:

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import Angle
+from .circle import Angle, _mod1
 from .planar import CylPoint
 from .profiles import TWO_PI, AngularProfile, RadialProfile
 
@@ -38,23 +39,14 @@ __all__ = [
 ]
 
 
-def robust_norm(x) -> float | np.ndarray:
-    """Euclidean norm of a point, or of each row of a batch, free of over- and underflow.
+def robust_norm(x) -> float:
+    """Euclidean norm of one point, free of over- and underflow.
 
     A plain sum of squares underflows below ~1.5e-154 per component, while the
     cylinder picture stays faithful down to radius ~1e-300; ``hypot`` scales
-    internally, so no component is squared unscaled.  A batch is folded column
-    by column, ``hypot(hypot(|x_0|, x_1), x_2)...``: the same left fold, in the
-    same order, as ``np.hypot.reduce(x, axis=-1)``, so the same bits, but with
-    one vectorised call per column instead of a short reduction per row.
+    internally, so no component is squared unscaled.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return math.hypot(*x.tolist())
-    out = np.abs(x[..., 0])
-    for j in range(1, x.shape[-1]):
-        np.hypot(out, x[..., j], out=out)
-    return out
+    return math.hypot(*np.asarray(x, dtype=float).tolist())
 
 
 def _half_step(rp: RadialProfile, ap: AngularProfile, r, polar):
@@ -78,57 +70,11 @@ def apply_h(rp: RadialProfile, ap: AngularProfile, p: CylPoint) -> CylPoint:
     return CylPoint(r2, Angle(t2))
 
 
-def _decompose_batch(X: np.ndarray):
-    """Batch split of rows into (log-radius, polar, unit equatorial part).
-
-    Pole rows get a zero equatorial part, which composes back to the exact
-    axis point.  A zero row gets log-radius -inf and a NaN polar angle, with
-    divide and invalid warnings, which ``_h_k_batch`` silences.
-    """
-    proj = X[:, :-1]
-    # The full norm continues the equatorial fold by one column, so the
-    # equatorial columns are folded once.
-    pnorms = robust_norm(proj)
-    norms = np.hypot(pnorms, X[:, -1])
-    polar = np.arccos(np.clip(X[:, -1] / norms, -1.0, 1.0)) / TWO_PI
-    pnorms = pnorms[:, None]
-    dirs = np.divide(proj, pnorms, out=np.zeros_like(proj), where=pnorms > 0.0)
-    return np.log(norms), polar, dirs
-
-
-def _compose_batch(r: np.ndarray, polar: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    rho = np.exp(r)
-    ang = TWO_PI * polar
-    out = np.empty((r.shape[0], dirs.shape[1] + 1))
-    out[:, :-1] = (rho * np.sin(ang))[:, None] * dirs
-    out[:, -1] = rho * np.cos(ang)
-    return out
-
-
-def _h_k_batch(rp: RadialProfile, ap: AngularProfile, X: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r, polar, dirs = _decompose_batch(X)
-    r2, p2 = _half_step(rp, ap, r, polar)
-    Y = _compose_batch(r2, p2, dirs)
-    # Axis rows: zero equatorial part means sin(pi * ...) rounding would leak a
-    # ~1e-16 component through cos; rebuild those rows exactly on the axis.
-    on_axis = ~np.any(dirs != 0.0, axis=-1)
-    if on_axis.any():
-        Y[on_axis, :-1] = 0.0
-        Y[on_axis, -1] = np.where(polar[on_axis] < 0.25, np.exp(r2[on_axis]), -np.exp(r2[on_axis]))
-    # The origin (log-radius -inf) is fixed; its row went through as NaN.
-    origin = r == -np.inf
-    if origin.any():
-        Y[origin] = 0.0
-    return Y
-
-
-def _h_k_point(rp: RadialProfile, ap: AngularProfile, vals: list) -> list:
+def _h_k(rp: RadialProfile, ap: AngularProfile, vals: list) -> list:
     """``apply_h_k`` of one point held as a list of floats, on Python floats.
 
-    On a single row the batch path costs several times as much, and orbit
-    iteration calls this once per step.  A step whose radius overflows gives
-    infinite (or NaN) coordinates, as the batch path does, instead of raising.
+    Orbit iteration calls this once per step.  A step whose radius overflows
+    gives infinite (or NaN) coordinates instead of raising.
     """
     norm = math.hypot(*vals)
     if norm == 0.0:
@@ -152,12 +98,11 @@ def _h_k_point(rp: RadialProfile, ap: AngularProfile, vals: list) -> list:
     return out
 
 
-def _point_or_batch(x) -> np.ndarray:
+def _point(x) -> list:
     x = np.asarray(x, dtype=float)
-    k = x.shape[-1]
-    if k < 3:
-        raise ValueError(f"the suspension needs dimension k >= 3, got {k}")
-    return x
+    if x.ndim != 1 or x.shape[0] < 3:
+        raise ValueError(f"the suspension takes one point of dimension k >= 3, got shape {x.shape}")
+    return x.tolist()
 
 
 def apply_h_k(rp: RadialProfile, ap: AngularProfile, x) -> np.ndarray:
@@ -165,39 +110,36 @@ def apply_h_k(rp: RadialProfile, ap: AngularProfile, x) -> np.ndarray:
 
     Acts on the (log-radius, polar angle) pair and leaves the equatorial
     direction untouched; the origin is fixed and axis points stay on the axis
-    exactly.  Accepts a single point of shape (k,) or a batch of shape (n, k).
+    exactly.  Takes one point of shape (k,).
     """
-    x = _point_or_batch(x)
-    if x.ndim == 2:
-        return _h_k_batch(rp, ap, x)
-    return np.array(_h_k_point(rp, ap, x.tolist()))
-
-
-def _rotate90(x: np.ndarray) -> np.ndarray:
-    """Quarter turn in the (first, last) coordinate plane: e_last -> e_first -> -e_last."""
-    out = x.copy()
-    out[..., 0] = x[..., -1]
-    out[..., -1] = -x[..., 0]
-    return out
-
-
-def _rotate90_inv(x: np.ndarray) -> np.ndarray:
-    out = x.copy()
-    out[..., 0] = -x[..., -1]
-    out[..., -1] = x[..., 0]
-    return out
+    return np.array(_h_k(rp, ap, _point(x)))
 
 
 def apply_j_k(rp: RadialProfile, ap: AngularProfile, x) -> np.ndarray:
     """The rotated conjugate of the suspension; its invariant axis is the first coordinate axis."""
-    x = _point_or_batch(x)
-    if x.ndim == 2:
-        return _rotate90_inv(_h_k_batch(rp, ap, _rotate90(x)))
-    # One point: the quarter turns only move and negate coordinates, which is
-    # exact, so they are done on the list around the scalar path.
-    v = x.tolist()
-    y = _h_k_point(rp, ap, [v[-1], *v[1:-1], -v[0]])
+    # The quarter turns e_last -> e_0 -> -e_last only move and negate
+    # coordinates, which is exact, so they are done on the list.
+    v = _point(x)
+    y = _h_k(rp, ap, [v[-1], *v[1:-1], -v[0]])
     return np.array([-y[-1], *y[1:-1], y[0]])
+
+
+def _circle_h(rp: RadialProfile, ap: AngularProfile, alpha: np.ndarray):
+    """``h_k`` on the (x_0, x_last) great circle, elementwise: (log-radius gain, image angle).
+
+    ``alpha`` is in turns from +e_last toward +e_0.  The half x_0 >= 0 keeps
+    the direction +e_0 and the other half -e_0, so ``h_k`` acts as ``apply_h``.
+    """
+    t = _mod1(alpha)
+    upper = t <= 0.5
+    gain, polar = _half_step(rp, ap, 0.0, np.where(upper, t, 1.0 - t))
+    return gain, np.where(upper, polar, 1.0 - polar)
+
+
+def _circle_j(rp: RadialProfile, ap: AngularProfile, alpha: np.ndarray):
+    """``j_k`` on the same circle, where the quarter turn e_last -> e_0 is alpha -> alpha + 1/4."""
+    gain, image = _circle_h(rp, ap, alpha + 0.25)
+    return gain, image - 0.25
 
 
 @dataclass(frozen=True)
@@ -244,12 +186,14 @@ def check_cone_condition(
     gains at least as much as the circle point with the same polar angle
     (``j_k`` after ``h_k``) or the same angle from the first axis (``h_k``
     after ``j_k``), so the result does not depend on k, and every k gets the
-    same memoised ``ConeCheck`` object.
+    same memoised ``ConeCheck`` object.  On the circle both are circle maps.
     """
     if k < 3:
         raise ValueError(f"cone check needs dimension k >= 3, got {k}")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if not 0.0 < rp.w < 0.5:
         raise ValueError(f"w must lie in (0, 1/2) turns, got {rp.w}")
     return _cone_check(rp, ap, n_samples, seed)
@@ -261,18 +205,12 @@ def _cone_check(rp: RadialProfile, ap: AngularProfile, n_samples: int, seed: int
     gap = 0.5 - 2.0 * rp.w
     holds = bool(gap > 0.0 and abs(ap.delta_theta(rp.w)) <= gap)
 
-    # Points (sin, 0, cos) of the great circle, then +-e_last and +-e_0.
-    phi = TWO_PI * np.random.default_rng(seed).random(n_samples)
-    pts = np.zeros((n_samples + 4, 3))
-    pts[:n_samples, 0] = np.sin(phi)
-    pts[:n_samples, 2] = np.cos(phi)
-    pts[n_samples:, 0] = [0.0, 0.0, 1.0, -1.0]
-    pts[n_samples:, 2] = [1.0, -1.0, 0.0, 0.0]
-    log_norm = np.log(robust_norm(pts))
-
-    jh = apply_j_k(rp, ap, _h_k_batch(rp, ap, pts))
-    min_gain_jh = float(np.min(np.log(robust_norm(jh)) - log_norm))
-    hj = _h_k_batch(rp, ap, apply_j_k(rp, ap, pts))
-    min_gain_hj = float(np.min(np.log(robust_norm(hj)) - log_norm))
-
-    return ConeCheck(holds=holds, min_gain_jh=min_gain_jh, min_gain_hj=min_gain_hj)
+    # Circle angles: the seeded samples, then +e_last, -e_last, +e_0 and -e_0.
+    alpha = np.concatenate([np.random.default_rng(seed).random(n_samples), [0.0, 0.5, 0.25, 0.75]])
+    gain_h, after_h = _circle_h(rp, ap, alpha)
+    gain_j, after_j = _circle_j(rp, ap, alpha)
+    return ConeCheck(
+        holds=holds,
+        min_gain_jh=float(np.min(gain_h + _circle_j(rp, ap, after_h)[0])),
+        min_gain_hj=float(np.min(gain_j + _circle_h(rp, ap, after_j)[0])),
+    )

@@ -222,21 +222,22 @@ def run_ifs(
         symbols = np.asarray(symbols, dtype=np.int8)
         if len(symbols) != config.horizon:
             raise ValueError("symbol sequence length must equal the horizon")
-    n = len(symbols)
-    rs = np.empty(n + 1)
-    ths = np.empty(n + 1)
-    # The log-radius change is summed from 0 and the start added once at the
-    # end, so no gain is lost to rounding against a huge start radius.
-    r = 0.0
+    # The angle does not depend on the radius: the loop moves only the angle
+    # and records where each step reads the profiles.
     th = start.theta.value
-    rs[0], ths[0] = r, th
-    delta_r = rp.delta_r
+    ths, shifted = [th], []
     delta_theta = ap.delta_theta
-    for i, sym in enumerate(symbols):
+    for sym in symbols.tolist():
         t = th + 0.5 if sym else th
-        r += delta_r(t)
+        shifted.append(t)
         th = (th + delta_theta(t)) % 1.0
-        rs[i + 1], ths[i + 1] = r, th
+        ths.append(th)
+    # The log-radius change is summed from 0, in step order, and the start
+    # added once at the end, so no gain is lost to rounding against a huge
+    # start radius.
+    rs = np.zeros(len(ths))
+    np.add.accumulate(rp.delta_r(np.array(shifted)), out=rs[1:])
+    ths = np.array(ths)
     gains = np.diff(rs)
     delta_total = float(rs[-1])
     rs += start.r

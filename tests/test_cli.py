@@ -174,6 +174,34 @@ class TestVerify:
         assert f"error: --k must be at least 2, got {k}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("option, message", [
+        ("--samples=-5", "--samples must be at least 1, got -5"),
+        ("--samples=0", "--samples must be at least 1, got 0"),
+        ("--seed=-3", "--seed must be non-negative, got -3"),
+    ])
+    def test_bad_sampling_option_is_named_in_every_dimension(self, option, message, k, tmp_path, capsys):
+        out = tmp_path / "verify.json"
+        assert run(["verify", f"--k={k}", option, "--grid", "100", "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option, message", [
+        ("--a=inf", "--a must be finite, got inf"),
+        ("--a=nan", "--a must be finite, got nan"),
+        ("--d=inf", "--d must be finite, got inf"),
+        ("--d=-inf", "--d must be finite, got -inf"),
+        ("--d=nan", "--d must be finite, got nan"),
+    ])
+    def test_non_finite_profile_parameter_is_named(self, option, message, tmp_path, capsys):
+        # Rejected before any profile is evaluated, so no numpy warning
+        # escapes and the echo never meets a non-finite value.
+        out = tmp_path / "verify.json"
+        assert run(["verify", option, "--grid", "100", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "JSON" not in err
+        assert not out.exists()
+
     def test_missing_config_file(self):
         assert run(["verify", "--config", "/no/such/file.json"]) == 2
 
@@ -270,6 +298,16 @@ class TestOrbit:
 
     def test_start_dimension_mismatch(self):
         assert run(["orbit", "--map", "hk", "--k", "4", "--start-cart", "1,1,1"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--map", "f0", "--k=-4"], ["--map", "f1", "--k=2"], ["--map", "h", "--k=0"],
+        ["--map", "hk", "--k=2"], ["--map", "jk", "--k=-4"], ["--word", "01", "--k=2"],
+    ])
+    def test_dimension_below_three_is_rejected_for_every_map(self, argv, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        assert run(["orbit", *argv, "--steps", "200", "--out", str(out)]) == 2
+        assert f"error: --k must be at least 3, got {argv[-1][4:]}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_window_must_fit(self):
         assert run(["orbit", "--steps", "20"]) == 2

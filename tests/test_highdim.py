@@ -48,11 +48,11 @@ def _profiles_with(shape):
 
 def _quarter_turn(x):
     """e_last -> e_first -> -e_last, as a permutation of the coordinates with one negation."""
-    return np.concatenate([x[..., -1:], x[..., 1:-1], -x[..., :1]], axis=-1)
+    return np.concatenate([x[-1:], x[1:-1], -x[:1]])
 
 
 def _quarter_turn_inv(x):
-    return np.concatenate([-x[..., -1:], x[..., 1:-1], x[..., :1]], axis=-1)
+    return np.concatenate([-x[-1:], x[1:-1], x[:1]])
 
 
 def _equatorial_dir(x):
@@ -108,27 +108,31 @@ class TestApplyH:
 
 
 class TestSphericalCoords:
+    """The polar split and recomposition inside ``apply_h_k``, seen through
+    the map that only shrinks: gain -1 everywhere and no drift, so each point
+    goes to itself over e."""
+
+    still = (RadialProfile(0.0, 0.125), AngularProfile(0.0, 0.125))
+
     def test_north_pole(self):
-        r, polar, dirs = highdim._decompose_batch(np.array([[0.0, 0.0, 1.0]]))
-        assert (r[0], polar[0]) == (0.0, 0.0)
-        assert not dirs.any()
+        assert np.array_equal(apply_h_k(*self.still, np.array([0.0, 0.0, 1.0])), [0.0, 0.0, math.exp(-1.0)])
 
     def test_equator(self):
-        r, polar, dirs = highdim._decompose_batch(np.array([[1.0, 0.0, 0.0]]))
-        assert (r[0], polar[0]) == (0.0, 0.25)
-        np.testing.assert_array_equal(dirs, [[1.0, 0.0]])
+        img = apply_h_k(*self.still, np.array([1.0, 0.0, 0.0]))
+        np.testing.assert_array_equal(img[:-1], [math.exp(-1.0), 0.0])
+        assert abs(img[-1]) <= 1e-16
 
     def test_pole_compose_is_exact(self):
-        poles = highdim._compose_batch(np.zeros(2), np.array([0.0, 0.5]), np.zeros((2, 3)))
-        assert np.array_equal(poles, [[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, -1.0]])
+        for sign in (1.0, -1.0):
+            img = apply_h_k(*self.still, np.array([0.0, 0.0, 0.0, sign]))
+            assert np.array_equal(img, [0.0, 0.0, 0.0, sign * math.exp(-1.0)])
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_round_trip(self, k):
         rng = np.random.default_rng(k)
         for _ in range(300):
             x = rng.normal(size=k) * math.exp(rng.uniform(-5, 5))
-            back = highdim._compose_batch(*highdim._decompose_batch(x[None, :]))[0]
-            np.testing.assert_allclose(back, x, rtol=1e-9, atol=0.0)
+            np.testing.assert_allclose(apply_h_k(*self.still, x), x * math.exp(-1.0), rtol=1e-9, atol=0.0)
 
     def test_robust_norm_extreme_scales(self):
         assert robust_norm(np.array([1e-300, 0.0, 0.0])) == 1e-300
@@ -136,30 +140,11 @@ class TestSphericalCoords:
             5e-200, rel=1e-15
         )
         assert robust_norm(np.array([3e200, 4e200])) == pytest.approx(5e200, rel=1e-15)
-        rows = robust_norm(
-            np.array(
-                [
-                    [1e-300, 0.0, 0.0],
-                    [3e-200, 4e-200, 0.0],
-                    [3e200, 4e200, 0.0],
-                    [0.0, 0.0, 0.0],
-                ]
-            )
-        )
-        assert rows.shape == (4,)
-        assert rows[0] == 1e-300
-        assert rows[1] == pytest.approx(5e-200, rel=1e-15)
-        assert rows[2] == pytest.approx(5e200, rel=1e-15)
-        assert rows[3] == 0.0
+        assert robust_norm(np.zeros(3)) == 0.0
         long = np.full(20, 3e-200)
         long[0] = 4e200
         assert robust_norm(long) == pytest.approx(4e200, rel=1e-15)
         assert robust_norm(np.full(25, 1e200)) == pytest.approx(5e200, rel=1e-15)
-
-    @settings(max_examples=300)
-    @given(scaled_batches())
-    def test_batch_norm_is_the_row_reduction_bit_for_bit(self, X):
-        assert robust_norm(X).tobytes() == np.hypot.reduce(X, axis=-1).tobytes()
 
 
 class TestSuspension:
@@ -184,52 +169,41 @@ class TestSuspension:
         with pytest.raises(ValueError):
             apply_h_k(rp, ap, np.ones(2))
 
-    @pytest.mark.parametrize("k", [3, 4, 5])
-    def test_single_matches_batch(self, profiles, k):
+    @pytest.mark.parametrize("fn", [apply_h_k, apply_j_k])
+    def test_only_one_point_is_accepted(self, profiles, fn):
         rp, ap = profiles
-        rng = np.random.default_rng(k)
-        X = rng.normal(size=(50, k)) * np.exp(rng.uniform(-3, 3, size=(50, 1)))
-        batch = apply_h_k(rp, ap, X)
-        for row_in, row_out in zip(X, batch):
-            np.testing.assert_allclose(
-                apply_h_k(rp, ap, row_in), row_out, rtol=1e-12, atol=1e-300
-            )
+        for x in (np.ones((2, 3)), np.ones((1, 4)), np.float64(1.0), np.ones(2)):
+            with pytest.raises(ValueError, match="one point"):
+                fn(rp, ap, x)
 
     @settings(max_examples=200)
     @given(scaled_batches(min_k=3, max_k=8), shapes)
-    def test_batch_matches_the_masked_row_reduction_bit_for_bit(self, X, shape):
-        # Reference: the same formula on the gathered nonzero rows, with a
-        # per-row norm reduction, scattered back into a zero batch.
+    def test_single_point_matches_the_row_formula(self, X, shape):
+        # Reference: the suspension's formula on one row, with numpy's hypot
+        # reduction for the norms; zero, pole and equator rows included.  The
+        # tolerance is relative to the image's norm.
         rp, ap = _profiles_with(shape)
-        out = np.zeros_like(X)
-        nonzero = np.any(X != 0.0, axis=-1)
-        Z = X[nonzero]
-        norms = np.hypot.reduce(Z, axis=-1)
-        polar = np.arccos(np.clip(Z[:, -1] / norms, -1.0, 1.0)) / TWO_PI
-        pnorms = np.hypot.reduce(Z[:, :-1], axis=-1)[:, None]
-        dirs = np.divide(Z[:, :-1], pnorms, out=np.zeros_like(Z[:, :-1]), where=pnorms > 0.0)
-        doubled = 2.0 * polar
-        r2 = np.log(norms) + rp.delta_r(doubled)
-        p2 = polar + 0.5 * ap.delta_theta(doubled)
-        rho = np.exp(r2)
-        Y = np.empty_like(Z)
-        Y[:, :-1] = (rho * np.sin(TWO_PI * p2))[:, None] * dirs
-        Y[:, -1] = rho * np.cos(TWO_PI * p2)
-        on_axis = ~np.any(dirs != 0.0, axis=-1)
-        Y[on_axis, :-1] = 0.0
-        Y[on_axis, -1] = np.where(polar[on_axis] < 0.25, rho[on_axis], -rho[on_axis])
-        out[nonzero] = Y
-        with np.errstate(over="ignore"):
-            assert apply_h_k(rp, ap, X).tobytes() == out.tobytes()
+        for x in X:
+            expected, rho = np.zeros_like(x), 0.0
+            norm = np.hypot.reduce(x)
+            if norm > 0.0:
+                polar = np.arccos(np.clip(x[-1] / norm, -1.0, 1.0)) / TWO_PI
+                doubled = 2.0 * polar
+                rho = np.exp(np.log(norm) + rp.delta_r(doubled))
+                p2 = polar + 0.5 * ap.delta_theta(doubled)
+                pnorm = np.hypot.reduce(x[:-1])
+                if pnorm > 0.0:
+                    expected[:-1] = rho * np.sin(TWO_PI * p2) * (x[:-1] / pnorm)
+                    expected[-1] = rho * np.cos(TWO_PI * p2)
+                else:
+                    expected[-1] = rho if polar < 0.25 else -rho
+            np.testing.assert_allclose(apply_h_k(rp, ap, x), expected, rtol=1e-12, atol=1e-12 * rho)
 
-    def test_overflowing_step_gives_infinity_like_the_batch(self, profiles):
+    def test_overflowing_step_gives_infinity(self, profiles):
         rp, ap = profiles
         x = np.full(3, 1e307)
-        with np.errstate(over="ignore"):
-            batch = apply_h_k(rp, ap, x[None, :])[0]
         single = apply_h_k(rp, ap, x)
         assert np.array_equal(single, [math.inf, math.inf, math.inf])
-        assert np.array_equal(single, batch)
         trace = iterate(lambda y: apply_h_k(rp, ap, y), x, 200)
         assert trace.n_steps == 1
         assert trace.rs[-1] == math.inf
@@ -257,30 +231,6 @@ class TestSuspension:
                 prev = r
 
 
-class TestRotation:
-    def test_axis_to_equator(self):
-        np.testing.assert_array_equal(highdim._rotate90(np.array([0.0, 0.0, 1.0])), [1.0, 0.0, 0.0])
-
-    def test_order_four(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=5)
-        y = x
-        for _ in range(4):
-            y = highdim._rotate90(y)
-        np.testing.assert_array_equal(y, x)
-
-    def test_inverse(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=4)
-        np.testing.assert_array_equal(highdim._rotate90_inv(highdim._rotate90(x)), x)
-
-    def test_isometry(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            x = rng.normal(size=3)
-            assert robust_norm(highdim._rotate90(x)) == pytest.approx(robust_norm(x), rel=1e-12)
-
-
 class TestRotatedConjugate:
     def test_origin_fixed(self, profiles):
         rp, ap = profiles
@@ -294,10 +244,7 @@ class TestRotatedConjugate:
     def test_matches_manual_conjugation(self, profiles):
         rp, ap = profiles
         rng = np.random.default_rng(6)
-        X = rng.normal(size=(50, 3))
-        manual = _quarter_turn_inv(apply_h_k(rp, ap, _quarter_turn(X)))
-        np.testing.assert_array_equal(apply_j_k(rp, ap, X), manual)
-        for x in X:
+        for x in rng.normal(size=(50, 3)):
             manual = _quarter_turn_inv(apply_h_k(rp, ap, _quarter_turn(x)))
             np.testing.assert_array_equal(apply_j_k(rp, ap, x), manual)
 
@@ -326,6 +273,24 @@ def _circle_point(k, polar):
     x = np.zeros(k)
     x[0], x[-1] = math.sin(TWO_PI * polar), math.cos(TWO_PI * polar)
     return x
+
+
+class TestCircleStep:
+    """On the (x_0, x_last) great circle the cone check reads ``h_k`` and
+    ``j_k`` as circle maps of the angle from the last axis."""
+
+    @pytest.mark.parametrize("shape", list(AngularShape))
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_matches_the_suspension_on_the_circle(self, k, shape):
+        rp, ap = _profiles_with(shape)
+        alpha = np.concatenate([np.random.default_rng(k).random(100), [0.0, 0.25, 0.5, 0.75]])
+        for circle_step, fn in ((highdim._circle_h, apply_h_k), (highdim._circle_j, apply_j_k)):
+            gains, images = circle_step(rp, ap, alpha)
+            for t, gain, image in zip(alpha, gains, images):
+                y = fn(rp, ap, _circle_point(k, t))
+                norm = robust_norm(y)
+                assert math.log(norm) == pytest.approx(gain, abs=1e-9)
+                np.testing.assert_allclose(y / norm, _circle_point(k, image), rtol=0.0, atol=1e-9)
 
 
 class TestConeCondition:
@@ -372,6 +337,12 @@ class TestConeCondition:
         for w in (0.0, -0.1, 0.5, 0.7, math.nan):
             with pytest.raises(ValueError):
                 check_cone_condition(RadialProfile(5.0, w), AngularProfile(0.25, w), 3, n_samples=10)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_seed_must_be_a_non_negative_integer(self, profiles, seed):
+        rp, ap = profiles
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            check_cone_condition(rp, ap, 3, n_samples=10, seed=seed)
 
     def test_missed_overlap_is_found(self):
         # The cone edge in direction e_0 maps to aperture 0.11979 from the e_0
