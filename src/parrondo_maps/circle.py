@@ -8,7 +8,6 @@ caller.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -77,18 +76,28 @@ def circle_dist(x, y=0.0):
     return _dist_to_zero(abs(wrap_turns(_as_turns(x)) - wrap_turns(_as_turns(y))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Angle:
     """A point of R/Z; the stored value is always normalized to [0, 1) turns.
     NaN and infinities name no point, so they raise ``ValueError``."""
 
     value: float = 0.0
 
-    def __post_init__(self):
-        value = float(self.value)
-        if not math.isfinite(value):
-            raise ValueError(f"an angle must be a finite number of turns, got {value}")
-        object.__setattr__(self, "value", wrap_turns(value))
+    def __init__(self, value=0.0):
+        # Every construction runs ``__post_init__``, the hook perfbench's
+        # tracer wraps to count the angles made.
+        self.__post_init__(value)
+
+    def __post_init__(self, value):
+        # ``wrap_turns`` inline: a finite value reduces into [0, 1], and NaN
+        # or an infinity reduces to NaN, so one comparison guards both cases.
+        value = float(value)
+        t = value % 1.0
+        if not t < 1.0:
+            if t != 1.0:
+                raise ValueError(f"an angle must be a finite number of turns, got {value}")
+            t = 0.0
+        _set_angle_value(self, t)
 
     def __float__(self) -> float:
         return self.value
@@ -101,6 +110,10 @@ class Angle:
 
     def dist(self, other) -> float:
         return circle_dist(self.value, _as_turns(other))
+
+
+# The slot's own setter: it writes past the frozen ``__setattr__``.
+_set_angle_value = Angle.value.__set__
 
 
 @dataclass(frozen=True)

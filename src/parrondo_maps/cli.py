@@ -266,13 +266,19 @@ def _csv_header(config: dict, columns: str) -> list[str]:
     ]
 
 
+def _int_option(params: dict, name: str, least: int) -> int:
+    """An integer option that must be at least ``least``; the error names the flag."""
+    value = int(params[name])
+    if value < least:
+        raise ConfigError(f"--{name} must be at least {least}, got {value}")
+    return value
+
+
 def cmd_verify(params: dict) -> int:
-    a, w, d, k = float(params["a"]), float(params["w"]), float(params["d"]), int(params["k"])
-    samples, seed = int(params["samples"]), int(params["seed"])
-    if k < 2:
-        raise ConfigError(f"--k must be at least 2, got {k}")
-    if samples < 1:
-        raise ConfigError(f"--samples must be at least 1, got {samples}")
+    a, w, d = float(params["a"]), float(params["w"]), float(params["d"])
+    k = _int_option(params, "k", 2)
+    samples, grid = _int_option(params, "samples", 1), _int_option(params, "grid", 2)
+    seed = int(params["seed"])
     if seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {seed}")
     for name, value in (("a", a), ("d", d)):
@@ -285,7 +291,6 @@ def cmd_verify(params: dict) -> int:
     rp = RadialProfile(a, w)
     ap = AngularProfile(d, w)
     report = validate_profiles(rp, ap, require_even=k >= 3)
-    grid = int(params["grid"])
     gain_01 = composition_radial_gain(MapWord.parse("f0,f1"), rp, ap, grid_n=grid)
     gain_10 = composition_radial_gain(MapWord.parse("f1,f0"), rp, ap, grid_n=grid)
     cone = None
@@ -317,9 +322,7 @@ def _parse_cyl_start(text) -> CylPoint:
 
 def _build_orbit(params: dict):
     """Resolve (step function, start point, trapping arc) from orbit parameters."""
-    k = int(params["k"])
-    if k < 3:
-        raise ConfigError(f"--k must be at least 3, got {k}")
+    k = _int_option(params, "k", 3)
     rp, ap = default_profiles(float(params["a"]), float(params["w"]), float(params["d"]))
     name = params["map"]
     if params["word"]:
@@ -354,8 +357,9 @@ def _trace_rows(trace) -> list[str]:
 
 
 def cmd_orbit(params: dict) -> int:
+    steps = _int_option(params, "steps", 1)
     step, start, trap = _build_orbit(params)
-    steps, window = int(params["steps"]), int(params["window"])
+    window = int(params["window"])
     if window > steps:
         raise ConfigError(f"window {window} exceeds the {steps}-step orbit")
     trace = iterate(step, start, steps, trap=trap)
@@ -389,7 +393,7 @@ def cmd_orbit(params: dict) -> int:
 def cmd_ifs(params: dict) -> int:
     config = IfsConfig(
         p=float(params["p"]), a=float(params["a"]), seed=int(params["seed"]), horizon=int(params["horizon"]),
-        n_sequences=int(params["sequences"]), w=float(params["w"]), d=float(params["d"]),
+        n_sequences=_int_option(params, "sequences", 1), w=float(params["w"]), d=float(params["d"]),
         escape_threshold=float(params["escape_threshold"]),
     )
     start = _parse_cyl_start(params["start"])
@@ -424,12 +428,13 @@ def _admissibility_label(p: float, a: float) -> str:
 def cmd_sweep(params: dict) -> int:
     ps = _parse_grid(params["p_grid"])
     a_values = _parse_grid(params["a_grid"])
+    n_sequences = _int_option(params, "sequences", 1)
     # Every cell, in grid order, validated before anything is echoed; the
     # cells differ only in (p, a), so they all advance in one lock-step run.
     configs = [
         IfsConfig(
             p=p, a=a, seed=int(params["seed"]), horizon=int(params["horizon"]),
-            n_sequences=int(params["sequences"]), w=float(params["w"]), d=float(params["d"]),
+            n_sequences=n_sequences, w=float(params["w"]), d=float(params["d"]),
         )
         for p in ps
         for a in a_values

@@ -7,9 +7,11 @@ signals attraction to the origin and one above ``tol`` signals repulsion.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
+from math import acos, atan2, hypot, inf, isfinite, log
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -68,23 +70,45 @@ class OrbitTrace:
         return len(self.gains)
 
 
-def _observe_cart(x, rows: list) -> tuple[float, float]:
-    """Log-norm and natural angle (planar for k = 2, polar for k >= 3) of one
-    Cartesian point, on Python floats.  Appends the point's coordinates to
-    ``rows`` as a new list, which a step that mutates the point cannot change.
-    The norm is ``math.hypot`` of that list, which is what
-    ``highdim.robust_norm`` computes for a single point.
+def _cartesian_orbit(step: Callable, start, n_steps: int, bound: float):
+    """Log-radii, angles and point rows of a Cartesian orbit, on Python floats.
+
+    Each point is observed once: its log-norm, from ``math.hypot`` of its
+    coordinates as ``highdim.robust_norm`` takes it, and its natural angle,
+    planar for k = 2 and polar for k >= 3.  The loop stops before a step once
+    a log-radius leaves ``[-bound, bound]`` or ``n_steps`` steps are done, so a
+    start outside the bound is never stepped.
     """
-    vals = x.tolist() if isinstance(x, np.ndarray) else [float(v) for v in x]
-    rows.append(vals)
-    norm = math.hypot(*vals)
-    r = math.log(norm) if norm > 0.0 else -math.inf
-    if len(vals) == 2:
-        return r, (math.atan2(vals[1], vals[0]) / TWO_PI) % 1.0
-    if norm == 0.0 or not math.isfinite(norm):
-        return r, 0.0
-    c = vals[-1] / norm
-    return r, math.acos(-1.0 if c < -1.0 else 1.0 if c > 1.0 else c) / TWO_PI
+    x = np.asarray(start, dtype=float)
+    if x.ndim != 1 or not x.size:
+        raise ValueError(f"a Cartesian start must be one point, an array of shape (k,), got shape {x.shape}")
+    vals = x.tolist()
+    if not all(map(isfinite, vals)):
+        raise ValueError(f"a Cartesian start needs finite coordinates, got {vals}")
+    k = len(vals)
+    rows, rs, thetas = [vals], [], []
+    for i in range(n_steps + 1):
+        norm = hypot(*vals)
+        r = log(norm) if norm > 0.0 else -inf
+        if k == 2:
+            theta = (atan2(vals[1], vals[0]) / TWO_PI) % 1.0
+        elif 0.0 < norm < inf:
+            c = vals[-1] / norm
+            theta = acos(-1.0 if c < -1.0 else 1.0 if c > 1.0 else c) / TWO_PI
+        else:
+            theta = 0.0
+        rs.append(r)
+        thetas.append(theta)
+        if i == n_steps or not abs(r) <= bound:
+            break
+        x = step(x)
+        # A new list, which a step that mutates its input cannot change.
+        vals = x.tolist() if isinstance(x, np.ndarray) else [float(v) for v in x]
+        rows.append(vals)
+    if set(map(len, rows)) != {k}:
+        raise ValueError(f"a step changed the dimension of the point from {k}")
+    cart = np.fromiter(chain.from_iterable(rows), float, len(rows) * k).reshape(len(rows), k)
+    return rs, thetas, cart
 
 
 def iterate(
@@ -97,38 +121,41 @@ def iterate(
 ) -> OrbitTrace:
     """Run ``n_steps`` of a map and record the full trace.
 
-    ``start`` may be a CylPoint (cylinder maps) or a nonzero array-like point
-    with finite coordinates (Cartesian maps; gains are log-norm differences).
-    A start whose log-radius magnitude already exceeds ``r_escape`` is
-    rejected with ``ValueError``.  Iteration stops early once the log-radius
-    is non-finite (a step reached the origin) or its magnitude exceeds
-    ``r_escape``.  When ``trap`` is given, the entry step into the trapping
-    arc is recorded from the traced angles, for Cartesian orbits too.
+    ``start`` may be a CylPoint (cylinder maps) or one nonzero array-like
+    point of shape (k,) with finite coordinates (Cartesian maps; gains are
+    log-norm differences).  ``r_escape`` must be positive.  A start whose
+    log-radius magnitude already exceeds ``r_escape`` is rejected with
+    ``ValueError``.  Iteration stops early once the log-radius is non-finite
+    (a step reached the origin) or its magnitude exceeds ``r_escape``.  When
+    ``trap`` is given, the entry step into the trapping arc is recorded from
+    the traced angles, for Cartesian orbits too.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
+    if not r_escape > 0.0:
+        raise ValueError(f"r_escape must be positive, got {r_escape}")
+    # |r| <= bound holds exactly when r is finite and |r| <= r_escape.
+    bound = min(r_escape, sys.float_info.max)
+    cart = None
     if isinstance(start, CylPoint):
-        x, rows = start, None
-        r, theta = start.r, start.theta.value
+        x = start
+        rs, thetas = [x.r], [x.theta.value]
+        if abs(x.r) <= bound:
+            for _ in range(n_steps):
+                x = step(x)
+                r = x.r
+                rs.append(r)
+                thetas.append(x.theta.value)
+                if not abs(r) <= bound:
+                    break
     else:
-        x, rows = np.asarray(start, dtype=float), []
-        r, theta = _observe_cart(x, rows)
-        if not all(map(math.isfinite, rows[0])):
-            raise ValueError(f"a Cartesian start needs finite coordinates, got {rows[0]}")
-    if r == -math.inf:
+        rs, thetas, cart = _cartesian_orbit(step, start, n_steps, bound)
+    r = rs[0]
+    if r == -inf:
         raise OriginNotRepresentableError("Cartesian orbits must start off the origin")
-    if not abs(r) <= r_escape:
+    if not abs(r) <= bound:
         raise ValueError(f"start log-radius {r:g} already exceeds the escape bound {r_escape:g} in magnitude")
-    rs, thetas = [r], [theta]
-    for _ in range(n_steps):
-        x = step(x)
-        r, theta = (x.r, x.theta.value) if rows is None else _observe_cart(x, rows)
-        rs.append(r)
-        thetas.append(theta)
-        if not math.isfinite(r) or abs(r) > r_escape:
-            break
     rs = np.array(rs)
-    cart = None if rows is None else np.array(rows, dtype=float)
     trace = OrbitTrace(rs=rs, gains=np.diff(rs), thetas=np.array(thetas), cart=cart)
     if trap is not None:
         trace.entered_trap_at = detect_trap_entry(trace, trap)
@@ -148,7 +175,7 @@ def classify_orbit(
     """
     if window < 1:
         raise ValueError(f"window must be at least 1, got {window}")
-    if not 0.0 <= tol < math.inf:
+    if not 0.0 <= tol < inf:
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
     if window > len(trace.gains):
         raise WindowTooLargeError(

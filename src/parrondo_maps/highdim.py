@@ -19,9 +19,9 @@ across the seams.
 from __future__ import annotations
 
 import functools
-import math
 import numbers
 from dataclasses import dataclass
+from math import acos, copysign, cos, exp, hypot, inf, log, sin
 
 import numpy as np
 
@@ -46,7 +46,7 @@ def robust_norm(x) -> float:
     cylinder picture stays faithful down to radius ~1e-300; ``hypot`` scales
     internally, so no component is squared unscaled.
     """
-    return math.hypot(*np.asarray(x, dtype=float).tolist())
+    return hypot(*np.asarray(x, dtype=float).tolist())
 
 
 def _half_step(rp: RadialProfile, ap: AngularProfile, r, polar):
@@ -76,33 +76,43 @@ def _h_k(rp: RadialProfile, ap: AngularProfile, vals: list) -> list:
     Orbit iteration calls this once per step.  A step whose radius overflows
     gives infinite (or NaN) coordinates instead of raising.
     """
-    norm = math.hypot(*vals)
+    norm = hypot(*vals)
     if norm == 0.0:
         return [0.0] * len(vals)
     c = vals[-1] / norm
-    polar = math.acos(-1.0 if c < -1.0 else 1.0 if c > 1.0 else c) / TWO_PI
-    r2, p2 = _half_step(rp, ap, math.log(norm), polar)
+    polar = acos(-1.0 if c < -1.0 else 1.0 if c > 1.0 else c) / TWO_PI
+    r2, p2 = _half_step(rp, ap, log(norm), polar)
     try:
-        rho = math.exp(r2)
+        rho = exp(r2)
     except OverflowError:
-        rho = math.inf
-    eq_norm = math.hypot(*vals[:-1])
+        rho = inf
+    head = vals[:-1]
+    eq_norm = hypot(*head)
     if eq_norm == 0.0:
         out = [0.0] * len(vals)
-        out[-1] = math.copysign(rho, vals[-1])
+        out[-1] = copysign(rho, vals[-1])
         return out
     ang = TWO_PI * p2
-    factor = rho * math.sin(ang) / eq_norm
-    out = [factor * v for v in vals[:-1]]
-    out.append(rho * math.cos(ang))
+    factor = rho * sin(ang) / eq_norm
+    out = [factor * v for v in head]
+    out.append(rho * cos(ang))
     return out
 
 
+_FLOAT64 = np.dtype(float)
+
+
 def _point(x) -> list:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] < 3:
+    """One point of dimension k >= 3 as a new list of floats.
+
+    A 1-D float64 array, which every orbit step passes, skips ``np.asarray``.
+    """
+    if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
+        x = np.asarray(x, dtype=float)
+    vals = x.tolist()
+    if x.ndim != 1 or len(vals) < 3:
         raise ValueError(f"the suspension takes one point of dimension k >= 3, got shape {x.shape}")
-    return x.tolist()
+    return vals
 
 
 def apply_h_k(rp: RadialProfile, ap: AngularProfile, x) -> np.ndarray:
@@ -118,10 +128,12 @@ def apply_h_k(rp: RadialProfile, ap: AngularProfile, x) -> np.ndarray:
 def apply_j_k(rp: RadialProfile, ap: AngularProfile, x) -> np.ndarray:
     """The rotated conjugate of the suspension; its invariant axis is the first coordinate axis."""
     # The quarter turns e_last -> e_0 -> -e_last only move and negate
-    # coordinates, which is exact, so they are done on the list.
+    # coordinates, which is exact, so they are done in place on the new lists.
     v = _point(x)
-    y = _h_k(rp, ap, [v[-1], *v[1:-1], -v[0]])
-    return np.array([-y[-1], *y[1:-1], y[0]])
+    v[0], v[-1] = v[-1], -v[0]
+    y = _h_k(rp, ap, v)
+    y[0], y[-1] = -y[-1], y[0]
+    return np.array(y)
 
 
 def _circle_h(rp: RadialProfile, ap: AngularProfile, alpha: np.ndarray):
@@ -188,10 +200,10 @@ def check_cone_condition(
     after ``j_k``), so the result does not depend on k, and every k gets the
     same memoised ``ConeCheck`` object.  On the circle both are circle maps.
     """
-    if k < 3:
-        raise ValueError(f"cone check needs dimension k >= 3, got {k}")
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
+    if not (isinstance(k, numbers.Integral) and k >= 3):
+        raise ValueError(f"cone check needs an integer dimension k >= 3, got {k!r}")
+    if not (isinstance(n_samples, numbers.Integral) and n_samples >= 1):
+        raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
     if not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if not 0.0 < rp.w < 0.5:

@@ -13,14 +13,14 @@ random composition model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
+from math import isfinite
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .circle import Angle, _mod1, monotone_circle_inverse, wrap_turns
+from .circle import Angle, _mod1, monotone_circle_inverse
 from .profiles import AngularProfile, RadialProfile
 from . import circle
 
@@ -42,18 +42,25 @@ __all__ = [
 CERTIFICATE_SLACK = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CylPoint:
     """A point of the punctured plane in cylinder coordinates (log-radius, angle)."""
 
     r: float
     theta: Angle
 
-    def __post_init__(self):
-        if not isinstance(self.theta, Angle):
-            object.__setattr__(self, "theta", Angle(self.theta))
-        if not math.isfinite(self.r):
-            raise ValueError(f"log-radius must be finite, got {self.r}")
+    def __init__(self, r, theta):
+        if not isinstance(theta, Angle):
+            theta = Angle(theta)
+        if not isfinite(r):
+            raise ValueError(f"log-radius must be finite, got {r}")
+        _set_r(self, r)
+        _set_theta(self, theta)
+
+
+# The slots' own setters: they write past the frozen ``__setattr__``.
+_set_r = CylPoint.r.__set__
+_set_theta = CylPoint.theta.__set__
 
 
 class Letter(str, Enum):
@@ -105,8 +112,11 @@ def apply_f0(rp: RadialProfile, ap: AngularProfile, p: CylPoint) -> CylPoint:
 
 def apply_f1(rp: RadialProfile, ap: AngularProfile, p: CylPoint) -> CylPoint:
     """``tau . f0 . tau`` in one hop: its additions, in order, without the middle points."""
-    u = wrap_turns(p.theta.value + 0.5)
-    return CylPoint(p.r + rp.delta_r(u), Angle(wrap_turns(u + ap.delta_theta(u)) + 0.5))
+    # ``% 1.0`` in place of ``wrap_turns``: the first sum is at least 1/2, so
+    # they agree; on the second they differ only by 1.0 against 0.0, and
+    # ``Angle`` reduces 1.5 and 0.5 to the same point.
+    u = (p.theta.value + 0.5) % 1.0
+    return CylPoint(p.r + rp.delta_r(u), Angle((u + ap.delta_theta(u)) % 1.0 + 0.5))
 
 
 _APPLY = {Letter.F0: apply_f0, Letter.F1: apply_f1}

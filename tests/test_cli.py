@@ -186,6 +186,13 @@ class TestVerify:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", [1, 0, -4])
+    def test_grid_below_two_is_named(self, grid, tmp_path, capsys):
+        out = tmp_path / "verify.json"
+        assert run(["verify", f"--grid={grid}", "--out", str(out)]) == 2
+        assert f"error: --grid must be at least 2, got {grid}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("option, message", [
         ("--a=inf", "--a must be finite, got inf"),
         ("--a=nan", "--a must be finite, got nan"),
@@ -307,6 +314,16 @@ class TestOrbit:
         out = tmp_path / "trace.csv"
         assert run(["orbit", *argv, "--steps", "200", "--out", str(out)]) == 2
         assert f"error: --k must be at least 3, got {argv[-1][4:]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, steps", [
+        (["--steps", "0"], 0), (["--steps", "-3", "--window", "1"], -3), (["--map", "hk", "--steps=-1"], -1),
+    ])
+    def test_steps_below_one_is_named(self, argv, steps, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        assert run(["orbit", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: --steps must be at least 1, got {steps}" in err and "window" not in err
         assert not out.exists()
 
     def test_window_must_fit(self):
@@ -552,6 +569,13 @@ class TestIfs:
         assert run(["ifs", "--seed", "-1", "--horizon", "10", "--sequences", "2"]) == 2
         assert "error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_sequences_below_one_is_named(self, n, tmp_path, capsys):
+        out = tmp_path / "stats.json"
+        assert run(["ifs", f"--sequences={n}", "--horizon", "10", "--out", str(out)]) == 2
+        assert f"error: --sequences must be at least 1, got {n}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_escape_threshold(self, tmp_path, capsys):
         out = tmp_path / "stats.json"
         argv = ["ifs", "--escape-threshold", "nan", "--horizon", "100", "--sequences", "2"]
@@ -703,6 +727,14 @@ class TestSweep:
         assert run(argv + ["--out", str(out)]) == 2
         assert not out.exists()
         assert "error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_sequences_below_one_is_named(self, n, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--p-grid", "0.5", "--a-grid", "5", f"--sequences={n}", "--horizon", "10"]
+        assert run(argv + ["--out", str(out)]) == 2
+        assert f"error: --sequences must be at least 1, got {n}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_infinite_expansion_rejected(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

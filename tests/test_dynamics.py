@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from parrondo_maps.planar import (
     MapWord,
     apply_f0,
     apply_f1,
+    inverse_f0,
     word_step,
 )
 from parrondo_maps.profiles import TWO_PI, trapping_interval
@@ -86,6 +88,33 @@ class TestIterate:
     def test_rejects_zero_steps(self, profiles):
         with pytest.raises(ValueError):
             iterate(_f0_step(profiles), CylPoint(0.0, Angle(0.0)), 0)
+
+    @pytest.mark.parametrize("start, shape", [(np.ones((2, 3)), r"\(2, 3\)"), (np.float64(1.0), r"\(\)"),
+                                              ([], r"\(0,\)")])
+    def test_cartesian_start_must_be_one_point(self, profiles, start, shape):
+        rp, ap = profiles
+        with pytest.raises(ValueError, match=f"one point, an array of shape \\(k,\\), got shape {shape}"):
+            iterate(lambda x: apply_h_k(rp, ap, x), start, 10)
+
+    @pytest.mark.parametrize("r_escape", [math.nan, 0.0, -5.0])
+    @pytest.mark.parametrize("start", [CylPoint(0.5, Angle(0.3)), np.ones(3)])
+    def test_escape_bound_must_be_positive(self, profiles, r_escape, start):
+        rp, ap = profiles
+        step = (lambda p: apply_f0(rp, ap, p)) if isinstance(start, CylPoint) else (lambda x: apply_h_k(rp, ap, x))
+        with pytest.raises(ValueError, match=f"r_escape must be positive, got {r_escape}"):
+            iterate(step, start, 10, r_escape=r_escape)
+
+    def test_infinite_escape_bound_stops_only_at_non_finite_radii(self, profiles):
+        rp, ap = profiles
+        trace = iterate(lambda x: apply_h_k(rp, ap, x), [1e307, 1e307, 1e307], 200, r_escape=math.inf)
+        assert trace.n_steps == 1
+        assert trace.rs[-1] == math.inf
+        trace = iterate(_f0_step(profiles), CylPoint(0.0, Angle(0.3)), 50, r_escape=math.inf)
+        assert trace.n_steps == 50
+
+    def test_step_that_changes_the_dimension(self):
+        with pytest.raises(ValueError, match="changed the dimension of the point from 3"):
+            iterate(lambda x: np.ones(x.shape[0] + 1), np.ones(3), 5)
 
     def test_cartesian_trace_records_log_norms(self, profiles):
         rp, ap = profiles
@@ -329,3 +358,44 @@ class TestTrapEntry:
         trace.thetas = None
         with pytest.raises(ValueError):
             detect_trap_entry(trace, trapping_interval(rp))
+
+
+def _orbit_digest(profiles) -> str:
+    """sha256 over single-point orbits and round trips of every map:
+
+    * ``rs``, ``thetas`` and ``cart`` of ``h_k``/``j_k`` orbits for k = 3, 4, 5
+      from seeded starts of scale e^(+-20), drawn as criterion 4 draws them;
+    * ``rs``, ``thetas`` and ``entered_trap_at`` of ``f0``/``f1`` orbits;
+    * 300 ``inverse_f0`` round trips: the image and the recovered preimage.
+    """
+    rp, ap = profiles
+    h = hashlib.sha256()
+    for k in (3, 4, 5):
+        rng = np.random.default_rng(900 + k)
+        for fn in (apply_h_k, apply_j_k):
+            for _ in range(6):
+                x = rng.standard_normal(k)
+                x *= math.exp(rng.uniform(-20.0, 20.0)) / np.linalg.norm(x)
+                trace = iterate(lambda y: fn(rp, ap, y), x, 300)
+                for arr in (trace.rs, trace.thetas, trace.cart):
+                    h.update(arr.tobytes())
+    rng = np.random.default_rng(910)
+    trap = trapping_interval(rp)
+    for step, arc in ((lambda p: apply_f0(rp, ap, p), trap), (lambda p: apply_f1(rp, ap, p), trap.translate(0.5))):
+        for _ in range(10):
+            start = CylPoint(rng.uniform(-20.0, 20.0), Angle(rng.uniform(0.0, 1.0)))
+            trace = iterate(step, start, 500, trap=arc)
+            h.update(trace.rs.tobytes() + trace.thetas.tobytes() + repr(trace.entered_trap_at).encode())
+    rng = np.random.default_rng(911)
+    for _ in range(300):
+        q = apply_f0(rp, ap, CylPoint(rng.uniform(-50.0, 50.0), Angle(rng.uniform(0.0, 1.0))))
+        back = inverse_f0(rp, ap, q)
+        h.update(np.array([q.r, q.theta.value, back.r, back.theta.value]).tobytes())
+    return h.hexdigest()
+
+
+def test_single_point_orbits_are_pinned(profiles):
+    # Digest taken at commit c293081, before Angle, CylPoint, apply_h_k,
+    # apply_j_k and the Cartesian path of iterate were made leaner; a faster
+    # step must leave every bit of these traces unchanged.
+    assert _orbit_digest(profiles) == "263f6865553ddc00ec32b5527e8574c743cf23ca7a8129d1571bf2d0ca0cdc20"

@@ -344,6 +344,23 @@ class TestConeCondition:
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             check_cone_condition(rp, ap, 3, n_samples=10, seed=seed)
 
+    @pytest.mark.parametrize("k", [3.5, 3.0, "3", None])
+    def test_dimension_must_be_an_integer(self, profiles, k):
+        rp, ap = profiles
+        with pytest.raises(ValueError, match="integer dimension k >= 3, got"):
+            check_cone_condition(rp, ap, k, n_samples=10)
+
+    @pytest.mark.parametrize("n_samples", [2.5, 10.0, "10", 0, -3])
+    def test_sample_count_must_be_a_positive_integer(self, profiles, n_samples):
+        rp, ap = profiles
+        with pytest.raises(ValueError, match="n_samples must be a positive integer, got"):
+            check_cone_condition(rp, ap, 3, n_samples=n_samples)
+
+    def test_numpy_integers_are_accepted(self, profiles):
+        rp, ap = profiles
+        expected = check_cone_condition(rp, ap, 4, n_samples=10)
+        assert check_cone_condition(rp, ap, np.int64(4), n_samples=np.int32(10)) == expected
+
     def test_missed_overlap_is_found(self):
         # The cone edge in direction e_0 maps to aperture 0.11979 from the e_0
         # axis, below w/2 = 0.12045; a sampled audit at this seed missed it.
