@@ -38,6 +38,7 @@ from .highdim import apply_h, apply_h_k, apply_j_k, check_cone_condition
 from .ifs import (
     ESCAPE_THRESHOLD,
     IfsConfig,
+    admissibility_label,
     expectation_recurrence_check,
     monte_carlo,
     monte_carlo_grid,
@@ -325,6 +326,8 @@ def _build_orbit(params: dict):
     k = _int_option(params, "k", 3)
     rp, ap = default_profiles(float(params["a"]), float(params["w"]), float(params["d"]))
     name = params["map"]
+    if params["start_cart"] is not None and (params["word"] or name not in ("hk", "jk")):
+        raise ConfigError("--start-cart applies only to --map hk or jk without --word")
     if params["word"]:
         word = MapWord.parse(str(params["word"]))
         return word_step(word, rp, ap), _parse_cyl_start(params["start"]), None
@@ -336,16 +339,15 @@ def _build_orbit(params: dict):
     if name in planar:
         fn, trap = planar[name]
         return (lambda p: fn(rp, ap, p)), _parse_cyl_start(params["start"]), trap
-    if name in ("hk", "jk"):
-        if params["start_cart"] is not None:
-            start = np.asarray(_parse_floats(params["start_cart"]), dtype=float)
-            if start.shape[0] != k:
-                raise ConfigError(f"--start-cart has {start.shape[0]} coordinates but k = {k}")
-        else:
-            start = np.ones(k)
-        fn = apply_h_k if name == "hk" else apply_j_k
-        return (lambda x: fn(rp, ap, x)), start, None
-    raise ConfigError(f"unknown map {name!r}")
+    if name not in ("hk", "jk"):
+        raise ConfigError(f"unknown map {name!r}")
+    start = np.ones(k)
+    if params["start_cart"] is not None:
+        start = np.asarray(_parse_floats(params["start_cart"]), dtype=float)
+        if start.shape[0] != k:
+            raise ConfigError(f"--start-cart has {start.shape[0]} coordinates but k = {k}")
+    fn = apply_h_k if name == "hk" else apply_j_k
+    return (lambda x: fn(rp, ap, x)), start, None
 
 
 def _trace_rows(trace) -> list[str]:
@@ -418,13 +420,6 @@ def cmd_ifs(params: dict) -> int:
     return EXIT_OK
 
 
-def _admissibility_label(p: float, a: float) -> str:
-    margin = a * p * (1.0 - p) - 1.0
-    if abs(margin) <= 1e-12:
-        return "boundary"
-    return "admissible" if margin > 0.0 else "inadmissible"
-
-
 def cmd_sweep(params: dict) -> int:
     ps = _parse_grid(params["p_grid"])
     a_values = _parse_grid(params["a_grid"])
@@ -449,7 +444,7 @@ def cmd_sweep(params: dict) -> int:
         lines.append(
             f"{p!r},{a!r},{bounds.a_min!r},{bounds.K!r},{bounds.pair_slope_lb!r},"
             f"{stats.mean_pair_gain!r},{stats.escape_fraction!r},"
-            f"{_admissibility_label(p, a)}"
+            f"{admissibility_label(p, a)}"
         )
     _write(params["out"], "\n".join(lines) + "\n")
     return EXIT_OK

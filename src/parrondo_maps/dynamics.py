@@ -7,11 +7,9 @@ signals attraction to the origin and one above ``tol`` signals repulsion.
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import chain
-from math import acos, atan2, hypot, inf, isfinite, log
+from math import acos, hypot, inf, isfinite, log
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -47,37 +45,34 @@ class Classification(NamedTuple):
     rate: float
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class OrbitTrace:
-    """A finite orbit with per-step radial gains and classification metadata.
+    """A finite orbit with its per-step radial gains.
 
-    ``rs`` holds log-radii for steps 0..n; ``gains`` their n differences.
-    Planar orbits carry ``thetas`` (turns); Cartesian orbits carry the point
-    rows in ``cart`` and record the natural angle (planar angle for k = 2,
-    polar angle for k >= 3) in ``thetas`` as well.
+    ``rs`` holds log-radii for steps 0..n; ``gains`` their n differences;
+    ``thetas`` the angle of each point in turns (the cylinder angle, or the
+    polar angle of a Cartesian point).  ``entered_trap_at`` is the step from
+    which the orbit stays in the trapping arc ``iterate`` was given, if any.
     """
 
     rs: np.ndarray
     gains: np.ndarray
-    thetas: np.ndarray | None = None
-    cart: np.ndarray | None = None
+    thetas: np.ndarray
     entered_trap_at: int | None = None
-    classification: OrbitClass = OrbitClass.UNDECIDED
-    rate: float | None = None
 
     @property
     def n_steps(self) -> int:
         return len(self.gains)
 
 
-def _cartesian_orbit(step: Callable, start, n_steps: int, bound: float):
-    """Log-radii, angles and point rows of a Cartesian orbit, on Python floats.
+def _cartesian_orbit(step: Callable, start, n_steps: int):
+    """Log-radii and polar angles of a Cartesian orbit in R^k, k >= 3, on Python floats.
 
     Each point is observed once: its log-norm, from ``math.hypot`` of its
-    coordinates as ``highdim.robust_norm`` takes it, and its natural angle,
-    planar for k = 2 and polar for k >= 3.  The loop stops before a step once
-    a log-radius leaves ``[-bound, bound]`` or ``n_steps`` steps are done, so a
-    start outside the bound is never stepped.
+    coordinates as ``highdim.robust_norm`` takes it, and its polar angle from
+    the last axis.  The loop stops before a step once a log-radius leaves
+    ``[-R_ESCAPE, R_ESCAPE]`` or ``n_steps`` steps are done, so a start
+    outside the bound is never stepped.
     """
     x = np.asarray(start, dtype=float)
     if x.ndim != 1 or not x.size:
@@ -86,80 +81,64 @@ def _cartesian_orbit(step: Callable, start, n_steps: int, bound: float):
     if not all(map(isfinite, vals)):
         raise ValueError(f"a Cartesian start needs finite coordinates, got {vals}")
     k = len(vals)
-    rows, rs, thetas = [vals], [], []
+    if k < 3:
+        raise ValueError(f"a Cartesian start needs k >= 3 coordinates, got shape {x.shape}")
+    rs, thetas = [], []
     for i in range(n_steps + 1):
+        if len(vals) != k:
+            raise ValueError(f"a step changed the dimension of the point from {k}")
         norm = hypot(*vals)
         r = log(norm) if norm > 0.0 else -inf
-        if k == 2:
-            theta = (atan2(vals[1], vals[0]) / TWO_PI) % 1.0
-        elif 0.0 < norm < inf:
+        if 0.0 < norm < inf:
             c = vals[-1] / norm
             theta = acos(-1.0 if c < -1.0 else 1.0 if c > 1.0 else c) / TWO_PI
         else:
             theta = 0.0
         rs.append(r)
         thetas.append(theta)
-        if i == n_steps or not abs(r) <= bound:
+        if i == n_steps or not abs(r) <= R_ESCAPE:
             break
         x = step(x)
-        # A new list, which a step that mutates its input cannot change.
         vals = x.tolist() if isinstance(x, np.ndarray) else [float(v) for v in x]
-        rows.append(vals)
-    if set(map(len, rows)) != {k}:
-        raise ValueError(f"a step changed the dimension of the point from {k}")
-    cart = np.fromiter(chain.from_iterable(rows), float, len(rows) * k).reshape(len(rows), k)
-    return rs, thetas, cart
+    return rs, thetas
 
 
-def iterate(
-    step: Callable,
-    start,
-    n_steps: int,
-    *,
-    trap: CircleInterval | None = None,
-    r_escape: float = R_ESCAPE,
-) -> OrbitTrace:
+def iterate(step: Callable, start, n_steps: int, *, trap: CircleInterval | None = None) -> OrbitTrace:
     """Run ``n_steps`` of a map and record the full trace.
 
     ``start`` may be a CylPoint (cylinder maps) or one nonzero array-like
-    point of shape (k,) with finite coordinates (Cartesian maps; gains are
-    log-norm differences).  ``r_escape`` must be positive.  A start whose
-    log-radius magnitude already exceeds ``r_escape`` is rejected with
-    ``ValueError``.  Iteration stops early once the log-radius is non-finite
-    (a step reached the origin) or its magnitude exceeds ``r_escape``.  When
-    ``trap`` is given, the entry step into the trapping arc is recorded from
-    the traced angles, for Cartesian orbits too.
+    point of shape (k,), k >= 3, with finite coordinates (Cartesian maps;
+    gains are log-norm differences).  A start whose log-radius magnitude
+    already exceeds ``R_ESCAPE`` is rejected with ``ValueError``.  Iteration
+    stops early once the log-radius is non-finite (a step reached the origin
+    or overflowed) or its magnitude exceeds ``R_ESCAPE``.  When ``trap`` is
+    given, the entry step into the trapping arc is recorded from the traced
+    angles, for Cartesian orbits too.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    if not r_escape > 0.0:
-        raise ValueError(f"r_escape must be positive, got {r_escape}")
-    # |r| <= bound holds exactly when r is finite and |r| <= r_escape.
-    bound = min(r_escape, sys.float_info.max)
-    cart = None
+    # |r| <= R_ESCAPE is false for a non-finite r.
     if isinstance(start, CylPoint):
         x = start
         rs, thetas = [x.r], [x.theta.value]
-        if abs(x.r) <= bound:
+        if abs(x.r) <= R_ESCAPE:
             for _ in range(n_steps):
                 x = step(x)
                 r = x.r
                 rs.append(r)
                 thetas.append(x.theta.value)
-                if not abs(r) <= bound:
+                if not abs(r) <= R_ESCAPE:
                     break
     else:
-        rs, thetas, cart = _cartesian_orbit(step, start, n_steps, bound)
+        rs, thetas = _cartesian_orbit(step, start, n_steps)
     r = rs[0]
     if r == -inf:
         raise OriginNotRepresentableError("Cartesian orbits must start off the origin")
-    if not abs(r) <= bound:
-        raise ValueError(f"start log-radius {r:g} already exceeds the escape bound {r_escape:g} in magnitude")
+    if not abs(r) <= R_ESCAPE:
+        raise ValueError(f"start log-radius {r:g} already exceeds the escape bound {R_ESCAPE:g} in magnitude")
     rs = np.array(rs)
-    trace = OrbitTrace(rs=rs, gains=np.diff(rs), thetas=np.array(thetas), cart=cart)
-    if trap is not None:
-        trace.entered_trap_at = detect_trap_entry(trace, trap)
-    return trace
+    trace = OrbitTrace(rs=rs, gains=np.diff(rs), thetas=np.array(thetas))
+    return trace if trap is None else replace(trace, entered_trap_at=detect_trap_entry(trace, trap))
 
 
 def classify_orbit(
@@ -167,7 +146,7 @@ def classify_orbit(
     window: int = DEFAULT_WINDOW,
     tol: float = DEFAULT_TOL,
 ) -> Classification:
-    """Classify by the trailing-window mean gain and stamp the trace.
+    """Classify by the trailing-window mean gain.
 
     Mean below ``-tol`` is attraction, above ``tol`` repulsion, in between
     undecided; the mean itself is returned as the rate estimate.  ``window``
@@ -188,15 +167,11 @@ def classify_orbit(
         label = OrbitClass.REPELLED
     else:
         label = OrbitClass.UNDECIDED
-    trace.classification = label
-    trace.rate = rate
     return Classification(label, rate)
 
 
 def detect_trap_entry(trace: OrbitTrace, trap: CircleInterval) -> int | None:
     """Least step index from which every recorded angle stays in the trapping arc."""
-    if trace.thetas is None:
-        raise ValueError("trap detection needs a trace with recorded angles")
     member = trap.contains(trace.thetas)
     if not member[-1]:
         return None

@@ -7,13 +7,13 @@ at least ``-2``, so the total gain over ``m`` pairs is bounded below by
 ``a * k_m - 2m`` where ``k_m`` counts the mixed pairs.  Mixed pairs occur with
 probability ``2 p (1 - p)``, which makes the expected per-pair gain at least
 ``K = 2 (a p (1 - p) - 1)`` and motivates the admissibility requirement
-``a p (1 - p) > 1``.
+``a p (1 - p) > 1``, that is ``K > 0``.
 
 One root seed plus a per-sequence stream index gives fully reproducible,
 embarrassingly parallel experiments: stream ``i`` uses the child generator
 ``SeedSequence(seed, spawn_key=(i,))``.
 
-``run_ifs`` records one orbit with its per-pair gains.  ``monte_carlo`` and
+``run_ifs`` records one orbit's per-pair gains.  ``monte_carlo`` and
 ``monte_carlo_grid`` keep only each stream's terminal gain and mixed-pair
 count, and advance all streams (of every ``p`` and ``a`` in a grid) in
 lock-step.  The angle does not depend on the radius, so the step loop moves
@@ -32,7 +32,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circle import Angle, _mod1
-from .dynamics import OrbitTrace
 from .planar import CylPoint
 from .profiles import (
     DEFAULT_D,
@@ -50,6 +49,7 @@ __all__ = [
     "IfsStats",
     "RecurrenceCheck",
     "TheoreticalBounds",
+    "admissibility_label",
     "bernoulli_sequence",
     "expectation_recurrence_check",
     "monte_carlo",
@@ -81,8 +81,8 @@ class IfsConfig:
     """Description of one randomized-composition experiment.
 
     ``horizon`` is the even total number of map applications (2m).  Configs
-    with ``a * p * (1 - p) <= 1`` are inadmissible for the escape guarantee
-    but remain runnable for exploration; outputs must label them as such.
+    with ``K <= 0`` are inadmissible for the escape guarantee but remain
+    runnable for exploration; outputs must label them as such.
     """
 
     p: float
@@ -99,10 +99,10 @@ class IfsConfig:
             raise ValueError(f"p must lie strictly between 0 and 1, got {self.p}")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        if self.horizon < 2 or self.horizon % 2 != 0:
-            raise ValueError(f"horizon must be an even count >= 2, got {self.horizon}")
-        if self.n_sequences < 1:
-            raise ValueError(f"n_sequences must be positive, got {self.n_sequences}")
+        if not (isinstance(self.horizon, numbers.Integral) and self.horizon >= 2 and self.horizon % 2 == 0):
+            raise ValueError(f"horizon must be an even integer >= 2, got {self.horizon}")
+        if not (isinstance(self.n_sequences, numbers.Integral) and self.n_sequences >= 1):
+            raise ValueError(f"n_sequences must be a positive integer, got {self.n_sequences}")
         if not (math.isfinite(self.a) and self.a > 0.0):
             raise ValueError(f"expansion a must be finite and positive, got {self.a}")
         if not 0.0 < self.w < 0.25:
@@ -116,7 +116,7 @@ class IfsConfig:
 
     @property
     def admissible(self) -> bool:
-        return self.a * self.p * (1.0 - self.p) > 1.0
+        return theoretical_bounds(self.p, self.a).K > 0.0
 
     def profiles(self) -> tuple[RadialProfile, AngularProfile]:
         # The radial profile is built directly so that exploratory a <= 4
@@ -152,7 +152,8 @@ class TheoreticalBounds:
 def theoretical_bounds(p: float, a: float) -> TheoreticalBounds:
     """Minimum admissible expansion, expected per-pair gain bound and slope bound.
 
-    ``a_min = 1 / (p(1-p))``; ``K = 2 (a p (1-p) - 1)``; the asymptotic
+    ``a_min = 1 / (p(1-p))``; ``K = 2 (a p (1-p) - 1)``, twice the
+    admissibility margin, decides admissibility everywhere; the asymptotic
     per-pair slope bound ``a * 2p(1-p) - 2`` follows from the pairwise gain
     inequality and the almost-sure mixed-pair frequency ``2p(1-p)``.
     """
@@ -164,6 +165,14 @@ def theoretical_bounds(p: float, a: float) -> TheoreticalBounds:
         K=2.0 * (a * pq - 1.0),
         pair_slope_lb=a * 2.0 * pq - 2.0,
     )
+
+
+def admissibility_label(p: float, a: float) -> str:
+    """``boundary`` when ``K`` is within 2e-12 of 0, else whether ``K`` is positive."""
+    K = theoretical_bounds(p, a).K
+    if abs(K) <= 2e-12:
+        return "boundary"
+    return "admissible" if K > 0.0 else "inadmissible"
 
 
 def sequence_rng(seed: int, stream: int) -> np.random.Generator:
@@ -190,18 +199,13 @@ def bernoulli_sequence(p, n: int, seed: int, stream: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class IfsRun:
-    """One random orbit with its pairwise growth bookkeeping."""
+    """One random orbit's pair gains, its mixed pairs (``k_m`` of them) and total gain."""
 
     symbols: np.ndarray
-    trace: OrbitTrace
     pair_mixed: np.ndarray
     pair_gains: np.ndarray
-    k_series: np.ndarray
+    k_m: int
     delta_total: float
-
-    @property
-    def k_m(self) -> int:
-        return int(self.k_series[-1])
 
 
 def run_ifs(
@@ -210,10 +214,11 @@ def run_ifs(
     stream: int = 0,
     symbols: np.ndarray | None = None,
 ) -> IfsRun:
-    """Run one symbol sequence and record the orbit plus per-pair gains.
+    """Run one symbol sequence from ``start`` and record its per-pair gains.
 
-    ``symbols`` may be injected (e.g. to pin an orbit to an invariant ray);
-    otherwise they are drawn from the config's stream.
+    The gains do not depend on the start's radius.  ``symbols`` may be
+    injected (e.g. to pin an orbit to an invariant ray); otherwise they are
+    drawn from the config's stream.
     """
     rp, ap = config.profiles()
     if symbols is None:
@@ -225,32 +230,24 @@ def run_ifs(
     # The angle does not depend on the radius: the loop moves only the angle
     # and records where each step reads the profiles.
     th = start.theta.value
-    ths, shifted = [th], []
+    shifted = []
     delta_theta = ap.delta_theta
     for sym in symbols.tolist():
         t = th + 0.5 if sym else th
         shifted.append(t)
         th = (th + delta_theta(t)) % 1.0
-        ths.append(th)
-    # The log-radius change is summed from 0, in step order, and the start
-    # added once at the end, so no gain is lost to rounding against a huge
-    # start radius.
-    rs = np.zeros(len(ths))
-    np.add.accumulate(rp.delta_r(np.array(shifted)), out=rs[1:])
-    ths = np.array(ths)
-    gains = np.diff(rs)
-    delta_total = float(rs[-1])
-    rs += start.r
-    pair_gains = gains[0::2] + gains[1::2]
+    # The log-radius change is summed from 0, in step order, so no gain is
+    # lost to rounding against a huge start radius; each step's gain is the
+    # difference of two such sums.
+    rs = np.cumsum(rp.delta_r(np.array(shifted)))
+    gains = np.diff(rs, prepend=0.0)
     pair_mixed = symbols[0::2] != symbols[1::2]
-    trace = OrbitTrace(rs=rs, gains=gains, thetas=ths)
     return IfsRun(
         symbols=symbols,
-        trace=trace,
         pair_mixed=pair_mixed,
-        pair_gains=pair_gains,
-        k_series=np.cumsum(pair_mixed),
-        delta_total=delta_total,
+        pair_gains=gains[0::2] + gains[1::2],
+        k_m=int(np.count_nonzero(pair_mixed)),
+        delta_total=float(rs[-1]),
     )
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from parrondo_maps import __version__, cli
 from parrondo_maps.cli import main
-from parrondo_maps.ifs import IfsConfig, monte_carlo, theoretical_bounds
+from parrondo_maps.ifs import IfsConfig, admissibility_label, monte_carlo, theoretical_bounds
 
 
 def run(argv):
@@ -306,6 +306,14 @@ class TestOrbit:
     def test_start_dimension_mismatch(self):
         assert run(["orbit", "--map", "hk", "--k", "4", "--start-cart", "1,1,1"]) == 2
 
+    @pytest.mark.parametrize("argv", [["--map", "f0"], ["--map", "h"], ["--map", "hk", "--word", "f0,f1"]])
+    def test_unused_cartesian_start_is_rejected(self, argv, tmp_path, capsys):
+        out = tmp_path / "trace.json"
+        argv = ["orbit", *argv, "--start-cart", "1,2,3", "--steps", "3", "--window", "3", "--out", str(out)]
+        assert run(argv) == 2
+        assert "error: --start-cart applies only to --map hk or jk without --word" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["--map", "f0", "--k=-4"], ["--map", "f1", "--k=2"], ["--map", "h", "--k=0"],
         ["--map", "hk", "--k=2"], ["--map", "jk", "--k=-4"], ["--word", "01", "--k=2"],
@@ -391,6 +399,8 @@ class TestOrbit:
         (["--map", "f1", "--start", "0,0.5"], "7c649f00e78ba545e7b27a6d598101449bac93940da68ba097060574242db813"),
         (["--map", "hk", "--k", "4"], "890e17024f2d7691b781abf4f1304038b934027ead7e8093876735acc6eee532"),
         (["--map", "jk", "--k", "5"], "ad13606ec4ece5bae359e436a5300776bc274d9ddaf900791b06068f71e9d8f1"),
+        (["--map", "h"], "dadd904a09bf51a0c3df4d94c5ed0c03eef30f02e2e2c81f21b709915ea8358a"),
+        (["--word", "f0,f1"], "ff0d72fb22e4fa54b2da0af005d3db4a235683c4cb0a434d5eca5f147d3cf21d"),
     ])
     def test_json_bytes_are_pinned(self, argv, digest, tmp_path):
         # Single-point steps run on Python floats, so these bytes do not
@@ -435,6 +445,20 @@ class TestIfs:
         assert payload["bounds"]["a_min"] == 4.0
         assert payload["stats"]["escape_fraction"] == 1.0
         assert payload["recurrence"]["satisfied"] is True
+
+    def test_boundary_cell_is_not_admissible(self, tmp_path):
+        # a p (1 - p) rounds above 1 at this cell, but K is 0 and sweep calls it boundary.
+        grid = ["--p", "0.08", "--a", "13.58695652173913", "--horizon", "10", "--sequences", "2"]
+        out = tmp_path / "stats.json"
+        assert run(["ifs", *grid, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["bounds"]["K"] == 0.0
+        assert payload["admissible"] is False and payload["label"] == "INADMISSIBLE"
+        sweep = tmp_path / "sweep.csv"
+        argv = ["sweep", "--p-grid", "0.08", "--a-grid", "13.58695652173913", "--horizon", "10",
+                "--sequences", "2", "--out", str(sweep)]
+        assert run(argv) == 0
+        assert sweep.read_text().splitlines()[3].endswith(",boundary")
 
     def test_inadmissible_label(self, tmp_path):
         out = tmp_path / "stats.json"
@@ -704,7 +728,7 @@ class TestSweep:
                 stats = monte_carlo(IfsConfig(p=p, a=a, seed=11, horizon=100, n_sequences=20))
                 expected.append(
                     f"{p!r},{a!r},{b.a_min!r},{b.K!r},{b.pair_slope_lb!r},{stats.mean_pair_gain!r},"
-                    f"{stats.escape_fraction!r},{cli._admissibility_label(p, a)}"
+                    f"{stats.escape_fraction!r},{admissibility_label(p, a)}"
                 )
         assert rows == expected
 

@@ -10,6 +10,7 @@ from parrondo_maps.circle import Angle
 from parrondo_maps.ifs import (
     IfsConfig,
     IfsStats,
+    admissibility_label,
     bernoulli_sequence,
     expectation_recurrence_check,
     monte_carlo,
@@ -118,6 +119,23 @@ class TestConfig:
         assert not small_config(a=4.0).admissible
         assert not small_config(a=3.0).admissible
 
+    @pytest.mark.parametrize("field", ["horizon", "n_sequences"])
+    def test_counts_must_be_integers(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be an? .*integer.*, got 10.0"):
+            small_config(**{field: 10.0})
+        assert getattr(small_config(**{field: np.int64(10)}), field) == 10
+
+    def test_admissibility_agrees_with_k_and_the_sweep_label(self):
+        # a p (1 - p) rounds above 1 here while K = 2 (a (p (1 - p)) - 1) is 0.
+        config = small_config(p=0.08, a=13.58695652173913)
+        assert theoretical_bounds(config.p, config.a).K == 0.0
+        assert not config.admissible
+        assert admissibility_label(config.p, config.a) == "boundary"
+        for p, a in [(0.5, 5.0), (0.5, 4.0), (0.5, 3.0), (0.1, 12.0), (0.9, 11.0)]:
+            K = theoretical_bounds(p, a).K
+            assert small_config(p=p, a=a).admissible == (K > 0.0)
+            assert admissibility_label(p, a) == ("boundary" if K == 0.0 else "admissible" if K > 0.0 else "inadmissible")
+
     def test_inadmissible_configs_still_run(self):
         stats = monte_carlo(small_config(a=3.0, n_sequences=5, horizon=100))
         assert not stats.config.admissible
@@ -148,9 +166,10 @@ class TestRunIfs:
         assert run.delta_total == -100.0
         assert run.k_m == 0
 
-    def test_k_series_is_cumulative(self):
+    def test_k_m_counts_the_mixed_pairs(self):
         run = run_ifs(small_config(), stream=1)
-        np.testing.assert_array_equal(run.k_series, np.cumsum(run.pair_mixed))
+        assert type(run.k_m) is int
+        assert run.k_m == np.count_nonzero(run.pair_mixed)
 
     def test_symbol_length_checked(self):
         with pytest.raises(ValueError):
@@ -164,12 +183,12 @@ class TestRunIfs:
         huge = run_ifs(config, CylPoint(1e308, Angle(0.3)), stream=1)
         assert huge.delta_total == base.delta_total > 0.0
         np.testing.assert_array_equal(huge.pair_gains, base.pair_gains)
-        assert huge.trace.rs[0] == 1e308
 
     def test_trace_is_consistent(self):
         config = small_config(horizon=50)
         run = run_ifs(config, stream=2)
-        assert run.trace.rs.shape == (51,)
+        assert run.symbols.shape == (50,)
+        assert run.pair_mixed.shape == run.pair_gains.shape == (25,)
         assert run.delta_total == pytest.approx(float(np.sum(run.pair_gains)), abs=1e-9)
 
 
