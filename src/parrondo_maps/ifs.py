@@ -124,18 +124,6 @@ class IfsConfig:
         # because a non-monotone lift would not be a homeomorphism at all.
         return RadialProfile(self.a, self.w), make_angular_profile(self.d, w_ref=self.w)
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "a": self.a,
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "n_sequences": self.n_sequences,
-            "w": self.w,
-            "d": self.d,
-            "escape_threshold": self.escape_threshold,
-        }
-
 
 @dataclass(frozen=True)
 class TheoreticalBounds:
@@ -292,8 +280,9 @@ class IfsStats:
             return math.inf
         return float(np.std(self.deltas / self.m, ddof=1)) / math.sqrt(self.n)
 
-    def slope_ci(self, z: float = 1.96) -> tuple[float, float]:
-        half = z * self.slope_se
+    def slope_ci(self) -> tuple[float, float]:
+        """The normal 95% interval of the mean per-pair slope."""
+        half = 1.96 * self.slope_se
         return (self.mean_pair_gain - half, self.mean_pair_gain + half)
 
     def to_dict(self) -> dict:

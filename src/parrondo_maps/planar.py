@@ -137,9 +137,7 @@ def word_step(word: MapWord, rp: RadialProfile, ap: AngularProfile) -> Callable[
     return step
 
 
-def inverse_f0(
-    rp: RadialProfile, ap: AngularProfile, q: CylPoint, tol: float = 1e-12
-) -> CylPoint:
+def inverse_f0(rp: RadialProfile, ap: AngularProfile, q: CylPoint) -> CylPoint:
     """Preimage under the first map.
 
     The angular lift ``ap.lift`` is inverted by the bracketed secant search of
@@ -148,7 +146,7 @@ def inverse_f0(
     validated drift profile has (d < 1/pi for the raised cosine, d < 1/2 for
     the piecewise-linear tent).
     """
-    theta = monotone_circle_inverse(ap.lift, q.theta, tol)
+    theta = monotone_circle_inverse(ap.lift, q.theta)
     return CylPoint(q.r - rp.delta_r(theta.value), theta)
 
 
@@ -159,9 +157,10 @@ class GainStudy:
     ``lower_bound`` comes from propagating each grid cell through the word as
     an exact arc (the angular lift is strictly increasing, so arcs map to
     arcs) and taking the exact minimum of the tent increment over every arc.
-    ``certified`` holds when the grid minimum exceeds that bound by less than
-    CERTIFICATE_SLACK, i.e. no angle between grid points can undershoot the
-    reported minimum materially.
+    ``certified`` holds when the lift is strictly increasing (check C4 of
+    ``validate_profiles``) and the grid minimum exceeds that bound by less
+    than CERTIFICATE_SLACK, i.e. no angle between grid points can undershoot
+    the reported minimum materially.
     """
 
     min_gain: float
@@ -210,7 +209,7 @@ def composition_radial_gain(
     return GainStudy(
         min_gain=min_gain,
         argmin=Angle(edges[i]),
-        certified=bool(min_gain - lower < CERTIFICATE_SLACK),
+        certified=ap.lift_increasing and bool(min_gain - lower < CERTIFICATE_SLACK),
         lower_bound=lower,
     )
 

@@ -100,12 +100,6 @@ class RadialProfile:
         """The slow arc I outside which ``delta_r`` is constant at ``a - 1``."""
         return CircleInterval(Angle(0.0), self.w)
 
-    @property
-    def knots(self) -> tuple[float, ...]:
-        """Breakpoints of the piecewise structure, as circle points."""
-        jw = self.w / self.a
-        return (0.0, jw, (-jw) % 1.0, self.w, (-self.w) % 1.0)
-
 
 @dataclass(frozen=True)
 class AngularProfile:
@@ -147,6 +141,11 @@ class AngularProfile:
         """Lift of ``theta -> theta + delta_theta(theta)``; degree one by construction."""
         return x + self.delta_theta(x)
 
+    @property
+    def lift_increasing(self) -> bool:
+        """Whether the lift is strictly increasing: ``|d| < 1/factor`` for the shape."""
+        return abs(self.d) < 1.0 / DRIFT_LIPSCHITZ_FACTOR[self.shape]
+
 
 def make_radial_profile(a: float, w: float) -> RadialProfile:
     """Validated tent profile; requires a > 4 and 0 < w < 1/4."""
@@ -165,19 +164,19 @@ def make_angular_profile(
     shape = AngularShape(shape)
     if not d > 0.0:
         raise ValueError(f"drift amplitude d must be positive, got {d}")
+    ap = AngularProfile(float(d), float(w_ref), shape)
     # The monotonicity bound is checked first: a drift that destroys the
     # homeomorphism is a worse defect than one that merely overshoots the gap.
-    bound = 1.0 / DRIFT_LIPSCHITZ_FACTOR[shape]
-    if d >= bound:
+    if not ap.lift_increasing:
         raise NotHomeomorphismError(
-            f"drift amplitude {d} >= {bound:.6g} for the {shape.value} drift; "
-            "the angular lift would not be strictly increasing"
+            f"drift amplitude {d} >= {1.0 / DRIFT_LIPSCHITZ_FACTOR[shape]:.6g} for the "
+            f"{shape.value} drift; the angular lift would not be strictly increasing"
         )
     if d > 0.5 - 2.0 * w_ref:
         raise DriftTooLargeError(
             f"drift amplitude {d} exceeds the gap 1/2 - 2*w = {0.5 - 2.0 * w_ref}"
         )
-    return AngularProfile(float(d), float(w_ref), shape)
+    return ap
 
 
 def default_profiles(
@@ -233,125 +232,60 @@ class ValidationReport:
         return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
 
 
-def _first_witness(thetas: np.ndarray, bad: np.ndarray) -> float | None:
-    idx = np.nonzero(bad)[0]
-    return float(thetas[idx[0]]) if idx.size else None
-
-
 def validate_profiles(
     rp: RadialProfile,
     ap: AngularProfile,
-    grid_n: int = 4096,
     require_even: bool = False,
 ) -> ValidationReport:
-    """Evaluate the five structural conditions on a profile pair.
+    """Decide the five structural conditions on a profile pair.
 
-    Failures are reported as data, each with a witness angle; nothing raises.
-    ``require_even`` adds the evenness check needed by the axially symmetric
-    construction.
+    The profiles are fixed formulas, so each condition is a closed-form test
+    of ``(a, w, d, shape)``, and a non-finite parameter fails every check
+    that reads it.  Failures are reported as data, each with a witness: an
+    angle in [0, 1) where the condition fails (C5 reports ``w``).  Nothing
+    raises.  ``require_even`` adds the evenness check needed by the axially
+    symmetric construction.
     """
     a, w, d = rp.a, rp.w, ap.d
-    jw = w / a if a != 0 else math.inf
-    thetas = np.unique(
-        np.concatenate(
-            [
-                np.linspace(0.0, 1.0, grid_n, endpoint=False),
-                np.asarray(rp.knots, float),
-                np.asarray([0.5], float),
-            ]
-        )
-    )
-    dist = _dist_to_zero(thetas)
-    dr = rp.delta_r(thetas)
-    dth = ap.delta_theta(thetas)
-    checks: list[CheckResult] = []
-
-    # C1: constancy at a - 1 outside the slow arc.
-    outside = dist >= w
-    bad = outside & (dr != a - 1.0)
-    checks.append(
-        CheckResult(
-            "C1",
-            "radial increment constant at a-1 outside the slow arc",
-            not bad.any(),
-            _first_witness(thetas, bad),
-        )
-    )
-
-    # C2: dip to -1 at 0, negative exactly on the inner arc J (tol 1e-12 at its edge).
-    at_zero_ok = rp.delta_r(0.0) == -1.0
-    bad_lower = dr < -1.0 - 1e-15
-    bad_inside = (dist < jw) & (dr >= 1e-12)
-    bad_outside = (dist > jw) & (dr < -1e-12)
-    bad = bad_lower | bad_inside | bad_outside
-    c2_witness = _first_witness(thetas, bad) if at_zero_ok else 0.0
-    checks.append(
-        CheckResult(
+    at_zero = rp.delta_r(0.0)
+    # The tent rises from -1 at 0 to a - 1 at dist w.  For a >= 1 it is
+    # negative exactly on dist < w/a; for a < 1 it is negative everywhere,
+    # which is that arc only when the arc covers the circle (w/a >= 1/2).
+    c2 = 0.0 < w < math.inf and 0.0 <= a < math.inf and (a >= 1.0 or a <= 2.0 * w)
+    # The drift is d times a bump rising from 0 at 0 to 1 at 1/2: its peak is
+    # d at the antipode (the -0.0 at 0 when d < 0).
+    gap = 0.5 - 2.0 * w
+    peak = max(d, 0.0 * d)
+    capped = peak <= gap + 1e-12
+    c3 = 0.0 < d < math.inf and math.isfinite(w) and capped
+    # The lift's least slope, 1 - factor * |d|, is at 3/4 when d > 0 and at 1/4 when d < 0.
+    checks = [
+        _check("C1", "radial increment constant at a-1 outside the slow arc", math.isfinite(a), 0.5),
+        _check(
             "C2",
             "radial increment is -1 at 0 and lies in [-1, 0) exactly on the inner arc",
-            at_zero_ok and not bad.any(),
-            c2_witness,
-            "" if at_zero_ok else f"delta_r(0) = {rp.delta_r(0.0)}",
-        )
-    )
-
-    # C3: drift non-negative, zero only at 0, capped by the gap to the translate.
-    gap = 0.5 - 2.0 * w
-    nonneg = not (dth < 0.0).any()
-    zero_only_at_zero = bool(ap.delta_theta(0.0) == 0.0) and not (
-        (thetas != 0.0) & (dth <= 0.0)
-    ).any()
-    capped = d <= gap + 1e-12 and float(dth.max()) <= gap + 1e-12
-    witness = None
-    if not nonneg or not zero_only_at_zero:
-        witness = _first_witness(thetas, (dth < 0.0) | ((thetas != 0.0) & (dth <= 0.0)))
-    elif not capped:
-        witness = float(thetas[int(np.argmax(dth))])
-    checks.append(
-        CheckResult(
+            c2,
+            0.5 if at_zero == -1.0 else 0.0,
+            "" if at_zero == -1.0 else f"delta_r(0) = {at_zero}",
+        ),
+        _check(
             "C3",
             "drift non-negative, vanishing only at 0, bounded by the arc gap",
-            nonneg and zero_only_at_zero and capped,
-            witness,
-            "" if capped else f"max drift {max(d, float(dth.max()))} > gap {gap}",
-        )
-    )
-
-    # C4: strict monotonicity of the angular lift on the grid plus knots.
-    xs = np.unique(np.concatenate([thetas, np.asarray([1.0])]))
-    lifted = ap.lift(xs)
-    diffs = np.diff(lifted)
-    mono = not (diffs <= 0.0).any()
-    checks.append(
-        CheckResult(
-            "C4",
-            "angular lift strictly increasing",
-            mono,
-            None if mono else float(xs[int(np.argmin(diffs))]),
-        )
-    )
-
-    # C5: the slow arc misses its half-turn translate.
-    checks.append(
-        CheckResult(
-            "C5",
-            "slow arc disjoint from its half-turn translate (w < 1/4)",
-            w < 0.25,
-            None if w < 0.25 else w,
-        )
-    )
-
+            c3,
+            0.5,
+            "" if capped else f"max drift {peak} > gap {gap}",
+        ),
+        _check("C4", "angular lift strictly increasing", ap.lift_increasing, 0.25 if d < 0.0 else 0.75),
+        _check("C5", "slow arc disjoint from its half-turn translate (w < 1/4)", w < 0.25, w),
+    ]
     if require_even:
-        dr_m = rp.delta_r(-thetas)
-        dth_m = ap.delta_theta(-thetas)
-        bad = (np.abs(dr - dr_m) > 1e-12) | (np.abs(dth - dth_m) > 1e-12)
+        # Both formulas read the angle only through dist(theta, 0).
+        finite = math.isfinite(a) and math.isfinite(w) and math.isfinite(d)
         checks.append(
-            CheckResult(
-                "C6",
-                "profiles even about 0 (required by the axially symmetric lift)",
-                not bad.any(),
-                _first_witness(thetas, bad),
-            )
+            _check("C6", "profiles even about 0 (required by the axially symmetric lift)", finite, 0.25)
         )
-
     return ValidationReport(tuple(checks))
+
+
+def _check(code: str, description: str, passed: bool, witness: float, detail: str = "") -> CheckResult:
+    return CheckResult(code, description, passed, None if passed else witness, detail)

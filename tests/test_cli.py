@@ -146,6 +146,39 @@ class TestVerify:
         failed = {c["code"] for c in payload["profile_checks"] if not c["passed"]}
         assert "C5" in failed
 
+    def test_drift_just_past_the_monotonicity_bound_fails(self, tmp_path):
+        # pi * d - 1 = 3.6e-7: a 4096-point grid passed this drift.
+        out = tmp_path / "verify.json"
+        assert run(["verify", "--d", "0.31831", "--w", "0.05", "--grid", "2000", "--out", str(out)]) == 1
+        payload = strict_json(out.read_text())
+        assert [(c["code"], c["witness"]) for c in payload["profile_checks"] if not c["passed"]] == [("C4", 0.75)]
+        assert [s["certified"] for s in payload["compositions"].values()] == [False, False]
+
+    def test_uncertified_gains_when_the_lift_decreases(self, tmp_path):
+        out = tmp_path / "verify.json"
+        assert run(["verify", "--d", "0.35", "--w", "0.05", "--grid", "2000", "--out", str(out)]) == 1
+        payload = strict_json(out.read_text())
+        assert [s["certified"] for s in payload["compositions"].values()] == [False, False]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--a", "-1"], ["--a", "0.5"], ["--d", "-0.1"], ["--d", "0"], ["--d", "0.4", "--w", "0.01", "--k", "3"]],
+    )
+    def test_failing_witnesses_are_angles(self, argv, tmp_path):
+        out = tmp_path / "verify.json"
+        assert run(["verify", *argv, "--grid", "100", "--samples", "100", "--out", str(out)]) == 1
+        payload = strict_json(out.read_text())
+        failed = [c for c in payload["profile_checks"] if not c["passed"]]
+        assert failed
+        assert all(0.0 <= c["witness"] < 1.0 for c in failed if c["code"] != "C5")
+
+    def test_zero_expansion_is_reported_not_raised(self, tmp_path):
+        out = tmp_path / "verify.json"
+        assert run(["verify", "--a", "0", "--grid", "100", "--out", str(out)]) == 1
+        payload = strict_json(out.read_text())
+        assert all(c["passed"] for c in payload["profile_checks"])
+        assert payload["compositions"]["f0,f1"]["min_gain"] == -2.0
+
     def test_small_expansion_in_three_dimensions(self, tmp_path):
         out = tmp_path / "verify.json"
         code = run(

@@ -21,7 +21,14 @@ from parrondo_maps.planar import (
     semistable_1d,
     word_step,
 )
-from parrondo_maps.profiles import default_profiles, make_angular_profile, make_radial_profile
+from parrondo_maps.profiles import (
+    AngularProfile,
+    RadialProfile,
+    default_profiles,
+    make_angular_profile,
+    make_radial_profile,
+    validate_profiles,
+)
 
 angles = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
 radii = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -244,6 +251,16 @@ class TestCompositionGain:
         rp, ap = profiles
         with pytest.raises(ValueError):
             composition_radial_gain(MapWord.parse("f0"), rp, ap, grid_n=1)
+
+    @pytest.mark.parametrize("d", [0.35, 0.31831])
+    @pytest.mark.parametrize("text", ["f0,f1", "f1,f0"])
+    def test_no_certificate_without_an_increasing_lift(self, text, d):
+        # The bound propagates arcs to arcs, which needs the C4 condition.
+        rp, ap = RadialProfile(5.0, 0.05), AngularProfile(d, 0.05)
+        assert not validate_profiles(rp, ap)["C4"].passed
+        study = composition_radial_gain(MapWord.parse(text), rp, ap, grid_n=2000)
+        assert study.min_gain - study.lower_bound < CERTIFICATE_SLACK
+        assert not study.certified
 
     @settings(max_examples=30, deadline=None)
     @given(

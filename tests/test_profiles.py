@@ -1,11 +1,13 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from parrondo_maps.circle import circle_dist
+from parrondo_maps.circle import _dist_to_zero, circle_dist
 from parrondo_maps.errors import (
     BadExpansionError,
     BadWidthError,
@@ -13,6 +15,7 @@ from parrondo_maps.errors import (
     NotHomeomorphismError,
 )
 from parrondo_maps.profiles import (
+    DRIFT_LIPSCHITZ_FACTOR,
     AngularProfile,
     AngularShape,
     RadialProfile,
@@ -218,3 +221,200 @@ class TestValidateProfiles:
         d = validate_profiles(*profiles).to_dict()
         assert d["passed"] is True
         assert all({"code", "passed", "witness"} <= set(c) for c in d["checks"])
+
+    def test_c4_band_the_grid_missed_fails(self):
+        # pi * d - 1 = 3.6e-7: the lift decreases on an arc about 2.7e-4 wide
+        # around 3/4, which a 4096-point grid steps over.
+        report = validate_profiles(RadialProfile(5.0, 0.05), AngularProfile(0.31831, 0.05))
+        assert [c.code for c in report.failures()] == ["C4"]
+        assert report["C4"].witness == 0.75
+        with pytest.raises(NotHomeomorphismError):
+            make_angular_profile(0.31831, 0.05)
+
+    @pytest.mark.parametrize("shape", list(AngularShape))
+    def test_negative_drift_fails_c4_at_a_quarter(self, shape):
+        d = -1.01 / DRIFT_LIPSCHITZ_FACTOR[shape]
+        c4 = validate_profiles(RadialProfile(5.0, 0.01), AngularProfile(d, 0.01, shape))["C4"]
+        assert not c4.passed and c4.witness == 0.25
+
+    def test_wide_expansion_below_one_fails_c2(self):
+        # For 2w < a < 1 the tent is negative everywhere, also off the inner arc.
+        c2 = validate_profiles(RadialProfile(0.7, 0.125), AngularProfile(0.25, 0.125))["C2"]
+        assert not c2.passed and c2.witness == 0.5 and c2.detail == ""
+        assert validate_profiles(RadialProfile(0.2, 0.125), AngularProfile(0.25, 0.125))["C2"].passed
+
+    def test_zero_expansion_is_negative_everywhere(self):
+        report = validate_profiles(RadialProfile(0.0, 0.125), AngularProfile(0.25, 0.125))
+        assert report.passed
+
+    def test_negative_expansion_witness_is_an_angle(self):
+        c2 = validate_profiles(RadialProfile(-1.0, 0.125), AngularProfile(0.25, 0.125))["C2"]
+        assert not c2.passed and c2.witness == 0.5
+
+    def test_radial_knot_near_a_whole_turn_does_not_fail_the_drift(self):
+        # w/a = 20.000000000000004: the grid sampled the drift at that knot,
+        # found 0 and failed C3 with witness 20.0.
+        report = validate_profiles(RadialProfile(0.01, 0.2), AngularProfile(0.05, 0.2))
+        assert report.passed
+
+    def test_nan_expansion_leaves_the_drift_check_alone(self):
+        report = validate_profiles(RadialProfile(math.nan, 0.1), AngularProfile(0.1, 0.1))
+        assert [c.code for c in report.failures()] == ["C1", "C2"]
+        assert report["C2"].detail == "delta_r(0) = nan"
+
+    @pytest.mark.parametrize(
+        "rp, ap, detail",
+        [
+            (RadialProfile(5.0, 0.125), AngularProfile(0.26, 0.125), "max drift 0.26 > gap 0.25"),
+            (RadialProfile(5.0, 0.3), AngularProfile(-0.1, 0.3), "max drift -0.0 > gap -0.09999999999999998"),
+            (RadialProfile(5.0, 0.3), AngularProfile(0.1, 0.3), "max drift 0.1 > gap -0.09999999999999998"),
+        ],
+    )
+    def test_c3_detail_strings(self, rp, ap, detail):
+        assert validate_profiles(rp, ap)["C3"].detail == detail
+
+    @pytest.mark.parametrize(
+        "rp, ap",
+        [
+            (RadialProfile(5.0, 0.0), AngularProfile(0.1, 0.0)),
+            (RadialProfile(5.0, 0.1), AngularProfile(math.inf, 0.1)),
+            (RadialProfile(math.nan, 0.1), AngularProfile(0.1, 0.1)),
+            (RadialProfile(math.inf, math.inf), AngularProfile(-math.inf, math.inf)),
+            (RadialProfile(math.nan, math.nan), AngularProfile(math.nan, math.nan, "piecewise_linear")),
+        ],
+    )
+    def test_degenerate_parameters_neither_raise_nor_warn(self, rp, ap):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_profiles(rp, ap, require_even=True)
+        assert not report.passed
+        params = (rp.a, rp.w, ap.d)
+        if not all(map(math.isfinite, params)):
+            assert not report["C6"].passed
+        _assert_witnesses_are_angles(report)
+
+
+def _assert_witnesses_are_angles(report):
+    for c in report.checks:
+        if c.code != "C5":
+            assert (c.witness is None) == c.passed, c
+            assert c.witness is None or (math.isfinite(c.witness) and 0.0 <= c.witness < 1.0), c
+
+
+def _grid_oracle(rp, ap, grid_n=4096):
+    """The sampled decision ``validate_profiles`` used to make: each condition
+    tested on a grid of ``grid_n`` angles plus the tent's breakpoints.
+
+    Returns ``{code: (passed, detail)}`` with C6 included.  Its own rounding
+    misleads it in two places, so the sweep below stays clear of both: a
+    breakpoint ``w/a`` near a whole number of turns, where the drift rounds to
+    0, and a large ``a/w``, where the mirrored breakpoints differ by more than
+    its 1e-12 evenness tolerance.
+    """
+    a, w, d = rp.a, rp.w, ap.d
+    jw = w / a if a != 0 else math.inf
+    thetas = np.unique(
+        np.concatenate(
+            [
+                np.linspace(0.0, 1.0, grid_n, endpoint=False),
+                np.asarray([0.0, jw, (-jw) % 1.0, w, (-w) % 1.0], float),
+                np.asarray([0.5], float),
+            ]
+        )
+    )
+    dist = _dist_to_zero(thetas)
+    dr = rp.delta_r(thetas)
+    dth = ap.delta_theta(thetas)
+    out = {"C1": (not ((dist >= w) & (dr != a - 1.0)).any(), "")}
+    at_zero_ok = rp.delta_r(0.0) == -1.0
+    bad = (dr < -1.0 - 1e-15) | ((dist < jw) & (dr >= 1e-12)) | ((dist > jw) & (dr < -1e-12))
+    out["C2"] = (at_zero_ok and not bad.any(), "" if at_zero_ok else f"delta_r(0) = {rp.delta_r(0.0)}")
+    gap = 0.5 - 2.0 * w
+    nonneg = not (dth < 0.0).any()
+    zero_only_at_zero = bool(ap.delta_theta(0.0) == 0.0) and not ((thetas != 0.0) & (dth <= 0.0)).any()
+    capped = d <= gap + 1e-12 and float(dth.max()) <= gap + 1e-12
+    out["C3"] = (
+        nonneg and zero_only_at_zero and capped,
+        "" if capped else f"max drift {max(d, float(dth.max()))} > gap {gap}",
+    )
+    xs = np.unique(np.concatenate([thetas, np.asarray([1.0])]))
+    out["C4"] = (not (np.diff(ap.lift(xs)) <= 0.0).any(), "")
+    out["C5"] = (w < 0.25, "")
+    uneven = (np.abs(dr - rp.delta_r(-thetas)) > 1e-12) | (np.abs(dth - ap.delta_theta(-thetas)) > 1e-12)
+    out["C6"] = (not uneven.any(), "")
+    return out
+
+
+def _near(x, bounds, rel=1e-6):
+    """Whether ``x`` lies within ``rel`` of a bound, relative except at 0."""
+    return any(abs(x - b) < rel * (abs(b) or 1.0) for b in bounds)
+
+
+EPS = 2e-6  # relative offset of the sweep's points on either side of a bound
+SWEEP_W = [-0.2, -0.013, 0.011, 0.05, 0.125, 0.2, 0.25 * (1 - EPS), 0.25 * (1 + EPS), 0.3, 0.45, 0.6, 0.8]
+
+
+@pytest.mark.parametrize("shape", list(AngularShape))
+@pytest.mark.parametrize("w", SWEEP_W)
+def test_exact_checks_match_the_grid_away_from_the_bounds(shape, w):
+    bound = 1.0 / DRIFT_LIPSCHITZ_FACTOR[shape]
+    gap = 0.5 - 2.0 * w
+    a_values = [-3.0, -0.017, 0.0017, 0.043, 0.3, 0.7, 1 - EPS, 1 + EPS, 2.5, 5.0, 40.0, 2 * w * (1 - EPS), 2 * w * (1 + EPS)]
+    d_values = [-0.6, -0.4, -0.2, -0.003, 0.003, 0.1, 0.25, 0.45, 0.55]
+    d_values += [b * (1 + s) for b in (gap, bound, -bound) for s in (-EPS, EPS)]
+    verdicts = set()
+    for a, d in itertools.product(a_values, d_values):
+        if _near(a, (0.0, 1.0, 2 * w)) or _near(w, (0.0, 0.25)) or _near(d, (0.0, gap, bound, -bound)):
+            continue
+        rp, ap = RadialProfile(a, w), AngularProfile(d, w, shape)
+        report = validate_profiles(rp, ap, require_even=True)
+        got = {c.code: (c.passed, c.detail) for c in report.checks}
+        assert got == _grid_oracle(rp, ap), (a, w, d, shape)
+        _assert_witnesses_are_angles(report)
+        verdicts.update((c.code, c.passed) for c in report.checks)
+    # Each check that the parameters can fail fails somewhere in the sweep.
+    assert {("C2", False), ("C3", False), ("C4", False)} <= verdicts
+
+
+dims = st.fixed_dictionaries(
+    {
+        "a": st.floats(min_value=4.0, max_value=1e3, exclude_min=True),
+        "w": st.floats(min_value=0.0, max_value=0.25, exclude_min=True, exclude_max=True),
+        "d_share": st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        "shape": st.sampled_from(list(AngularShape)),
+    }
+)
+
+
+@settings(max_examples=200)
+@given(dims)
+def test_what_the_factories_accept_passes_every_check(p):
+    cap = min(0.5 - 2.0 * p["w"], 1.0 / DRIFT_LIPSCHITZ_FACTOR[p["shape"]])
+    try:
+        rp = make_radial_profile(p["a"], p["w"])
+        ap = make_angular_profile(p["d_share"] * cap, p["w"], p["shape"])
+    except (BadExpansionError, BadWidthError, DriftTooLargeError, NotHomeomorphismError, ValueError):
+        return
+    assert validate_profiles(rp, ap, require_even=True).passed
+
+
+@settings(max_examples=300)
+@given(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    st.floats(min_value=0.0, max_value=0.25, exclude_min=True, exclude_max=True),
+    st.sampled_from(list(AngularShape)),
+)
+@example(0.31831, 0.05, AngularShape.RAISED_COSINE)
+@example(1.0 / math.pi, 0.01, AngularShape.RAISED_COSINE)
+@example(math.nextafter(1.0 / math.pi, 0.0), 0.01, AngularShape.RAISED_COSINE)
+@example(0.5, 0.01, AngularShape.PIECEWISE_LINEAR)
+def test_c4_fails_iff_the_factory_refuses_the_drift(d, w, shape):
+    c4 = validate_profiles(RadialProfile(5.0, w), AngularProfile(d, w, shape))["C4"]
+    try:
+        make_angular_profile(d, w, shape)
+        refused = False
+    except NotHomeomorphismError:
+        refused = True
+    except DriftTooLargeError:
+        refused = False
+    assert c4.passed is not refused
