@@ -17,12 +17,14 @@ command declares only the options it reads.  Flags override values from an
 optional JSON config file (--config), which override the declared defaults;
 every output embeds the fully resolved configuration and the library version,
 and rerunning an echoed configuration reproduces the output byte for byte.
-JSON outputs write non-finite numbers as null.
+JSON outputs write non-finite numbers as null; ``_plain`` holds the JSON
+form of every result.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -249,10 +251,21 @@ def _write(out: str | None, text: str) -> None:
     Path(out).write_text(text)
 
 
-def _finite(x) -> float | None:
-    """JSON has no Infinity or NaN, so non-finite numbers are written as null."""
-    x = float(x)
-    return x if math.isfinite(x) else None
+def _plain(value):
+    """The JSON form of a payload: a result dataclass becomes an object of its
+    fields, an angle its turns, a tuple a list, and a non-finite number null
+    (JSON has no Infinity or NaN)."""
+    if isinstance(value, Angle):
+        return value.value
+    if dataclasses.is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def _dump_json(payload: dict) -> str:
@@ -302,12 +315,12 @@ def cmd_verify(params: dict) -> int:
     payload = {
         "version": __version__,
         "config": _echo_config(params),
-        "profile_checks": report.to_dict()["checks"],
-        "compositions": {"f0,f1": gain_01.to_dict(), "f1,f0": gain_10.to_dict()},
-        "cone": None if cone is None else cone.to_dict(),
+        "profile_checks": report.checks,
+        "compositions": {"f0,f1": gain_01, "f1,f0": gain_10},
+        "cone": cone,
         "passed": passed,
     }
-    _write(params["out"], _dump_json(payload))
+    _write(params["out"], _dump_json(_plain(payload)))
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
@@ -377,15 +390,12 @@ def cmd_orbit(params: dict) -> int:
         payload = {
             "version": __version__,
             "config": config,
-            "points": [
-                [i, _finite(r), _finite(t)]
-                for i, (r, t) in enumerate(zip(trace.rs, trace.thetas))
-            ],
-            "gains": [_finite(g) for g in trace.gains],
+            "points": [[i, r, t] for i, (r, t) in enumerate(zip(trace.rs.tolist(), trace.thetas.tolist()))],
+            "gains": trace.gains.tolist(),
             "classification": label.value,
-            "rate": _finite(rate),
+            "rate": rate,
         }
-        _write(params["out"], _dump_json(payload))
+        _write(params["out"], _dump_json(_plain(payload)))
     else:
         lines = _csv_header(config, "step,r,theta,gain") + _trace_rows(trace)
         _write(params["out"], "\n".join(lines) + "\n")
@@ -407,16 +417,29 @@ def cmd_ifs(params: dict) -> int:
             lines.append(f"{i},{stats.m},{int(k_m)},{float(delta)!r}")
         _write(params["out"], "\n".join(lines) + "\n")
         return EXIT_OK
+    recurrence = expectation_recurrence_check(config, stats=stats)
+    # Single-sequence runs have no spread estimate: their standard errors and
+    # the interval's ends are infinite, written as null.
+    lo, hi = stats.slope_ci()
     payload = {
         "version": __version__,
         "config": echo,
-        "bounds": theoretical_bounds(config.p, config.a).to_dict(),
+        "bounds": theoretical_bounds(config.p, config.a),
         "admissible": config.admissible,
         "label": "ADMISSIBLE" if config.admissible else "INADMISSIBLE",
-        "stats": stats.to_dict(),
-        "recurrence": expectation_recurrence_check(config, stats=stats).to_dict(),
+        "stats": {
+            "n_sequences": stats.n,
+            "pairs_per_sequence": stats.m,
+            "mean_pair_gain": stats.mean_pair_gain,
+            "mean_mixed_fraction": stats.mean_mixed_fraction,
+            "escape_fraction": stats.escape_fraction,
+            "slope_se": stats.slope_se,
+            "slope_ci_low": lo,
+            "slope_ci_high": hi,
+        },
+        "recurrence": {**dataclasses.asdict(recurrence), "satisfied": recurrence.satisfied},
     }
-    _write(params["out"], _dump_json(payload))
+    _write(params["out"], _dump_json(_plain(payload)))
     return EXIT_OK
 
 

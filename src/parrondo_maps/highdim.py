@@ -162,13 +162,6 @@ class ConeCheck:
     min_gain_jh: float
     min_gain_hj: float
 
-    def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "min_gain_jh": self.min_gain_jh,
-            "min_gain_hj": self.min_gain_hj,
-        }
-
 
 def check_cone_condition(
     rp: RadialProfile,

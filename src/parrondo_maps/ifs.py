@@ -133,9 +133,6 @@ class TheoreticalBounds:
     K: float
     pair_slope_lb: float
 
-    def to_dict(self) -> dict:
-        return {"a_min": self.a_min, "K": self.K, "pair_slope_lb": self.pair_slope_lb}
-
 
 def theoretical_bounds(p: float, a: float) -> TheoreticalBounds:
     """Minimum admissible expansion, expected per-pair gain bound and slope bound.
@@ -285,24 +282,6 @@ class IfsStats:
         half = 1.96 * self.slope_se
         return (self.mean_pair_gain - half, self.mean_pair_gain + half)
 
-    def to_dict(self) -> dict:
-        # Single-sequence runs have no spread estimate; JSON has no Infinity,
-        # so non-finite values become null.
-        def finite(x: float):
-            return x if math.isfinite(x) else None
-
-        lo, hi = self.slope_ci()
-        return {
-            "n_sequences": self.n,
-            "pairs_per_sequence": self.m,
-            "mean_pair_gain": self.mean_pair_gain,
-            "mean_mixed_fraction": self.mean_mixed_fraction,
-            "escape_fraction": self.escape_fraction,
-            "slope_se": finite(self.slope_se),
-            "slope_ci_low": finite(lo),
-            "slope_ci_high": finite(hi),
-        }
-
 
 def monte_carlo(config: IfsConfig, start: CylPoint = DEFAULT_START) -> IfsStats:
     """Aggregate independent runs over streams 0 .. n_sequences - 1."""
@@ -389,14 +368,6 @@ class RecurrenceCheck:
     @property
     def satisfied(self) -> bool:
         return self.per_pair_gain >= self.bound - 3.0 * self.stderr
-
-    def to_dict(self) -> dict:
-        return {
-            "per_pair_gain": self.per_pair_gain,
-            "bound": self.bound,
-            "stderr": self.stderr if math.isfinite(self.stderr) else None,
-            "satisfied": self.satisfied,
-        }
 
 
 def expectation_recurrence_check(

@@ -168,14 +168,6 @@ class GainStudy:
     certified: bool
     lower_bound: float
 
-    def to_dict(self) -> dict:
-        return {
-            "min_gain": self.min_gain,
-            "argmin": self.argmin.value,
-            "certified": self.certified,
-            "lower_bound": self.lower_bound,
-        }
-
 
 def composition_radial_gain(
     word: MapWord,

@@ -159,8 +159,8 @@ def make_radial_profile(a: float, w: float) -> RadialProfile:
 def make_angular_profile(
     d: float, w_ref: float, shape: AngularShape = AngularShape.RAISED_COSINE
 ) -> AngularProfile:
-    """Validated drift; requires 0 < d <= 1/2 - 2*w_ref and d below the shape's
-    monotonicity bound (1/pi for the raised cosine, 1/2 for the tent)."""
+    """Validated drift; requires 0 < d <= 1/2 - 2*w_ref, w_ref > 0 and d below
+    the shape's monotonicity bound (1/pi for the raised cosine, 1/2 for the tent)."""
     shape = AngularShape(shape)
     if not d > 0.0:
         raise ValueError(f"drift amplitude d must be positive, got {d}")
@@ -172,6 +172,8 @@ def make_angular_profile(
             f"drift amplitude {d} >= {1.0 / DRIFT_LIPSCHITZ_FACTOR[shape]:.6g} for the "
             f"{shape.value} drift; the angular lift would not be strictly increasing"
         )
+    if not w_ref > 0.0:
+        raise BadWidthError(f"reference arc half width w_ref must be positive, got {w_ref}")
     if d > 0.5 - 2.0 * w_ref:
         raise DriftTooLargeError(
             f"drift amplitude {d} exceeds the gap 1/2 - 2*w = {0.5 - 2.0 * w_ref}"
@@ -201,15 +203,6 @@ class CheckResult:
     witness: float | None = None
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "code": self.code,
-            "description": self.description,
-            "passed": self.passed,
-            "witness": self.witness,
-            "detail": self.detail,
-        }
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -227,9 +220,6 @@ class ValidationReport:
 
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(c for c in self.checks if not c.passed)
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
 
 
 def validate_profiles(

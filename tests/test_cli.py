@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from parrondo_maps import __version__, cli
+from parrondo_maps.circle import Angle
 from parrondo_maps.cli import main
+from parrondo_maps.highdim import ConeCheck
 from parrondo_maps.ifs import IfsConfig, admissibility_label, monte_carlo, theoretical_bounds
+from parrondo_maps.planar import GainStudy
+from parrondo_maps.profiles import CheckResult, ValidationReport
 
 
 def run(argv):
@@ -118,7 +122,37 @@ class TestConfigFileValues:
         assert capsys.readouterr().out.count("\n") == 3 + 6
 
 
+def test_plain_gives_the_json_form_of_results():
+    report = ValidationReport((CheckResult("C1", "one", True), CheckResult("C2", "two", False, math.inf, "x")))
+    gain = GainStudy(min_gain=-math.inf, argmin=Angle(0.25), certified=False, lower_bound=np.float64(math.nan))
+    payload = {
+        "checks": report,
+        "gain": gain,
+        "cone": ConeCheck(holds=True, min_gain_jh=np.float64(3.0), min_gain_hj=np.float64(-np.inf)),
+        "pair": (math.nan, 1.5, np.float64(np.inf)),
+    }
+    plain = cli._plain(payload)
+    assert plain == {
+        "checks": {"checks": [
+            {"code": "C1", "description": "one", "passed": True, "witness": None, "detail": ""},
+            {"code": "C2", "description": "two", "passed": False, "witness": None, "detail": "x"},
+        ]},
+        "gain": {"min_gain": None, "argmin": 0.25, "certified": False, "lower_bound": None},
+        "cone": {"holds": True, "min_gain_jh": 3.0, "min_gain_hj": None},
+        "pair": [None, 1.5, None],
+    }
+    assert strict_json(cli._dump_json(plain)) == plain
+    with pytest.raises(ValueError):
+        cli._dump_json({"x": math.nan})
+
+
 class TestVerify:
+    def test_json_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "verify.json"
+        assert run(["verify", "--k", "3", "--samples", "2000", "--grid", "2000", "--out", str(out)]) == 0
+        digest = "531bca2b0db808aac2e5004155696aedca1febc795e701fbb81ecf19a6a6bef9"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_defaults_pass(self, tmp_path, capsys):
         out = tmp_path / "verify.json"
         code = run(["verify", "--grid", "20000", "--out", str(out)])
@@ -603,6 +637,16 @@ class TestIfs:
         assert run(["ifs", "--a", "inf", "--horizon", "10", "--sequences", "2"]) == 2
         err = capsys.readouterr().err
         assert "expansion a must be finite and positive, got inf" in err and "JSON" not in err
+
+    @pytest.mark.parametrize("sequences, digest", [
+        ("20", "d430fb34628e895f7c50f292943e60eae8e85222311a55e379fba9822f54b259"),
+        # One sequence has no spread: slope_se, both interval ends and stderr are null.
+        ("1", "28dcec189422383b6e1ba9a8bcb0afcfc26ff03dff253e090e2ad462e7bc21cd"),
+    ])
+    def test_json_bytes_are_pinned(self, sequences, digest, tmp_path):
+        out = tmp_path / "stats.json"
+        assert run(["ifs", "--horizon", "200", "--sequences", sequences, "--seed", "3", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_csv_bytes_are_pinned(self, tmp_path):
         # The lock-step engine's numbers rest on numpy's elementwise cos equalling

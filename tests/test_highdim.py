@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -314,11 +315,11 @@ class TestConeCondition:
         # The results of the gather-and-reduce batch formula at one seed.
         rp, ap = profiles
         for k in (3, 4, 5):
-            assert check_cone_condition(rp, ap, k, n_samples=5000, seed=11).to_dict() == {
+            assert dataclasses.asdict(check_cone_condition(rp, ap, k, n_samples=5000, seed=11)) == {
                 "holds": True, "min_gain_jh": 3.0, "min_gain_hj": 3.0,
             }
             wide = check_cone_condition(RadialProfile(5.0, 0.24), AngularProfile(0.25, 0.24), k, 5000, seed=11)
-            assert wide.to_dict() == {"holds": False, "min_gain_jh": 3.0, "min_gain_hj": 3.0}
+            assert dataclasses.asdict(wide) == {"holds": False, "min_gain_jh": 3.0, "min_gain_hj": 3.0}
 
     def test_widened_cone_overlaps(self):
         # Pushing the slow arc to w = 0.24 makes the image of the cone reach

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from parrondo_maps import ifs
 from parrondo_maps.circle import Angle
+from parrondo_maps.cli import main
 from parrondo_maps.ifs import (
     IfsConfig,
     IfsStats,
@@ -219,8 +221,9 @@ class TestMonteCarlo:
         stats = monte_carlo(small_config(horizon=2000, n_sequences=50))
         assert stats.escape_fraction == 1.0
 
-    def test_stats_serialization_keys(self):
-        d = monte_carlo(small_config(n_sequences=3, horizon=50)).to_dict()
+    def test_stats_serialization_keys(self, tmp_path):
+        out = tmp_path / "stats.json"
+        assert main(["ifs", "--seed", "20240", "--horizon", "50", "--sequences", "3", "--out", str(out)]) == 0
         assert {
             "n_sequences",
             "pairs_per_sequence",
@@ -230,7 +233,7 @@ class TestMonteCarlo:
             "slope_se",
             "slope_ci_low",
             "slope_ci_high",
-        } == set(d)
+        } == set(json.loads(out.read_text())["stats"])
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import warnings
 
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parrondo_maps.circle import _dist_to_zero, circle_dist
+from parrondo_maps.cli import main
 from parrondo_maps.errors import (
     BadExpansionError,
     BadWidthError,
@@ -153,6 +155,14 @@ class TestFactories:
         with pytest.raises(NotHomeomorphismError):
             make_angular_profile(0.5, w_ref=0.0, shape=AngularShape.PIECEWISE_LINEAR)
 
+    @pytest.mark.parametrize("w_ref", [math.nan, -math.inf, -1.0, 0.0])
+    def test_reference_width_must_be_positive(self, w_ref):
+        # d = 0.1 is below both shapes' monotonicity bounds, and the gap test
+        # d > 1/2 - 2*w_ref passes each of these widths (a NaN gap compares false).
+        for shape in AngularShape:
+            with pytest.raises(BadWidthError, match="w_ref"):
+                make_angular_profile(0.1, w_ref=w_ref, shape=shape)
+
     def test_drift_cap(self):
         with pytest.raises(DriftTooLargeError):
             make_angular_profile(0.26, w_ref=0.125)
@@ -217,10 +227,12 @@ class TestValidateProfiles:
         report = validate_profiles(*profiles, require_even=True)
         assert report["C6"].passed
 
-    def test_report_round_trips_to_dict(self, profiles):
-        d = validate_profiles(*profiles).to_dict()
+    def test_verify_reports_the_checks(self, tmp_path):
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--samples", "100", "--grid", "100", "--out", str(out)]) == 0
+        d = json.loads(out.read_text())
         assert d["passed"] is True
-        assert all({"code", "passed", "witness"} <= set(c) for c in d["checks"])
+        assert all({"code", "passed", "witness"} <= set(c) for c in d["profile_checks"])
 
     def test_c4_band_the_grid_missed_fails(self):
         # pi * d - 1 = 3.6e-7: the lift decreases on an arc about 2.7e-4 wide
