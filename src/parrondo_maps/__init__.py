@@ -9,69 +9,12 @@ every random orbit escapes to infinity.
 
 __version__ = "0.1.0"
 
-from .circle import (
-    Angle,
-    CircleInterval,
-    circle_dist,
-    interval_gap,
-    monotone_circle_inverse,
-    wrap_turns,
-)
-from .dynamics import (
-    Classification,
-    OrbitClass,
-    OrbitTrace,
-    classify_orbit,
-    detect_trap_entry,
-    iterate,
-)
-from .highdim import (
-    ConeCheck,
-    apply_h,
-    apply_h_k,
-    apply_j_k,
-    check_cone_condition,
-)
-from .ifs import (
-    IfsConfig,
-    IfsRun,
-    IfsStats,
-    RecurrenceCheck,
-    TheoreticalBounds,
-    bernoulli_sequence,
-    expectation_recurrence_check,
-    monte_carlo,
-    monte_carlo_grid,
-    run_ifs,
-    sequence_rng,
-    theoretical_bounds,
-)
-from .planar import (
-    CylPoint,
-    GainStudy,
-    Letter,
-    MapWord,
-    angular_escape_margin,
-    apply_f0,
-    apply_f1,
-    apply_word,
-    composition_radial_gain,
-    inverse_f0,
-    semistable_1d,
-    word_step,
-)
-from .profiles import (
-    AngularProfile,
-    AngularShape,
-    CheckResult,
-    RadialProfile,
-    ValidationReport,
-    default_profiles,
-    make_angular_profile,
-    make_radial_profile,
-    trapping_interval,
-    validate_profiles,
-)
+from .circle import *
+from .dynamics import *
+from .highdim import *
+from .ifs import *
+from .planar import *
+from .profiles import *
 from . import errors
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -60,14 +60,9 @@ def _half_step(rp: RadialProfile, ap: AngularProfile, r, polar):
 
 
 def apply_h(rp: RadialProfile, ap: AngularProfile, p: CylPoint) -> CylPoint:
-    """The axially symmetric planar map: doubled-angle dynamics mirrored at 1/2."""
-    t = p.theta.value
-    if t <= 0.5:
-        r2, t2 = _half_step(rp, ap, p.r, t)
-    else:
-        r2, u2 = _half_step(rp, ap, p.r, 1.0 - t)
-        t2 = 1.0 - u2
-    return CylPoint(r2, Angle(t2))
+    """The axially symmetric planar map: ``_circle_h`` at the point's one angle."""
+    gain, image = _circle_h(rp, ap, p.theta.value)
+    return CylPoint(p.r + float(gain), Angle(float(image)))
 
 
 def _h_k(rp: RadialProfile, ap: AngularProfile, vals: list) -> list:

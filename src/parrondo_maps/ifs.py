@@ -202,16 +202,18 @@ def run_ifs(
     """Run one symbol sequence from ``start`` and record its per-pair gains.
 
     The gains do not depend on the start's radius.  ``symbols`` may be
-    injected (e.g. to pin an orbit to an invariant ray); otherwise they are
-    drawn from the config's stream.
+    injected (e.g. to pin an orbit to an invariant ray) as a 1-D sequence of
+    ``horizon`` values, each exactly 0 or 1; otherwise they are drawn from the
+    config's stream.
     """
     rp, ap = config.profiles()
     if symbols is None:
         symbols = bernoulli_sequence(config.p, config.horizon, config.seed, stream)
     else:
-        symbols = np.asarray(symbols, dtype=np.int8)
-        if len(symbols) != config.horizon:
-            raise ValueError("symbol sequence length must equal the horizon")
+        symbols = np.asarray(symbols)
+        if symbols.shape != (config.horizon,) or not np.all((symbols == 0) | (symbols == 1)):
+            raise ValueError(f"symbols must be a 1-D sequence of {config.horizon} values, each 0 or 1")
+        symbols = symbols.astype(np.int8)
     # The angle does not depend on the radius: the loop moves only the angle
     # and records where each step reads the profiles.
     th = start.theta.value
@@ -240,8 +242,8 @@ def run_ifs(
 class IfsStats:
     """Aggregated growth statistics over independent sequences.
 
-    Stores the per-sequence terminal gains and mixed-pair counts; aggregates
-    derive from them, so partial results merge associatively.
+    Stores the per-sequence terminal gains and mixed-pair counts; the
+    aggregates derive from them.
     """
 
     config: IfsConfig
@@ -370,19 +372,17 @@ class RecurrenceCheck:
         return self.per_pair_gain >= self.bound - 3.0 * self.stderr
 
 
-def expectation_recurrence_check(
-    config: IfsConfig,
-    start: CylPoint = DEFAULT_START,
-    stats: IfsStats | None = None,
-) -> RecurrenceCheck:
+def expectation_recurrence_check(config: IfsConfig, stats: IfsStats | None = None) -> RecurrenceCheck:
     """Estimate the expected gain added per pair step and compare it to K.
 
     The estimator is the mean per-pair slope across sequences; its standard
     error is computed across sequences because pairs within one orbit are not
-    independent.
+    independent.  ``stats``, when given, must come from ``config`` itself.
     """
     if stats is None:
-        stats = monte_carlo(config, start)
+        stats = monte_carlo(config)
+    elif stats.config != config:
+        raise ValueError("stats come from another experiment than config")
     bounds = theoretical_bounds(config.p, config.a)
     return RecurrenceCheck(
         per_pair_gain=stats.mean_pair_gain,

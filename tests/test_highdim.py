@@ -61,7 +61,29 @@ def _equatorial_dir(x):
     return x[:-1] / np.linalg.norm(x[:-1])
 
 
+def _mirrored_half_step(rp, ap, p):
+    """``apply_h`` written out on Python floats: the doubled-angle step on
+    [0, 1/2], mirrored at 1/2 for the other half."""
+    t = p.theta.value
+    if t <= 0.5:
+        return CylPoint(p.r + rp.delta_r(2.0 * t), Angle(t + 0.5 * ap.delta_theta(2.0 * t)))
+    u = 1.0 - t
+    return CylPoint(p.r + rp.delta_r(2.0 * u), Angle(1.0 - (u + 0.5 * ap.delta_theta(2.0 * u))))
+
+
 class TestApplyH:
+    @pytest.mark.parametrize("shape", list(AngularShape))
+    def test_equals_the_scalar_mirror_bit_for_bit(self, shape):
+        rp, ap = _profiles_with(shape)
+        seams = [0.0, 0.25, 0.5, 0.75, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0),
+                 math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)]
+        ts = seams + np.random.default_rng(17).random(10_000).tolist()
+        for t in ts:
+            p = CylPoint(0.3, Angle(t))
+            q, o = apply_h(rp, ap, p), _mirrored_half_step(rp, ap, p)
+            assert type(q.r) is float and type(q.theta.value) is float
+            assert (q.r.hex(), q.theta.value.hex()) == (o.r.hex(), o.theta.value.hex()), t
+
     def test_invariant_ray_north(self, profiles):
         rp, ap = profiles
         q = apply_h(rp, ap, CylPoint(0.0, Angle(0.0)))

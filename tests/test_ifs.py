@@ -177,6 +177,17 @@ class TestRunIfs:
         with pytest.raises(ValueError):
             run_ifs(small_config(horizon=10), symbols=np.zeros(4, int))
 
+    @pytest.mark.parametrize(
+        "symbols",
+        [[2, 1, 0, 0], [-1, 1, 0, 0], [0, 0.7, 1, 1], np.zeros((4, 1), int)],
+        ids=["two", "minus-one", "fraction", "column"],
+    )
+    def test_symbol_values_checked(self, symbols):
+        # Another value would step one map while the pair bookkeeping counts
+        # another symbol, or would be truncated to 0 or 1 unseen.
+        with pytest.raises(ValueError):
+            run_ifs(small_config(horizon=4), symbols=symbols)
+
     def test_huge_start_keeps_every_gain(self):
         # Against log-radius 1e308 every gain rounds away, so the change is
         # summed on its own; the angle orbit does not depend on the radius.
@@ -373,3 +384,9 @@ class TestRecurrence:
         stats = monte_carlo(config)
         check = expectation_recurrence_check(config, stats=stats)
         assert check.per_pair_gain == stats.mean_pair_gain
+
+    @pytest.mark.parametrize("other", [dict(p=0.1, a=50.0), dict(seed=1)], ids=["p-and-a", "seed"])
+    def test_refuses_stats_of_another_experiment(self, other):
+        stats = monte_carlo(small_config(n_sequences=10))
+        with pytest.raises(ValueError):
+            expectation_recurrence_check(small_config(n_sequences=10, **other), stats=stats)
