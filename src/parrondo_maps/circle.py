@@ -13,13 +13,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NoConvergenceError, NonDisjointError
+from .errors import NoConvergenceError
 
 __all__ = [
     "Angle",
     "CircleInterval",
     "circle_dist",
-    "interval_gap",
     "monotone_circle_inverse",
     "wrap_turns",
 ]
@@ -105,12 +104,6 @@ class Angle:
     def __add__(self, other) -> "Angle":
         return Angle(self.value + _as_turns(other))
 
-    def __sub__(self, other) -> "Angle":
-        return Angle(self.value - _as_turns(other))
-
-    def dist(self, other) -> float:
-        return circle_dist(self.value, _as_turns(other))
-
 
 # The slot's own setter: it writes past the frozen ``__setattr__``.
 _set_angle_value = Angle.value.__set__
@@ -139,34 +132,17 @@ class CircleInterval:
         return CircleInterval(self.center + shift, self.half_width)
 
 
-def interval_gap(interval: CircleInterval) -> float:
-    """Distance between an arc and its half-turn translate: 1/2 - 2*half_width.
-
-    Raises NonDisjointError when the arc meets its translate, i.e. when
-    half_width >= 1/4.
-    """
-    if interval.half_width >= 0.25:
-        raise NonDisjointError(
-            f"arc of half width {interval.half_width} overlaps its half-turn translate"
-        )
-    return 0.5 - 2.0 * interval.half_width
-
-
-def monotone_circle_inverse(
-    lift: Callable[[float], float],
-    y,
-    tol: float = INVERSE_TOL,
-    *,
-    max_iter: int = INVERSE_BUDGET,
-) -> Angle:
+def monotone_circle_inverse(lift: Callable[[float], float], y) -> Angle:
     """Invert a strictly increasing degree-one lift at the circle point ``y``.
 
     The caller guarantees both properties (degree one: ``lift(x + 1) =
     lift(x) + 1``); nothing here checks them.  A validated drift profile's
     ``lift`` has them.
 
-    Returns an Angle ``x`` with ``circle_dist(lift(x) mod 1, y) <= tol``.  The
-    root of ``g(x) = lift(x) - target`` stays bracketed in a shrinking
+    Returns an Angle ``x`` with ``circle_dist(lift(x) mod 1, y) <=
+    INVERSE_TOL`` within ``INVERSE_BUDGET`` steps, else raises
+    ``NoConvergenceError``; both constants are read at call time.  The root
+    of ``g(x) = lift(x) - target`` stays bracketed in a shrinking
     subinterval of [0, 1].  Each step is a false-position (secant) step inside
     the bracket, with the Anderson-Bjorck rescaling that keeps one end from
     sticking, unless the last three evaluations have not halved the bracket:
@@ -177,6 +153,7 @@ def monotone_circle_inverse(
     ``g(0) + 1``, the degree-one identity, so ``lift`` is evaluated once per
     step after ``lift(0)``.
     """
+    tol = INVERSE_TOL
     base = lift(0.0)
     # wrap_turns keeps the target below base + 1, so g(1) > 0.
     target = base + wrap_turns(_as_turns(y) - base)
@@ -186,7 +163,7 @@ def monotone_circle_inverse(
         return Angle(0.0)
     moved = 0  # the end the last step replaced: -1 for lo, +1 for hi
     w1 = w2 = w3 = 1.0  # bracket widths before the last three evaluations
-    for _ in range(max_iter):
+    for _ in range(INVERSE_BUDGET):
         x = lo - g_lo * (hi - lo) / (g_hi - g_lo)
         if hi - lo > 0.5 * w3 or not lo < x < hi:
             x = 0.5 * (lo + hi)
@@ -205,5 +182,5 @@ def monotone_circle_inverse(
                 g_lo *= m if m > 0.0 else 0.5
             hi, g_hi, moved = x, g, 1
     raise NoConvergenceError(
-        f"inverse did not reach tol={tol} within {max_iter} iterations"
+        f"inverse did not reach tol={tol} within {INVERSE_BUDGET} iterations"
     )

@@ -10,7 +10,8 @@ ifs      run the randomized-composition Monte Carlo and write statistics
 sweep    tabulate admissibility and empirical growth over (p, a) grids (CSV)
 
 Exit codes: 0 success / checks passed, 1 a verification check failed,
-2 malformed configuration, 3 output could not be written.
+2 malformed configuration (a size the machine cannot allocate included),
+3 output could not be written.
 
 Each option and its default are declared once, in the parser, and each
 command declares only the options it reads.  Flags override values from an
@@ -408,8 +409,7 @@ def cmd_ifs(params: dict) -> int:
         n_sequences=_int_option(params, "sequences", 1), w=float(params["w"]), d=float(params["d"]),
         escape_threshold=float(params["escape_threshold"]),
     )
-    start = _parse_cyl_start(params["start"])
-    stats = monte_carlo(config, start)
+    stats = monte_carlo(config, _parse_cyl_start(params["start"]).theta)
     echo = _echo_config(params)
     if params["format"] == "csv":
         lines = _csv_header(echo, "sequence_id,m,k_m,delta_2m")
@@ -477,7 +477,7 @@ def main(argv=None) -> int:
     try:
         args = _parse(argv)
         return args.handler(vars(args))
-    except (ValueError, ParrondoError) as exc:
+    except (ValueError, ParrondoError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except OSError as exc:

@@ -5,10 +5,6 @@ class ParrondoError(Exception):
     """Base class for all library-specific errors."""
 
 
-class NonDisjointError(ParrondoError):
-    """An arc and its half-turn translate overlap (half width >= 1/4)."""
-
-
 class NoConvergenceError(ParrondoError):
     """An iterative solver exhausted its budget before reaching tolerance."""
 

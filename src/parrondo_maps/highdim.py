@@ -177,8 +177,7 @@ def check_cone_condition(
     north edge maps to polar angle ``(w + delta_theta(w)) / 2`` (for a
     negative drift the south edge moves by as much towards the equator), so
     the images stay out of the open rotated cone iff
-    ``|delta_theta(w)| <= 1/2 - 2w``, which for d >= 0 reads
-    ``angular_escape_margin >= 0``.
+    ``|delta_theta(w)| <= 1/2 - 2w``.
 
     The composed-gain minima are taken over ``n_samples`` seeded angles of the
     (x_0, x_last) great circle plus the four axes, where the minimum ``a - 2``

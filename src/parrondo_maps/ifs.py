@@ -32,7 +32,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circle import Angle, _mod1
-from .planar import CylPoint
 from .profiles import (
     DEFAULT_D,
     DEFAULT_W,
@@ -55,7 +54,6 @@ __all__ = [
     "monte_carlo",
     "monte_carlo_grid",
     "run_ifs",
-    "sequence_rng",
     "theoretical_bounds",
 ]
 
@@ -72,8 +70,8 @@ CHUNK_SYMBOLS = 1 << 20
 # block's temporaries below the allocator's 128 KiB mmap threshold.
 BLOCK_VALUES = 1 << 13
 
-# Generic start: off both invariant rays and equidistant from both slow arcs.
-DEFAULT_START = CylPoint(0.0, Angle(0.25))
+# Generic start angle: off both invariant rays and equidistant from both slow arcs.
+DEFAULT_START = Angle(0.25)
 
 
 @dataclass(frozen=True)
@@ -160,11 +158,6 @@ def admissibility_label(p: float, a: float) -> str:
     return "admissible" if K > 0.0 else "inadmissible"
 
 
-def sequence_rng(seed: int, stream: int) -> np.random.Generator:
-    """Generator for one Monte-Carlo stream: child ``stream`` of the root seed."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
-
-
 def bernoulli_sequence(p, n: int, seed: int, stream: int = 0) -> np.ndarray:
     """i.i.d. symbols in {0, 1} with P(0) = p, reproducible per (seed, stream).
 
@@ -178,7 +171,7 @@ def bernoulli_sequence(p, n: int, seed: int, stream: int = 0) -> np.ndarray:
         raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
     if n < 1:
         raise ValueError(f"sequence length must be positive, got {n}")
-    u = sequence_rng(seed, stream).random(n)
+    u = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,)))).random(n)
     return (u >= p).astype(np.int8)
 
 
@@ -195,16 +188,16 @@ class IfsRun:
 
 def run_ifs(
     config: IfsConfig,
-    start: CylPoint = DEFAULT_START,
+    start: Angle = DEFAULT_START,
     stream: int = 0,
     symbols: np.ndarray | None = None,
 ) -> IfsRun:
-    """Run one symbol sequence from ``start`` and record its per-pair gains.
+    """Run one symbol sequence from the angle ``start`` and record its per-pair gains.
 
-    The gains do not depend on the start's radius.  ``symbols`` may be
-    injected (e.g. to pin an orbit to an invariant ray) as a 1-D sequence of
-    ``horizon`` values, each exactly 0 or 1; otherwise they are drawn from the
-    config's stream.
+    The gains do not depend on the radius, so the start is an angle.
+    ``symbols`` may be injected (e.g. to pin an orbit to an invariant ray) as
+    a 1-D sequence of ``horizon`` values, each exactly 0 or 1; otherwise they
+    are drawn from the config's stream.
     """
     rp, ap = config.profiles()
     if symbols is None:
@@ -216,7 +209,7 @@ def run_ifs(
         symbols = symbols.astype(np.int8)
     # The angle does not depend on the radius: the loop moves only the angle
     # and records where each step reads the profiles.
-    th = start.theta.value
+    th = start.value
     shifted = []
     delta_theta = ap.delta_theta
     for sym in symbols.tolist():
@@ -285,12 +278,12 @@ class IfsStats:
         return (self.mean_pair_gain - half, self.mean_pair_gain + half)
 
 
-def monte_carlo(config: IfsConfig, start: CylPoint = DEFAULT_START) -> IfsStats:
+def monte_carlo(config: IfsConfig, start: Angle = DEFAULT_START) -> IfsStats:
     """Aggregate independent runs over streams 0 .. n_sequences - 1."""
     return monte_carlo_grid([config], start)[0]
 
 
-def monte_carlo_grid(configs, start: CylPoint = DEFAULT_START) -> list[IfsStats]:
+def monte_carlo_grid(configs, start: Angle = DEFAULT_START) -> list[IfsStats]:
     """``monte_carlo`` of each config, for configs that differ only in ``a`` and ``p``.
 
     The symbols and the angle orbit depend on ``p``, ``d`` and the seed but
@@ -336,7 +329,7 @@ def monte_carlo_grid(configs, start: CylPoint = DEFAULT_START) -> list[IfsStats]
         lanes = n_p * width
         block = max(1, BLOCK_VALUES // (n_a * lanes))
         r = np.zeros((n_a, lanes))
-        th = np.full(lanes, start.theta.value)
+        th = np.full(lanes, start.value)
         thetas = np.empty((block, lanes))
         for b in range(0, horizon, block):
             half = 0.5 * cols[b:b + block]

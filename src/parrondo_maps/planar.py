@@ -22,17 +22,14 @@ import numpy as np
 
 from .circle import Angle, _mod1, monotone_circle_inverse
 from .profiles import AngularProfile, RadialProfile
-from . import circle
 
 __all__ = [
     "CylPoint",
     "GainStudy",
     "Letter",
     "MapWord",
-    "angular_escape_margin",
     "apply_f0",
     "apply_f1",
-    "apply_word",
     "composition_radial_gain",
     "inverse_f0",
     "semistable_1d",
@@ -40,6 +37,10 @@ __all__ = [
 ]
 
 CERTIFICATE_SLACK = 1e-6
+
+# Grid cells carried through a word at once by ``composition_radial_gain``:
+# each block's temporaries hold at most this many float64 values (64 KiB).
+GAIN_CELLS = 1 << 13
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -122,17 +123,13 @@ def apply_f1(rp: RadialProfile, ap: AngularProfile, p: CylPoint) -> CylPoint:
 _APPLY = {Letter.F0: apply_f0, Letter.F1: apply_f1}
 
 
-def apply_word(word: MapWord, rp: RadialProfile, ap: AngularProfile, p: CylPoint) -> CylPoint:
-    for letter in word:
-        p = _APPLY[letter](rp, ap, p)
-    return p
-
-
 def word_step(word: MapWord, rp: RadialProfile, ap: AngularProfile) -> Callable[[CylPoint], CylPoint]:
     """Step function applying the whole word once; handy for orbit iteration."""
 
     def step(p: CylPoint) -> CylPoint:
-        return apply_word(word, rp, ap, p)
+        for letter in word:
+            p = _APPLY[letter](rp, ap, p)
+        return p
 
     return step
 
@@ -184,37 +181,35 @@ def composition_radial_gain(
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
     # Cell i is the arc [e[i], e[i+1]]; neighbouring cells share an edge, so
-    # the grid_n + 1 edges are carried through the word once.
-    e = edges = np.linspace(0.0, 1.0, grid_n + 1)
-    gains = np.zeros(grid_n)
-    bound = np.zeros(grid_n)
-    for letter in word:
-        shifted = e + _SHIFT[letter]
-        de = rp.delta_r(shifted)
-        gains += de[:-1]
-        contains_zero = _mod1(-shifted[:-1]) <= e[1:] - e[:-1]
-        bound += np.where(contains_zero, -1.0, np.minimum(de[:-1], de[1:]))
-        e = e + ap.delta_theta(shifted)
-    i = int(np.argmin(gains))
-    min_gain = float(gains[i])
-    lower = float(bound.min())
+    # each block's edges, one more than its cells, are carried through the
+    # word once.
+    edges = np.linspace(0.0, 1.0, grid_n + 1)
+    mins, cells, lows = [], [], []
+    for lo in range(0, grid_n, GAIN_CELLS):
+        e = edges[lo:lo + GAIN_CELLS + 1]
+        gains = np.zeros(len(e) - 1)
+        bound = np.zeros(len(e) - 1)
+        for letter in word:
+            shifted = e + _SHIFT[letter]
+            de = rp.delta_r(shifted)
+            gains += de[:-1]
+            contains_zero = _mod1(-shifted[:-1]) <= e[1:] - e[:-1]
+            bound += np.where(contains_zero, -1.0, np.minimum(de[:-1], de[1:]))
+            e = e + ap.delta_theta(shifted)
+        j = int(np.argmin(gains))
+        mins.append(gains[j])
+        cells.append(lo + j)
+        lows.append(bound.min())
+    # The first block holding the least gain (or a NaN) holds the cell that
+    # np.argmin would pick over the whole grid.
+    b = int(np.argmin(mins))
+    min_gain, i, lower = float(mins[b]), cells[b], float(np.min(lows))
     return GainStudy(
         min_gain=min_gain,
         argmin=Angle(edges[i]),
         certified=ap.lift_increasing and bool(min_gain - lower < CERTIFICATE_SLACK),
         lower_bound=lower,
     )
-
-
-def angular_escape_margin(rp: RadialProfile, ap: AngularProfile) -> float:
-    """Margin by which images of the slow arc avoid its half-turn translate.
-
-    The lift is increasing and the drift even about 0, so the image of the arc
-    [-w, w] is [-w + drift(w), w + drift(w)]; the clearance below the
-    translate's near edge is gap - drift(w).  Non-negative margin is the
-    testable form of the no-double-contraction condition.
-    """
-    return circle.interval_gap(rp.interval) - ap.delta_theta(rp.w)
 
 
 def semistable_1d(x: float, which: str) -> float:

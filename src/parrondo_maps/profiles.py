@@ -95,11 +95,6 @@ class RadialProfile:
             return self.a - 1.0
         return self.a * (dist / self.w) - 1.0
 
-    @property
-    def interval(self) -> CircleInterval:
-        """The slow arc I outside which ``delta_r`` is constant at ``a - 1``."""
-        return CircleInterval(Angle(0.0), self.w)
-
 
 @dataclass(frozen=True)
 class AngularProfile:

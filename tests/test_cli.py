@@ -96,6 +96,21 @@ def test_config_file_numeric_option_of_the_wrong_json_type(command, key, tmp_pat
         assert f"config key {key!r} takes a" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--k", "3", "--samples", "100000000000000000", "--grid", "2000"],
+    ["verify", "--grid", "100000000000000000"],
+    ["ifs", "--sequences", "100000000000000000", "--horizon", "2"],
+])
+def test_unallocatable_size_is_a_bad_config(argv, tmp_path, capsys):
+    # 1e17 float64 values exceed the address space, so numpy refuses the
+    # array before touching any memory.
+    out = tmp_path / "out.json"
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 class TestConfigFileValues:
     def test_value_outside_choices(self, tmp_path, capsys):
         cfg, out = tmp_path / "c.json", tmp_path / "t.csv"
@@ -624,6 +639,17 @@ class TestIfs:
         assert stats["1e308"] == stats["0"]
         assert stats["1e308"]["escape_fraction"] == 1.0
         assert stats["1e308"]["mean_pair_gain"] > 1.0
+
+    def test_csv_rows_are_the_start_angles_monte_carlo(self, tmp_path):
+        # The command passes the start's angle to the library; the radius
+        # is echoed and otherwise unread.
+        out = tmp_path / "seqs.csv"
+        assert run(["ifs", "--start", "0,0.3", "--format", "csv", "--horizon", "100", "--sequences", "5",
+                    "--seed", "4", "--out", str(out)]) == 0
+        stats = monte_carlo(IfsConfig(p=0.5, a=5.0, seed=4, horizon=100, n_sequences=5), Angle(0.3))
+        rows = [f"{i},50,{int(k)},{float(delta)!r}"
+                for i, (k, delta) in enumerate(zip(stats.k_counts, stats.deltas))]
+        assert out.read_text().splitlines()[3:] == rows
 
     def test_non_finite_start_angle(self, capsys):
         assert run(["ifs", "--start", "0,nan", "--horizon", "10", "--sequences", "2"]) == 2

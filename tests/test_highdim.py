@@ -16,7 +16,7 @@ from parrondo_maps.highdim import (
     check_cone_condition,
     robust_norm,
 )
-from parrondo_maps.planar import CylPoint, angular_escape_margin, apply_f0
+from parrondo_maps.planar import CylPoint, apply_f0
 from parrondo_maps.profiles import TWO_PI, AngularProfile, AngularShape, RadialProfile, default_profiles
 
 angles = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
@@ -396,7 +396,7 @@ class TestConeCondition:
         w, d = 0.21875, 1.0 / 7.0
         rp = RadialProfile(5.0, w)
         ap = AngularProfile(d, w, AngularShape.PIECEWISE_LINEAR)
-        assert angular_escape_margin(rp, ap) == 0.0
+        assert 0.5 - 2 * w - ap.delta_theta(w) == 0.0
         assert check_cone_condition(rp, ap, 3, n_samples=10).holds
         wider = AngularProfile(math.nextafter(d, 1.0), w, AngularShape.PIECEWISE_LINEAR)
         assert not check_cone_condition(rp, wider, 3, n_samples=10).holds

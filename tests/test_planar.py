@@ -1,21 +1,20 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parrondo_maps.circle import Angle, circle_dist, wrap_turns
+from parrondo_maps.circle import Angle, CircleInterval, circle_dist, wrap_turns
 from parrondo_maps.planar import (
     CERTIFICATE_SLACK,
     CylPoint,
     Letter,
     MapWord,
-    angular_escape_margin,
     apply_f0,
     apply_f1,
-    apply_word,
     composition_radial_gain,
     inverse_f0,
     semistable_1d,
@@ -126,30 +125,30 @@ class TestApplyWord:
     def test_singleton(self, profiles):
         rp, ap = profiles
         p = CylPoint(1.0, Angle(0.3))
-        assert apply_word(MapWord.parse("f0"), rp, ap, p) == apply_f0(rp, ap, p)
+        assert word_step(MapWord.parse("f0"), rp, ap)(p) == apply_f0(rp, ap, p)
 
     def test_mixed_pair_gain_on_ray(self, profiles):
         rp, ap = profiles
-        q = apply_word(MapWord.parse("f0,f1"), rp, ap, CylPoint(0.0, Angle(0.0)))
+        q = word_step(MapWord.parse("f0,f1"), rp, ap)(CylPoint(0.0, Angle(0.0)))
         assert q.r >= 3.0
 
     def test_repeated_f0_on_ray(self, profiles):
         rp, ap = profiles
-        q = apply_word(MapWord.parse("f0,f0"), rp, ap, CylPoint(0.0, Angle(0.0)))
+        q = word_step(MapWord.parse("f0,f0"), rp, ap)(CylPoint(0.0, Angle(0.0)))
         assert q.r == -2.0
 
     def test_order_is_first_letter_first(self, profiles):
         rp, ap = profiles
         p = CylPoint(0.0, Angle(0.1))
-        lhs = apply_word(MapWord.parse("f0,f1"), rp, ap, p)
+        lhs = word_step(MapWord.parse("f0,f1"), rp, ap)(p)
         assert lhs == apply_f1(rp, ap, apply_f0(rp, ap, p))
 
     @given(radii, radii, angles)
     def test_gain_depends_only_on_angle(self, r1, r2, t):
         rp, ap = default_profiles()
-        word = MapWord.parse("f0,f1,f0")
-        g1 = apply_word(word, rp, ap, CylPoint(r1, Angle(t))).r - r1
-        g2 = apply_word(word, rp, ap, CylPoint(r2, Angle(t))).r - r2
+        step = word_step(MapWord.parse("f0,f1,f0"), rp, ap)
+        g1 = step(CylPoint(r1, Angle(t))).r - r1
+        g2 = step(CylPoint(r2, Angle(t))).r - r2
         assert abs(g1 - g2) <= 1e-12
 
 
@@ -229,12 +228,13 @@ class TestCompositionGain:
         assert study.argmin.value == 0.0
 
     def test_grid_eval_matches_pointwise_oracle(self, profiles):
-        # Oracle: drive apply_word point by point on a coarse grid.
+        # Oracle: drive the word point by point on a coarse grid.
         rp, ap = profiles
         word = MapWord.parse("f1,f0")
         study = composition_radial_gain(word, rp, ap, grid_n=2000)
+        step = word_step(word, rp, ap)
         oracle = min(
-            apply_word(word, rp, ap, CylPoint(0.0, Angle(t))).r
+            step(CylPoint(0.0, Angle(t))).r
             for t in np.linspace(0.0, 1.0, 2000, endpoint=False)
         )
         assert study.min_gain == pytest.approx(oracle, abs=1e-12)
@@ -246,6 +246,21 @@ class TestCompositionGain:
         fine = composition_radial_gain(word, rp, ap, grid_n=100_000)
         assert coarse.lower_bound <= fine.min_gain
         assert coarse.lower_bound <= coarse.min_gain
+
+    def test_temporaries_stay_small(self, profiles):
+        # The cells are carried through the word in blocks, so one study at
+        # the default grid holds its edges and one block's arrays, not a
+        # dozen arrays of every cell.
+        rp, ap = profiles
+        word = MapWord.parse("f0,f1")
+        composition_radial_gain(word, rp, ap, grid_n=100_000)
+        tracemalloc.start()
+        try:
+            composition_radial_gain(word, rp, ap, grid_n=100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
 
     def test_tiny_grid_rejected(self, profiles):
         rp, ap = profiles
@@ -271,7 +286,7 @@ class TestCompositionGain:
     )
     def test_certificate_soundness_property(self, a, w, word_bits, word_len):
         # The cell-wise bound must never exceed the true minimum; probe the
-        # true gain function densely and independently via apply_word.
+        # true gain function densely and independently via word_step.
         gap = 0.5 - 2.0 * w
         d = min(0.3, 0.9 * gap)
         if d <= 0.0:
@@ -282,8 +297,9 @@ class TestCompositionGain:
             tuple(Letter.F1 if (word_bits >> i) & 1 else Letter.F0 for i in range(word_len))
         )
         study = composition_radial_gain(word, rp, ap, grid_n=257)
+        step = word_step(word, rp, ap)
         probe = min(
-            apply_word(word, rp, ap, CylPoint(0.0, Angle(t))).r
+            step(CylPoint(0.0, Angle(t))).r
             for t in np.linspace(0.0, 1.0, 1009, endpoint=False)
         )
         assert study.lower_bound <= probe + 1e-9
@@ -310,7 +326,9 @@ def _cellwise_gain_study(word, rp, ap, grid_n):
 
 
 class TestSharedEdgeBitIdentity:
-    @pytest.mark.parametrize("grid_n", [2, 3, 1000])
+    # 8191 to 16385 put the last cell of a block, a full last block and a
+    # one-cell last block at the planar.GAIN_CELLS = 8192 block boundary.
+    @pytest.mark.parametrize("grid_n", [2, 3, 1000, 8191, 8192, 8193, 16385])
     def test_matches_the_cellwise_propagation(self, profiles_by_shape, grid_n):
         words = [MapWord(letters) for n in range(1, 5) for letters in itertools.product(Letter, repeat=n)]
         for rp, ap in profiles_by_shape.values():
@@ -323,25 +341,11 @@ class TestSharedEdgeBitIdentity:
 
 
 class TestSetCondition:
-    def test_positive_margin_at_defaults(self, profiles):
-        rp, ap = profiles
-        margin = angular_escape_margin(rp, ap)
-        assert margin > 0.2
-
-    def test_margin_matches_grid_oracle(self, profiles):
-        rp, ap = profiles
-        thetas = np.linspace(-rp.w, rp.w, 20001)
-        images = thetas + ap.delta_theta(thetas)
-        clearance = circle_dist(wrap_turns(images), 0.5) - rp.w
-        assert float(clearance.min()) == pytest.approx(
-            angular_escape_margin(rp, ap), abs=1e-9
-        )
-
     def test_images_of_slow_arc_miss_translate(self, profiles):
         rp, ap = profiles
         thetas = np.linspace(-rp.w, rp.w, 20001)
         images = wrap_turns(thetas + ap.delta_theta(thetas))
-        assert not rp.interval.translate(0.5).contains(images).any()
+        assert not CircleInterval(Angle(0.5), rp.w).contains(images).any()
 
 
 class TestSemistable1d:
@@ -367,9 +371,8 @@ class TestSemistable1d:
 
 
 class TestWordStep:
-    def test_matches_apply_word(self, profiles):
+    def test_matches_the_letter_maps(self, profiles):
         rp, ap = profiles
-        word = MapWord.parse("f0,f1")
-        step = word_step(word, rp, ap)
+        step = word_step(MapWord.parse("f1,f0,f1"), rp, ap)
         p = CylPoint(0.2, Angle(0.7))
-        assert step(p) == apply_word(word, rp, ap, p)
+        assert step(p) == apply_f1(rp, ap, apply_f0(rp, ap, apply_f1(rp, ap, p)))
