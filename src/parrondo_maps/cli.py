@@ -340,9 +340,9 @@ def _build_orbit(params: dict):
     k = _int_option(params, "k", 3)
     rp, ap = default_profiles(float(params["a"]), float(params["w"]), float(params["d"]))
     name = params["map"]
-    if params["start_cart"] is not None and (params["word"] or name not in ("hk", "jk")):
+    if params["start_cart"] is not None and (params["word"] is not None or name not in ("hk", "jk")):
         raise ConfigError("--start-cart applies only to --map hk or jk without --word")
-    if params["word"]:
+    if params["word"] is not None:
         word = MapWord.parse(str(params["word"]))
         return word_step(word, rp, ap), _parse_cyl_start(params["start"]), None
     planar = {

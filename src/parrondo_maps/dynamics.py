@@ -9,16 +9,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from math import acos, hypot, inf, isfinite, log
+from math import hypot, inf, isfinite, log
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .circle import CircleInterval
 from .errors import OriginNotRepresentableError, WindowTooLargeError
-from .highdim import robust_norm  # noqa: F401  perfbench/test_pb_harness.py expects it patched here
+from .highdim import _polar, robust_norm  # noqa: F401  perfbench/test_pb_harness.py expects robust_norm patched here
 from .planar import CylPoint
-from .profiles import TWO_PI
 
 __all__ = [
     "Classification",
@@ -65,44 +64,6 @@ class OrbitTrace:
         return len(self.gains)
 
 
-def _cartesian_orbit(step: Callable, start, n_steps: int):
-    """Log-radii and polar angles of a Cartesian orbit in R^k, k >= 3, on Python floats.
-
-    Each point is observed once: its log-norm, from ``math.hypot`` of its
-    coordinates as ``highdim.robust_norm`` takes it, and its polar angle from
-    the last axis.  The loop stops before a step once a log-radius leaves
-    ``[-R_ESCAPE, R_ESCAPE]`` or ``n_steps`` steps are done, so a start
-    outside the bound is never stepped.
-    """
-    x = np.asarray(start, dtype=float)
-    if x.ndim != 1 or not x.size:
-        raise ValueError(f"a Cartesian start must be one point, an array of shape (k,), got shape {x.shape}")
-    vals = x.tolist()
-    if not all(map(isfinite, vals)):
-        raise ValueError(f"a Cartesian start needs finite coordinates, got {vals}")
-    k = len(vals)
-    if k < 3:
-        raise ValueError(f"a Cartesian start needs k >= 3 coordinates, got shape {x.shape}")
-    rs, thetas = [], []
-    for i in range(n_steps + 1):
-        if len(vals) != k:
-            raise ValueError(f"a step changed the dimension of the point from {k}")
-        norm = hypot(*vals)
-        r = log(norm) if norm > 0.0 else -inf
-        if 0.0 < norm < inf:
-            c = vals[-1] / norm
-            theta = acos(-1.0 if c < -1.0 else 1.0 if c > 1.0 else c) / TWO_PI
-        else:
-            theta = 0.0
-        rs.append(r)
-        thetas.append(theta)
-        if i == n_steps or not abs(r) <= R_ESCAPE:
-            break
-        x = step(x)
-        vals = x.tolist() if isinstance(x, np.ndarray) else [float(v) for v in x]
-    return rs, thetas
-
-
 def iterate(step: Callable, start, n_steps: int, *, trap: CircleInterval | None = None) -> OrbitTrace:
     """Run ``n_steps`` of a map and record the full trace.
 
@@ -117,20 +78,42 @@ def iterate(step: Callable, start, n_steps: int, *, trap: CircleInterval | None 
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    # |r| <= R_ESCAPE is false for a non-finite r.
     if isinstance(start, CylPoint):
         x = start
-        rs, thetas = [x.r], [x.theta.value]
-        if abs(x.r) <= R_ESCAPE:
-            for _ in range(n_steps):
-                x = step(x)
-                r = x.r
-                rs.append(r)
-                thetas.append(x.theta.value)
-                if not abs(r) <= R_ESCAPE:
-                    break
+
+        def observe(p):
+            return p.r, p.theta.value
     else:
-        rs, thetas = _cartesian_orbit(step, start, n_steps)
+        x = np.asarray(start, dtype=float)
+        if x.ndim != 1 or not x.size:
+            raise ValueError(f"a Cartesian start must be one point, an array of shape (k,), got shape {x.shape}")
+        vals = x.tolist()
+        if not all(map(isfinite, vals)):
+            raise ValueError(f"a Cartesian start needs finite coordinates, got {vals}")
+        k = len(vals)
+        if k < 3:
+            raise ValueError(f"a Cartesian start needs k >= 3 coordinates, got shape {x.shape}")
+
+        def observe(x):
+            # Each point is observed once, on Python floats: its log-norm from
+            # ``math.hypot`` of its coordinates, as ``highdim.robust_norm``
+            # takes it, and its polar angle from the last axis.
+            vals = x.tolist() if isinstance(x, np.ndarray) else [float(v) for v in x]
+            if len(vals) != k:
+                raise ValueError(f"a step changed the dimension of the point from {k}")
+            norm = hypot(*vals)
+            return (log(norm) if norm > 0.0 else -inf), (_polar(norm, vals) if 0.0 < norm < inf else 0.0)
+
+    # The loop stops before a step once |r| <= R_ESCAPE fails, as it does for
+    # a non-finite r, so a start outside the bound is never stepped.
+    rs, thetas = [], []
+    for i in range(n_steps + 1):
+        r, theta = observe(x)
+        rs.append(r)
+        thetas.append(theta)
+        if i == n_steps or not abs(r) <= R_ESCAPE:
+            break
+        x = step(x)
     r = rs[0]
     if r == -inf:
         raise OriginNotRepresentableError("Cartesian orbits must start off the origin")

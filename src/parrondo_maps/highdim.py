@@ -65,6 +65,12 @@ def apply_h(rp: RadialProfile, ap: AngularProfile, p: CylPoint) -> CylPoint:
     return CylPoint(p.r + float(gain), Angle(float(image)))
 
 
+def _polar(norm: float, vals: list) -> float:
+    """Polar angle in turns, from the last axis, of a point of positive norm held as a list of floats."""
+    c = vals[-1] / norm
+    return acos(-1.0 if c < -1.0 else 1.0 if c > 1.0 else c) / TWO_PI
+
+
 def _h_k(rp: RadialProfile, ap: AngularProfile, vals: list) -> list:
     """``apply_h_k`` of one point held as a list of floats, on Python floats.
 
@@ -74,9 +80,7 @@ def _h_k(rp: RadialProfile, ap: AngularProfile, vals: list) -> list:
     norm = hypot(*vals)
     if norm == 0.0:
         return [0.0] * len(vals)
-    c = vals[-1] / norm
-    polar = acos(-1.0 if c < -1.0 else 1.0 if c > 1.0 else c) / TWO_PI
-    r2, p2 = _half_step(rp, ap, log(norm), polar)
+    r2, p2 = _half_step(rp, ap, log(norm), _polar(norm, vals))
     try:
         rho = exp(r2)
     except OverflowError:

@@ -406,6 +406,17 @@ class TestOrbit:
         assert f"error: --k must be at least 3, got {argv[-1][4:]}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_word_is_rejected(self, source, tmp_path, capsys):
+        # An empty word once read as no word at all: the run exited 0 with the
+        # --map f0 orbit while echoing "word": "".
+        cfg, out = tmp_path / "c.json", tmp_path / "trace.csv"
+        cfg.write_text(json.dumps({"word": ""}))
+        argv = ["--word", ""] if source == "flag" else ["--config", str(cfg)]
+        assert run(["orbit", *argv, "--steps", "50", "--window", "50", "--out", str(out)]) == 2
+        assert "error: a map word must contain at least one letter" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, steps", [
         (["--steps", "0"], 0), (["--steps", "-3", "--window", "1"], -3), (["--map", "hk", "--steps=-1"], -1),
     ])

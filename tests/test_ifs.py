@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from parrondo_maps import ifs
 from parrondo_maps.circle import Angle
 from parrondo_maps.cli import main
+from parrondo_maps.dynamics import iterate
 from parrondo_maps.ifs import (
     IfsConfig,
     IfsStats,
@@ -20,6 +21,7 @@ from parrondo_maps.ifs import (
     run_ifs,
     theoretical_bounds,
 )
+from parrondo_maps.planar import CylPoint, apply_f0, apply_f1
 
 
 def small_config(**overrides):
@@ -89,6 +91,12 @@ class TestTheoreticalBounds:
     def test_probability_domain(self):
         with pytest.raises(ValueError):
             theoretical_bounds(0.0, 5.0)
+
+    @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.floats(0.0, 1e6, exclude_min=True))
+    def test_k_and_the_slope_bound_are_the_same_float(self, p, a):
+        # 2 (a pq - 1) and 2 a pq - 2 round alike, since doubling is exact.
+        b = theoretical_bounds(p, a)
+        assert b.K == b.pair_slope_lb
 
 
 class TestConfig:
@@ -195,6 +203,36 @@ class TestRunIfs:
         assert run.symbols.shape == (50,)
         assert run.pair_mixed.shape == run.pair_gains.shape == (25,)
         assert run.delta_total == pytest.approx(float(np.sum(run.pair_gains)), abs=1e-9)
+
+
+class TestPlanarMapsAgreeWithTheRecurrence:
+    """``iterate`` over ``apply_f0``/``apply_f1`` and ``run_ifs`` over constant
+    symbols compute the same orbit: the planar maps from ``CylPoint(0, theta)``
+    and the angle recurrence from ``Angle(theta)``."""
+
+    STEPS = 400
+
+    @classmethod
+    def _orbits(cls, apply, symbol):
+        config = small_config(horizon=cls.STEPS, n_sequences=1)
+        rp, ap = config.profiles()
+        thetas = np.concatenate([np.random.default_rng(19).random(300), [0.0, 0.25, 0.5, 0.75]])
+        for theta in thetas.tolist():
+            trace = iterate(lambda p: apply(rp, ap, p), CylPoint(0.0, Angle(theta)), cls.STEPS)
+            assert trace.n_steps == cls.STEPS
+            yield trace, run_ifs(config, start=Angle(theta), symbols=np.full(cls.STEPS, symbol))
+
+    def test_f0_matches_all_zero_symbols_bit_for_bit(self):
+        for trace, run in self._orbits(apply_f0, 0):
+            assert trace.rs[-1] == run.delta_total
+            assert np.array_equal(trace.gains[0::2] + trace.gains[1::2], run.pair_gains)
+
+    def test_f1_matches_all_one_symbols_to_rounding(self):
+        # apply_f1 reads the profiles at (theta + 1/2) % 1 where run_ifs reads
+        # them at theta + 1/2: the one-ulp rounding-form gap between the two
+        # spellings of the shifted step (ROADMAP item 1), under 2e-11 here.
+        for trace, run in self._orbits(apply_f1, 1):
+            assert abs(trace.rs[-1] - run.delta_total) <= 1e-9
 
 
 class TestMonteCarlo:
