@@ -41,8 +41,6 @@ from .highdim import apply_h, apply_h_k, apply_j_k, check_cone_condition
 from .ifs import (
     ESCAPE_THRESHOLD,
     IfsConfig,
-    admissibility_label,
-    expectation_recurrence_check,
     monte_carlo,
     monte_carlo_grid,
     theoretical_bounds,
@@ -345,14 +343,16 @@ def _build_orbit(params: dict):
     if params["word"] is not None:
         word = MapWord.parse(str(params["word"]))
         return word_step(word, rp, ap), _parse_cyl_start(params["start"]), None
+    # An arc is built only for the map that reads it, so an arc that rounds
+    # to nothing refuses no other map.
     planar = {
-        "f0": (apply_f0, trapping_interval(rp)),
-        "f1": (apply_f1, trapping_interval(rp).translate(0.5)),
-        "h": (apply_h, CircleInterval(Angle(0.5), rp.w / (2.0 * rp.a))),
+        "f0": (apply_f0, lambda: trapping_interval(rp)),
+        "f1": (apply_f1, lambda: trapping_interval(rp).translate(0.5)),
+        "h": (apply_h, lambda: CircleInterval(Angle(0.5), rp.w / rp.a / 2.0)),
     }
     if name in planar:
         fn, trap = planar[name]
-        return (lambda p: fn(rp, ap, p)), _parse_cyl_start(params["start"]), trap
+        return (lambda p: fn(rp, ap, p)), _parse_cyl_start(params["start"]), trap()
     if name not in ("hk", "jk"):
         raise ConfigError(f"unknown map {name!r}")
     start = np.ones(k)
@@ -417,16 +417,17 @@ def cmd_ifs(params: dict) -> int:
             lines.append(f"{i},{stats.m},{int(k_m)},{float(delta)!r}")
         _write(params["out"], "\n".join(lines) + "\n")
         return EXIT_OK
-    recurrence = expectation_recurrence_check(config, stats=stats)
+    bounds = theoretical_bounds(config.p, config.a)
+    admissible = bounds.label == "admissible"
     # Single-sequence runs have no spread estimate: their standard errors and
     # the interval's ends are infinite, written as null.
     lo, hi = stats.slope_ci()
     payload = {
         "version": __version__,
         "config": echo,
-        "bounds": theoretical_bounds(config.p, config.a),
-        "admissible": config.admissible,
-        "label": "ADMISSIBLE" if config.admissible else "INADMISSIBLE",
+        "bounds": bounds,
+        "admissible": admissible,
+        "label": "ADMISSIBLE" if admissible else "INADMISSIBLE",
         "stats": {
             "n_sequences": stats.n,
             "pairs_per_sequence": stats.m,
@@ -437,7 +438,7 @@ def cmd_ifs(params: dict) -> int:
             "slope_ci_low": lo,
             "slope_ci_high": hi,
         },
-        "recurrence": {**dataclasses.asdict(recurrence), "satisfied": recurrence.satisfied},
+        "recurrence": stats.recurrence,
     }
     _write(params["out"], _dump_json(_plain(payload)))
     return EXIT_OK
@@ -466,8 +467,7 @@ def cmd_sweep(params: dict) -> int:
         bounds = theoretical_bounds(p, a)
         lines.append(
             f"{p!r},{a!r},{bounds.a_min!r},{bounds.K!r},{bounds.pair_slope_lb!r},"
-            f"{stats.mean_pair_gain!r},{stats.escape_fraction!r},"
-            f"{admissibility_label(p, a)}"
+            f"{stats.mean_pair_gain!r},{stats.escape_fraction!r},{bounds.label}"
         )
     _write(params["out"], "\n".join(lines) + "\n")
     return EXIT_OK

@@ -48,9 +48,7 @@ __all__ = [
     "IfsStats",
     "RecurrenceCheck",
     "TheoreticalBounds",
-    "admissibility_label",
     "bernoulli_sequence",
-    "expectation_recurrence_check",
     "monte_carlo",
     "monte_carlo_grid",
     "run_ifs",
@@ -79,8 +77,8 @@ class IfsConfig:
     """Description of one randomized-composition experiment.
 
     ``horizon`` is the even total number of map applications (2m).  Configs
-    with ``K <= 0`` are inadmissible for the escape guarantee but remain
-    runnable for exploration; outputs must label them as such.
+    that ``TheoreticalBounds.label`` does not call admissible remain runnable
+    for exploration; outputs must label them as such.
     """
 
     p: float
@@ -112,10 +110,6 @@ class IfsConfig:
     def pairs(self) -> int:
         return self.horizon // 2
 
-    @property
-    def admissible(self) -> bool:
-        return theoretical_bounds(self.p, self.a).K > 0.0
-
     def profiles(self) -> tuple[RadialProfile, AngularProfile]:
         # The radial profile is built directly so that exploratory a <= 4
         # configs run; the drift still goes through the validated factory
@@ -131,31 +125,27 @@ class TheoreticalBounds:
     K: float
     pair_slope_lb: float
 
+    @property
+    def label(self) -> str:
+        """The admissibility verdict: the sign of ``K``, or ``boundary`` within rounding of 0."""
+        if abs(self.K) <= 2e-12:
+            return "boundary"
+        return "admissible" if self.K > 0.0 else "inadmissible"
+
 
 def theoretical_bounds(p: float, a: float) -> TheoreticalBounds:
     """Minimum admissible expansion, expected per-pair gain bound and slope bound.
 
-    ``a_min = 1 / (p(1-p))``; ``K = 2 (a p (1-p) - 1)``, twice the
-    admissibility margin, decides admissibility everywhere; the asymptotic
-    per-pair slope bound ``a * 2p(1-p) - 2`` follows from the pairwise gain
-    inequality and the almost-sure mixed-pair frequency ``2p(1-p)``.
+    ``a_min = 1 / (p(1-p))``; ``K = 2 (a p (1-p) - 1)`` is twice the
+    admissibility margin and also the asymptotic per-pair slope bound
+    ``a * 2p(1-p) - 2`` (pairwise gain inequality, almost-sure mixed-pair
+    frequency ``2p(1-p)``), so ``pair_slope_lb`` holds ``K`` itself.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
     pq = p * (1.0 - p)
-    return TheoreticalBounds(
-        a_min=1.0 / pq,
-        K=2.0 * (a * pq - 1.0),
-        pair_slope_lb=a * 2.0 * pq - 2.0,
-    )
-
-
-def admissibility_label(p: float, a: float) -> str:
-    """``boundary`` when ``K`` is within 2e-12 of 0, else whether ``K`` is positive."""
-    K = theoretical_bounds(p, a).K
-    if abs(K) <= 2e-12:
-        return "boundary"
-    return "admissible" if K > 0.0 else "inadmissible"
+    K = 2.0 * (a * pq - 1.0)
+    return TheoreticalBounds(a_min=1.0 / pq, K=K, pair_slope_lb=K)
 
 
 def bernoulli_sequence(p, n: int, seed: int, stream: int = 0) -> np.ndarray:
@@ -277,6 +267,14 @@ class IfsStats:
         half = 1.96 * self.slope_se
         return (self.mean_pair_gain - half, self.mean_pair_gain + half)
 
+    @property
+    def recurrence(self) -> RecurrenceCheck:
+        """The mean per-pair slope against its floor K, within 3 standard errors
+        taken across sequences (pairs within one orbit are not independent)."""
+        gain, se = self.mean_pair_gain, self.slope_se
+        bound = theoretical_bounds(self.config.p, self.config.a).K
+        return RecurrenceCheck(gain, bound, se, satisfied=gain >= bound - 3.0 * se)
+
 
 def monte_carlo(config: IfsConfig, start: Angle = DEFAULT_START) -> IfsStats:
     """Aggregate independent runs over streams 0 .. n_sequences - 1."""
@@ -359,26 +357,4 @@ class RecurrenceCheck:
     per_pair_gain: float
     bound: float
     stderr: float
-
-    @property
-    def satisfied(self) -> bool:
-        return self.per_pair_gain >= self.bound - 3.0 * self.stderr
-
-
-def expectation_recurrence_check(config: IfsConfig, stats: IfsStats | None = None) -> RecurrenceCheck:
-    """Estimate the expected gain added per pair step and compare it to K.
-
-    The estimator is the mean per-pair slope across sequences; its standard
-    error is computed across sequences because pairs within one orbit are not
-    independent.  ``stats``, when given, must come from ``config`` itself.
-    """
-    if stats is None:
-        stats = monte_carlo(config)
-    elif stats.config != config:
-        raise ValueError("stats come from another experiment than config")
-    bounds = theoretical_bounds(config.p, config.a)
-    return RecurrenceCheck(
-        per_pair_gain=stats.mean_pair_gain,
-        bound=bounds.K,
-        stderr=stats.slope_se,
-    )
+    satisfied: bool

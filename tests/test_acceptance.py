@@ -25,7 +25,6 @@ from parrondo_maps import (
     check_cone_condition,
     classify_orbit,
     composition_radial_gain,
-    expectation_recurrence_check,
     inverse_f0,
     iterate,
     semistable_1d,
@@ -203,7 +202,7 @@ def test_criterion_6_slln_limit(mc_stats):
     two_pq = 0.5
     tol = 3.0 * math.sqrt(two_pq * (1.0 - two_pq) / MC_CONFIG.pairs)
     dev = abs(mc_stats.mean_mixed_fraction - two_pq)
-    check = expectation_recurrence_check(MC_CONFIG, stats=mc_stats)
+    check = mc_stats.recurrence
     ok = dev <= tol and check.per_pair_gain >= check.bound - 3.0 * check.stderr
     _report(
         6,

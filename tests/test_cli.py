@@ -9,7 +9,7 @@ from parrondo_maps import __version__, cli
 from parrondo_maps.circle import Angle
 from parrondo_maps.cli import main
 from parrondo_maps.highdim import ConeCheck
-from parrondo_maps.ifs import IfsConfig, admissibility_label, monte_carlo, theoretical_bounds
+from parrondo_maps.ifs import IfsConfig, monte_carlo, theoretical_bounds
 from parrondo_maps.planar import GainStudy
 from parrondo_maps.profiles import CheckResult, ValidationReport
 
@@ -388,6 +388,16 @@ class TestOrbit:
     def test_start_dimension_mismatch(self):
         assert run(["orbit", "--map", "hk", "--k", "4", "--start-cart", "1,1,1"]) == 2
 
+    @pytest.mark.parametrize("name", ["f0", "f1", "h", "hk", "jk"])
+    def test_huge_expansion_runs_every_map(self, name, tmp_path, capsys):
+        # At a = 1e308, 2a overflows, so h's half width must not be w / (2a);
+        # and no map may be refused for another map's arc.
+        out = tmp_path / "trace.csv"
+        assert run(["orbit", "--map", name, "--a", "1e308", "--steps", "5", "--window", "5", "--out", str(out)]) == 0
+        assert capsys.readouterr().err.startswith("classification=")
+        lines = out.read_text().splitlines()
+        assert lines[2] == "step,r,theta,gain" and lines[4].startswith("1,")
+
     @pytest.mark.parametrize("argv", [["--map", "f0"], ["--map", "h"], ["--map", "hk", "--word", "f0,f1"]])
     def test_unused_cartesian_start_is_rejected(self, argv, tmp_path, capsys):
         out = tmp_path / "trace.json"
@@ -552,6 +562,24 @@ class TestIfs:
                 "--sequences", "2", "--out", str(sweep)]
         assert run(argv) == 0
         assert sweep.read_text().splitlines()[3].endswith(",boundary")
+
+    @pytest.mark.parametrize("p, a", [
+        ("0.5", "4.0"),  # K = 0
+        ("0.08", "13.58695652173913"),  # a p (1 - p) rounds above 1, K is 0
+        ("0.5", "4.000000000001"),  # K = 5e-13, inside the boundary band
+        ("0.5", "4.000000000008"),  # K = 4e-12, outside it
+        ("0.5", "3.0"),
+        ("0.5", "5.0"),
+    ])
+    def test_ifs_and_sweep_give_one_verdict_per_cell(self, p, a, tmp_path):
+        stats, sweep = tmp_path / "stats.json", tmp_path / "sweep.csv"
+        runs = ["--horizon", "2", "--sequences", "1"]
+        assert run(["ifs", "--p", p, "--a", a, *runs, "--out", str(stats)]) == 0
+        assert run(["sweep", "--p-grid", p, "--a-grid", a, *runs, "--out", str(sweep)]) == 0
+        payload = json.loads(stats.read_text())
+        column = sweep.read_text().splitlines()[3].split(",")[-1]
+        assert payload["admissible"] is (column == "admissible")
+        assert payload["label"] == ("ADMISSIBLE" if column == "admissible" else "INADMISSIBLE")
 
     def test_inadmissible_label(self, tmp_path):
         out = tmp_path / "stats.json"
@@ -842,7 +870,7 @@ class TestSweep:
                 stats = monte_carlo(IfsConfig(p=p, a=a, seed=11, horizon=100, n_sequences=20))
                 expected.append(
                     f"{p!r},{a!r},{b.a_min!r},{b.K!r},{b.pair_slope_lb!r},{stats.mean_pair_gain!r},"
-                    f"{stats.escape_fraction!r},{admissibility_label(p, a)}"
+                    f"{stats.escape_fraction!r},{b.label}"
                 )
         assert rows == expected
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parrondo_maps import ifs
@@ -13,9 +13,8 @@ from parrondo_maps.dynamics import iterate
 from parrondo_maps.ifs import (
     IfsConfig,
     IfsStats,
-    admissibility_label,
+    RecurrenceCheck,
     bernoulli_sequence,
-    expectation_recurrence_check,
     monte_carlo,
     monte_carlo_grid,
     run_ifs,
@@ -92,11 +91,17 @@ class TestTheoreticalBounds:
         with pytest.raises(ValueError):
             theoretical_bounds(0.0, 5.0)
 
-    @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.floats(0.0, 1e6, exclude_min=True))
+    @given(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.floats(0.0, exclude_min=True, allow_infinity=False),
+    )
+    @example(0.5, 1e308)
     def test_k_and_the_slope_bound_are_the_same_float(self, p, a):
-        # 2 (a pq - 1) and 2 a pq - 2 round alike, since doubling is exact.
+        # Every positive finite a, those whose double overflows included:
+        # a * pq <= a / 4, so K is finite.
         b = theoretical_bounds(p, a)
         assert b.K == b.pair_slope_lb
+        assert math.isfinite(b.K)
 
 
 class TestConfig:
@@ -126,9 +131,13 @@ class TestConfig:
             small_config(escape_threshold=bad)
 
     def test_admissibility(self):
-        assert small_config(a=5.0).admissible
-        assert not small_config(a=4.0).admissible
-        assert not small_config(a=3.0).admissible
+        # A config's verdict is the label of its cell's bounds.  At
+        # small_config's p = 1/2, K = 4e-12 clears the boundary band and
+        # K = +-5e-13 does not.
+        cells = [(5.0, "admissible"), (4.000000000008, "admissible"), (4.000000000001, "boundary"),
+                 (4.0, "boundary"), (3.999999999999, "boundary"), (3.0, "inadmissible")]
+        for a, label in cells:
+            assert theoretical_bounds(0.5, a).label == label
 
     @pytest.mark.parametrize("field", ["horizon", "n_sequences"])
     def test_counts_must_be_integers(self, field):
@@ -139,17 +148,17 @@ class TestConfig:
     def test_admissibility_agrees_with_k_and_the_sweep_label(self):
         # a p (1 - p) rounds above 1 here while K = 2 (a (p (1 - p)) - 1) is 0.
         config = small_config(p=0.08, a=13.58695652173913)
-        assert theoretical_bounds(config.p, config.a).K == 0.0
-        assert not config.admissible
-        assert admissibility_label(config.p, config.a) == "boundary"
+        bounds = theoretical_bounds(config.p, config.a)
+        assert bounds.K == 0.0
+        assert bounds.label == "boundary"
         for p, a in [(0.5, 5.0), (0.5, 4.0), (0.5, 3.0), (0.1, 12.0), (0.9, 11.0)]:
-            K = theoretical_bounds(p, a).K
-            assert small_config(p=p, a=a).admissible == (K > 0.0)
-            assert admissibility_label(p, a) == ("boundary" if K == 0.0 else "admissible" if K > 0.0 else "inadmissible")
+            bounds = theoretical_bounds(p, a)
+            K = bounds.K
+            assert bounds.label == ("boundary" if K == 0.0 else "admissible" if K > 0.0 else "inadmissible")
 
     def test_inadmissible_configs_still_run(self):
         stats = monte_carlo(small_config(a=3.0, n_sequences=5, horizon=100))
-        assert not stats.config.admissible
+        assert theoretical_bounds(stats.config.p, stats.config.a).label == "inadmissible"
         assert 0.0 <= stats.escape_fraction <= 1.0
 
 
@@ -396,26 +405,33 @@ class TestMonteCarloGrid:
 
 class TestRecurrence:
     def test_satisfied_at_defaults(self):
-        config = small_config()
-        check = expectation_recurrence_check(config)
+        check = monte_carlo(small_config()).recurrence
         assert check.bound == 0.5
         assert check.satisfied
         assert check.per_pair_gain >= check.bound
 
     def test_larger_expansion_raises_bound(self):
-        config = small_config(a=8.0, n_sequences=50)
-        check = expectation_recurrence_check(config)
+        check = monte_carlo(small_config(a=8.0, n_sequences=50)).recurrence
         assert check.bound == pytest.approx(2.0, abs=1e-12)
         assert check.satisfied
 
     def test_reuses_precomputed_stats(self):
         config = small_config(n_sequences=10)
         stats = monte_carlo(config)
-        check = expectation_recurrence_check(config, stats=stats)
+        check = stats.recurrence
         assert check.per_pair_gain == stats.mean_pair_gain
+        assert check.stderr == stats.slope_se
+        assert check.bound == theoretical_bounds(config.p, config.a).K
 
-    @pytest.mark.parametrize("other", [dict(p=0.1, a=50.0), dict(seed=1)], ids=["p-and-a", "seed"])
-    def test_refuses_stats_of_another_experiment(self, other):
-        stats = monte_carlo(small_config(n_sequences=10))
-        with pytest.raises(ValueError):
-            expectation_recurrence_check(small_config(n_sequences=10, **other), stats=stats)
+    def test_satisfied_is_decided_within_three_standard_errors(self):
+        # K = 2 at a = 8; the stats are written by hand, so the slopes are exact.
+        config = small_config(a=8.0, horizon=4, n_sequences=4)
+        for slopes, satisfied in [([0.0, 0.0, 0.0, 0.0], False), ([0.0, 4.0, 0.0, 4.0], True)]:
+            stats = IfsStats(config=config, deltas=2.0 * np.array(slopes), k_counts=np.zeros(4, dtype=np.int64))
+            check = stats.recurrence
+            assert check == RecurrenceCheck(stats.mean_pair_gain, 2.0, stats.slope_se, satisfied)
+
+    def test_one_sequence_has_no_spread_and_passes(self):
+        stats = IfsStats(config=small_config(n_sequences=1), deltas=np.array([-1.0]), k_counts=np.zeros(1))
+        assert stats.recurrence.stderr == math.inf
+        assert stats.recurrence.satisfied
