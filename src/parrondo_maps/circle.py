@@ -59,7 +59,7 @@ def _as_turns(x):
 
 def _dist_to_zero(theta):
     """Distance from a circle point to 0, in [0, 1/2] turns; elementwise on arrays."""
-    t = _mod1(_as_turns(theta))
+    t = _mod1(theta)
     if isinstance(t, np.ndarray):
         return np.minimum(t, 1.0 - t)
     return t if t <= 0.5 else 1.0 - t

@@ -297,6 +297,8 @@ def cmd_verify(params: dict) -> int:
     for name, value in (("a", a), ("d", d)):
         if not math.isfinite(value):
             raise ConfigError(f"--{name} must be finite, got {value}")
+    if not math.isfinite(2.0 * a):
+        raise ConfigError(f"--a is too large: a word of two maps gains up to 2 (a - 1), got {a}")
     if not 0.0 < w < 0.5:
         raise ConfigError(f"w must lie in (0, 1/2) to describe an arc, got {w}")
     # Raw profiles on purpose: out-of-range parameters must surface as failed
@@ -353,8 +355,6 @@ def _build_orbit(params: dict):
     if name in planar:
         fn, trap = planar[name]
         return (lambda p: fn(rp, ap, p)), _parse_cyl_start(params["start"]), trap()
-    if name not in ("hk", "jk"):
-        raise ConfigError(f"unknown map {name!r}")
     start = np.ones(k)
     if params["start_cart"] is not None:
         start = np.asarray(_parse_floats(params["start_cart"]), dtype=float)

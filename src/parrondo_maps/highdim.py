@@ -60,8 +60,8 @@ def _half_step(rp: RadialProfile, ap: AngularProfile, r, polar):
 
 
 def apply_h(rp: RadialProfile, ap: AngularProfile, p: CylPoint) -> CylPoint:
-    """The axially symmetric planar map: ``_circle_h`` at the point's one angle."""
-    gain, image = _circle_h(rp, ap, p.theta.value)
+    """The axially symmetric planar map: ``_circle_step`` at the point's one angle and ``s = 0``."""
+    gain, image = _circle_step(rp, ap, p.theta.value, 0)
     return CylPoint(p.r + float(gain), Angle(float(image)))
 
 
@@ -135,22 +135,18 @@ def apply_j_k(rp: RadialProfile, ap: AngularProfile, x) -> np.ndarray:
     return np.array(y)
 
 
-def _circle_h(rp: RadialProfile, ap: AngularProfile, alpha: np.ndarray):
-    """``h_k`` on the (x_0, x_last) great circle, elementwise: (log-radius gain, image angle).
+def _circle_step(rp: RadialProfile, ap: AngularProfile, alpha, s):
+    """``h_k`` (``s = 0``) or ``j_k`` (``s = 1``; an array gives one per lane) on the
+    (x_0, x_last) great circle, elementwise: (log-radius gain, image angle).
 
     ``alpha`` is in turns from +e_last toward +e_0.  The half x_0 >= 0 keeps
     the direction +e_0 and the other half -e_0, so ``h_k`` acts as ``apply_h``.
+    ``j_k`` is ``h_k`` conjugated by the quarter turn alpha -> alpha + 1/4.
     """
-    t = _mod1(alpha)
+    t = _mod1(alpha + 0.25 * s)
     upper = t <= 0.5
     gain, polar = _half_step(rp, ap, 0.0, np.where(upper, t, 1.0 - t))
-    return gain, np.where(upper, polar, 1.0 - polar)
-
-
-def _circle_j(rp: RadialProfile, ap: AngularProfile, alpha: np.ndarray):
-    """``j_k`` on the same circle, where the quarter turn e_last -> e_0 is alpha -> alpha + 1/4."""
-    gain, image = _circle_h(rp, ap, alpha + 0.25)
-    return gain, image - 0.25
+    return gain, np.where(upper, polar, 1.0 - polar) - 0.25 * s
 
 
 @dataclass(frozen=True)
@@ -210,10 +206,10 @@ def _cone_check(rp: RadialProfile, ap: AngularProfile, n_samples: int, seed: int
 
     # Circle angles: the seeded samples, then +e_last, -e_last, +e_0 and -e_0.
     alpha = np.concatenate([np.random.default_rng(seed).random(n_samples), [0.0, 0.5, 0.25, 0.75]])
-    gain_h, after_h = _circle_h(rp, ap, alpha)
-    gain_j, after_j = _circle_j(rp, ap, alpha)
+    gain_h, after_h = _circle_step(rp, ap, alpha, 0)
+    gain_j, after_j = _circle_step(rp, ap, alpha, 1)
     return ConeCheck(
         holds=holds,
-        min_gain_jh=float(np.min(gain_h + _circle_j(rp, ap, after_h)[0])),
-        min_gain_hj=float(np.min(gain_j + _circle_h(rp, ap, after_j)[0])),
+        min_gain_jh=float(np.min(gain_h + _circle_step(rp, ap, after_h, 1)[0])),
+        min_gain_hj=float(np.min(gain_j + _circle_step(rp, ap, after_j, 0)[0])),
     )

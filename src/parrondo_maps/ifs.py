@@ -101,6 +101,9 @@ class IfsConfig:
             raise ValueError(f"n_sequences must be a positive integer, got {self.n_sequences}")
         if not (math.isfinite(self.a) and self.a > 0.0):
             raise ValueError(f"expansion a must be finite and positive, got {self.a}")
+        # Bounds every sum of gains; an int compares with a float exactly, with no overflow.
+        if not self.horizon * self.n_sequences <= np.finfo(float).max / (2.0 * self.a):
+            raise ValueError(f"expansion a = {self.a} is too large for {self.n_sequences} x {self.horizon} steps")
         if not 0.0 < self.w < 0.25:
             raise ValueError(f"w must lie in (0, 1/4), got {self.w}")
         if not math.isfinite(self.escape_threshold):
@@ -260,7 +263,10 @@ class IfsStats:
         """Standard error of the mean per-pair slope across sequences."""
         if self.n < 2:
             return math.inf
-        return float(np.std(self.deltas / self.m, ddof=1)) / math.sqrt(self.n)
+        # Scaled by a power of two, exactly, so that no square overflows.
+        slopes = self.deltas / self.m
+        scale = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(slopes))))[1])
+        return float(np.std(slopes * scale, ddof=1)) / scale / math.sqrt(self.n)
 
     def slope_ci(self) -> tuple[float, float]:
         """The normal 95% interval of the mean per-pair slope."""

@@ -6,15 +6,14 @@ Cartesian radius is ``exp(r)``, so additive radial increments bounded in
 map extends continuously to the plane by fixing the origin.
 
 The first map ``f0`` adds the profile increments; the second map ``f1`` is its
-conjugate by the half-turn ``tau``, so its slow arc sits antipodally.  Words
-over {F0, F1} compose left letter first, matching the subscript order of the
-random composition model.
+conjugate by the half-turn ``tau``, so its slow arc sits antipodally.  A word
+is a sequence of symbols, 0 for ``f0`` and 1 for ``f1`` as in the random
+composition model, and composes left symbol first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from math import isfinite
 from typing import Callable, Iterator
 
@@ -26,7 +25,6 @@ from .profiles import AngularProfile, RadialProfile
 __all__ = [
     "CylPoint",
     "GainStudy",
-    "Letter",
     "MapWord",
     "apply_f0",
     "apply_f1",
@@ -64,45 +62,39 @@ _set_r = CylPoint.r.__set__
 _set_theta = CylPoint.theta.__set__
 
 
-class Letter(str, Enum):
-    F0 = "f0"
-    F1 = "f1"
-
-
-# Angular offset conjugating each letter's profiles: f1 sees the circle shifted
-# by a half turn.
-_SHIFT = {Letter.F0: 0.0, Letter.F1: 0.5}
-
-
 @dataclass(frozen=True)
 class MapWord:
-    """A finite composition over {F0, F1}; letters[0] is applied first."""
+    """A finite composition of ``f0`` (symbol 0) and ``f1`` (symbol 1); symbols[0] is applied first."""
 
-    letters: tuple[Letter, ...]
+    symbols: tuple[int, ...]
 
     def __post_init__(self):
-        letters = tuple(Letter(l) for l in self.letters)
-        if not letters:
+        symbols = tuple(self.symbols)
+        if not symbols:
             raise ValueError("a map word must contain at least one letter")
-        object.__setattr__(self, "letters", letters)
+        if not all(s == 0 or s == 1 for s in symbols):
+            raise ValueError(f"each symbol of a map word must be 0 or 1, got {self.symbols!r}")
+        object.__setattr__(self, "symbols", tuple(int(s) for s in symbols))
 
     @classmethod
     def parse(cls, text: str) -> "MapWord":
         """Accepts 'f0,f1', 'f0 f1' or the compact binary form '01'."""
         text = text.strip().lower()
         if set(text) <= {"0", "1"} and text:
-            return cls(tuple(Letter.F1 if c == "1" else Letter.F0 for c in text))
-        parts = [p for p in text.replace(",", " ").split() if p]
-        return cls(tuple(Letter(p) for p in parts))
+            return cls(tuple(int(c) for c in text))
+        parts = text.replace(",", " ").split()
+        if not set(parts) <= {"f0", "f1"}:
+            raise ValueError(f"a map word holds only the letters f0 and f1, got {text!r}")
+        return cls(tuple(int(p[1]) for p in parts))
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.symbols)
 
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.symbols)
 
     def __str__(self) -> str:
-        return ",".join(l.value for l in self.letters)
+        return ",".join(f"f{s}" for s in self.symbols)
 
 
 def apply_f0(rp: RadialProfile, ap: AngularProfile, p: CylPoint) -> CylPoint:
@@ -120,15 +112,12 @@ def apply_f1(rp: RadialProfile, ap: AngularProfile, p: CylPoint) -> CylPoint:
     return CylPoint(p.r + rp.delta_r(u), Angle((u + ap.delta_theta(u)) % 1.0 + 0.5))
 
 
-_APPLY = {Letter.F0: apply_f0, Letter.F1: apply_f1}
-
-
 def word_step(word: MapWord, rp: RadialProfile, ap: AngularProfile) -> Callable[[CylPoint], CylPoint]:
     """Step function applying the whole word once; handy for orbit iteration."""
 
     def step(p: CylPoint) -> CylPoint:
-        for letter in word:
-            p = _APPLY[letter](rp, ap, p)
+        for s in word:
+            p = (apply_f1 if s else apply_f0)(rp, ap, p)
         return p
 
     return step
@@ -189,8 +178,8 @@ def composition_radial_gain(
         e = edges[lo:lo + GAIN_CELLS + 1]
         gains = np.zeros(len(e) - 1)
         bound = np.zeros(len(e) - 1)
-        for letter in word:
-            shifted = e + _SHIFT[letter]
+        for s in word:
+            shifted = e + 0.5 * s
             de = rp.delta_r(shifted)
             gains += de[:-1]
             contains_zero = _mod1(-shifted[:-1]) <= e[1:] - e[:-1]

@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .circle import Angle, CircleInterval, _as_turns, _dist_to_zero, _mod1
+from .circle import Angle, CircleInterval, _dist_to_zero, _mod1
 from .errors import (
     BadExpansionError,
     BadWidthError,
@@ -83,17 +83,15 @@ class RadialProfile:
     w: float
 
     def delta_r(self, theta):
-        # A plain float, one orbit step, skips the Angle and array tests.
+        # A plain float, one orbit step, skips numpy; its test keeps w = 0 from dividing.
         if isinstance(theta, float):
             t = theta % 1.0
             dist = t if t <= 0.5 else 1.0 - t
-        else:
-            dist = _dist_to_zero(theta)
-            if isinstance(dist, np.ndarray):
-                return np.where(dist >= self.w, self.a - 1.0, self.a * (dist / self.w) - 1.0)
-        if dist >= self.w:
-            return self.a - 1.0
-        return self.a * (dist / self.w) - 1.0
+            if dist >= self.w:
+                return self.a - 1.0
+            return self.a * (dist / self.w) - 1.0
+        # Past the arc min(dist, w) / w is exactly 1.0: the float branch, with no overflow.
+        return self.a * (np.minimum(_dist_to_zero(theta), self.w) / self.w) - 1.0
 
 
 @dataclass(frozen=True)
@@ -122,12 +120,8 @@ class AngularProfile:
 
     def delta_theta(self, theta):
         if isinstance(theta, float):
-            t = theta % 1.0
-        else:
-            t = _mod1(_as_turns(theta))
-            if isinstance(t, np.ndarray):
-                return 0.5 * self.d * (1.0 - np.cos(TWO_PI * t))
-        return 0.5 * self.d * (1.0 - math.cos(TWO_PI * t))
+            return 0.5 * self.d * (1.0 - math.cos(TWO_PI * (theta % 1.0)))
+        return 0.5 * self.d * (1.0 - np.cos(TWO_PI * _mod1(theta)))
 
     def _piecewise_linear_drift(self, theta):
         return 2.0 * self.d * _dist_to_zero(theta)

@@ -111,6 +111,40 @@ def test_unallocatable_size_is_a_bad_config(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+HUGE_A_ARGV = {
+    "ifs": ["ifs", "--horizon", "200", "--sequences", "50", "--a"],
+    "sweep": ["sweep", "--p-grid", "0.5", "--horizon", "200", "--sequences", "50", "--a-grid"],
+    "verify": ["verify", "--grid", "2000", "--a"],
+}
+
+
+@pytest.mark.parametrize("a", ["1e160", "1e200", "1e300", "1e305", "1e308"])
+@pytest.mark.parametrize("command", sorted(HUGE_A_ARGV))
+def test_huge_expansion_is_computed_or_refused(command, a, tmp_path, capsys):
+    # A run at huge a either writes finite statistics that read as they
+    # should, or is refused with one error line.  ifs and sweep refuse an a
+    # whose 2 a * horizon * sequences overflows, verify one whose 2 a does.
+    out = tmp_path / "out"
+    code = run(HUGE_A_ARGV[command] + [a, "--out", str(out)])
+    err = capsys.readouterr().err
+    if float(a) >= (1e308 if command == "verify" else 1e305):
+        assert code == 2 and not out.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return
+    assert code == 0 and err == ""
+    text = out.read_text()
+    if command == "sweep":
+        cells = text.splitlines()[-1].split(",")
+        assert all(math.isfinite(float(v)) for v in cells[:-1]) and cells[-1] == "admissible"
+    elif command == "ifs":
+        payload = strict_json(text)
+        assert "null" not in text and payload["recurrence"]["satisfied"] is True
+    else:
+        payload = strict_json(text)
+        assert payload["passed"] is True
+        assert all(None not in g.values() for g in payload["compositions"].values())
+
+
 class TestConfigFileValues:
     def test_value_outside_choices(self, tmp_path, capsys):
         cfg, out = tmp_path / "c.json", tmp_path / "t.csv"

@@ -307,13 +307,26 @@ class TestCircleStep:
     def test_matches_the_suspension_on_the_circle(self, k, shape):
         rp, ap = _profiles_with(shape)
         alpha = np.concatenate([np.random.default_rng(k).random(100), [0.0, 0.25, 0.5, 0.75]])
-        for circle_step, fn in ((highdim._circle_h, apply_h_k), (highdim._circle_j, apply_j_k)):
-            gains, images = circle_step(rp, ap, alpha)
+        for sym, fn in ((0, apply_h_k), (1, apply_j_k)):
+            gains, images = highdim._circle_step(rp, ap, alpha, sym)
             for t, gain, image in zip(alpha, gains, images):
                 y = fn(rp, ap, _circle_point(k, t))
                 norm = robust_norm(y)
                 assert math.log(norm) == pytest.approx(gain, abs=1e-9)
                 np.testing.assert_allclose(y / norm, _circle_point(k, image), rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("shape", list(AngularShape))
+    def test_symbol_array_matches_the_scalar_steps(self, shape):
+        # One call with a symbol per lane is each lane's own call, bit for bit.
+        rp, ap = _profiles_with(shape)
+        rng = np.random.default_rng(7)
+        edges = [0.0, 0.25, 0.5, 0.75, np.nextafter(0.25, 0.0), np.nextafter(0.75, 1.0)]
+        alpha = np.concatenate([rng.random(200), edges])
+        syms = rng.integers(0, 2, len(alpha))
+        gains, images = highdim._circle_step(rp, ap, alpha, syms)
+        lanes = [highdim._circle_step(rp, ap, float(t), int(s)) for t, s in zip(alpha, syms)]
+        got = np.stack([gains, images], axis=1)
+        np.testing.assert_array_equal(got.view(np.uint64), np.array(lanes, dtype=float).view(np.uint64))
 
 
 class TestConeCondition:

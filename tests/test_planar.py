@@ -11,7 +11,6 @@ from parrondo_maps.circle import Angle, CircleInterval, circle_dist, wrap_turns
 from parrondo_maps.planar import (
     CERTIFICATE_SLACK,
     CylPoint,
-    Letter,
     MapWord,
     apply_f0,
     apply_f1,
@@ -48,13 +47,22 @@ def _tau(p):
 
 class TestMapWord:
     def test_parse_forms(self):
-        assert MapWord.parse("f0,f1").letters == (Letter.F0, Letter.F1)
-        assert MapWord.parse("01").letters == (Letter.F0, Letter.F1)
-        assert MapWord.parse("f1 f0").letters == (Letter.F1, Letter.F0)
+        assert MapWord.parse("f0,f1").symbols == (0, 1)
+        assert MapWord.parse("01").symbols == (0, 1)
+        assert MapWord.parse("f1 f0").symbols == (1, 0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             MapWord(())
+
+    @pytest.mark.parametrize("symbols", [(0, 2), (0.5,)])
+    def test_symbols_other_than_0_and_1_rejected(self, symbols):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            MapWord(symbols)
+
+    def test_unknown_letter_rejected(self):
+        with pytest.raises(ValueError, match="'f2'"):
+            MapWord.parse("f2")
 
     def test_str_round_trip(self):
         word = MapWord.parse("f0,f1,f1")
@@ -293,9 +301,7 @@ class TestCompositionGain:
             return
         rp = make_radial_profile(a, w)
         ap = make_angular_profile(d, w_ref=w)
-        word = MapWord(
-            tuple(Letter.F1 if (word_bits >> i) & 1 else Letter.F0 for i in range(word_len))
-        )
+        word = MapWord(tuple((word_bits >> i) & 1 for i in range(word_len)))
         study = composition_radial_gain(word, rp, ap, grid_n=257)
         step = word_step(word, rp, ap)
         probe = min(
@@ -313,8 +319,8 @@ def _cellwise_gain_study(word, rp, ap, grid_n):
     edges = np.linspace(0.0, 1.0, grid_n + 1)
     lo, hi = edges[:-1].copy(), edges[1:].copy()
     gains, bound = np.zeros(grid_n), np.zeros(grid_n)
-    for letter in word:
-        s = 0.5 if letter is Letter.F1 else 0.0
+    for sym in word:
+        s = 0.5 if sym == 1 else 0.0
         dlo, dhi = rp.delta_r(lo + s), rp.delta_r(hi + s)
         gains += dlo
         contains_zero = (-(lo + s)) % 1.0 <= hi - lo
@@ -330,7 +336,7 @@ class TestSharedEdgeBitIdentity:
     # one-cell last block at the planar.GAIN_CELLS = 8192 block boundary.
     @pytest.mark.parametrize("grid_n", [2, 3, 1000, 8191, 8192, 8193, 16385])
     def test_matches_the_cellwise_propagation(self, profiles_by_shape, grid_n):
-        words = [MapWord(letters) for n in range(1, 5) for letters in itertools.product(Letter, repeat=n)]
+        words = [MapWord(symbols) for n in range(1, 5) for symbols in itertools.product((0, 1), repeat=n)]
         for rp, ap in profiles_by_shape.values():
             for word in words:
                 study = composition_radial_gain(word, rp, ap, grid_n=grid_n)

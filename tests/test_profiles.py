@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -50,12 +51,18 @@ class TestRadialProfile:
         assert rp.delta_r(rp.w) == 4.0
         assert rp.delta_r(rp.w - eps) == pytest.approx(4.0, abs=1e-9)
 
-    def test_array_evaluation_matches_scalar(self, profiles):
-        rp, _ = profiles
-        thetas = np.linspace(0.0, 1.0, 101)
-        np.testing.assert_array_equal(
-            rp.delta_r(thetas), np.array([rp.delta_r(float(t)) for t in thetas])
-        )
+    def test_array_evaluation_matches_scalar(self):
+        # Every a, those whose a * (dist / w) overflows past the arc included,
+        # and the float neighbours of the arc's edges, the antipode and 1.
+        for a, w in itertools.product(
+            [5.0, 4.000000000001, 12.0, 1e6, 1e300, 1e308, sys.float_info.max], [0.125, 0.05, 0.2]
+        ):
+            rp = RadialProfile(a, w)
+            edges = [x for e in (w, -w, 0.5, 1.0) for x in (math.nextafter(e, -1.0), e, math.nextafter(e, 2.0))]
+            thetas = np.concatenate([np.linspace(0.0, 1.0, 101), edges])
+            np.testing.assert_array_equal(
+                rp.delta_r(thetas), np.array([rp.delta_r(float(t)) for t in thetas]), err_msg=f"a={a}, w={w}"
+            )
 
     def test_grid_minimum_only_in_trap_closure(self, profiles):
         rp, _ = profiles
