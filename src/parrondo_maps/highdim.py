@@ -26,7 +26,7 @@ from math import acos, copysign, cos, exp, hypot, inf, log, sin
 import numpy as np
 
 from .circle import Angle, _mod1
-from .planar import CylPoint
+from .planar import GAIN_CELLS, CylPoint
 from .profiles import TWO_PI, AngularProfile, RadialProfile
 
 __all__ = [
@@ -186,12 +186,18 @@ def check_cone_condition(
     (``j_k`` after ``h_k``) or the same angle from the first axis (``h_k``
     after ``j_k``), so the result does not depend on k, and every k gets the
     same memoised ``ConeCheck`` object.  On the circle both are circle maps.
+
+    The samples are drawn in one call and go through the maps in blocks of
+    ``planar.GAIN_CELLS`` angles, so a check holds the draw (8 bytes per
+    sample) plus one block's temporaries.  A count whose draw cannot be
+    allocated raises ``MemoryError``, which the CLI reports with exit status 2.
+    ``k``, ``n_samples`` and ``seed`` must be integers; a ``bool`` is refused.
     """
-    if not (isinstance(k, numbers.Integral) and k >= 3):
+    if not (isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= 3):
         raise ValueError(f"cone check needs an integer dimension k >= 3, got {k!r}")
-    if not (isinstance(n_samples, numbers.Integral) and n_samples >= 1):
+    if not (isinstance(n_samples, numbers.Integral) and not isinstance(n_samples, bool) and n_samples >= 1):
         raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if not 0.0 < rp.w < 0.5:
         raise ValueError(f"w must lie in (0, 1/2) turns, got {rp.w}")
@@ -204,12 +210,15 @@ def _cone_check(rp: RadialProfile, ap: AngularProfile, n_samples: int, seed: int
     gap = 0.5 - 2.0 * rp.w
     holds = bool(gap > 0.0 and abs(ap.delta_theta(rp.w)) <= gap)
 
-    # Circle angles: the seeded samples, then +e_last, -e_last, +e_0 and -e_0.
-    alpha = np.concatenate([np.random.default_rng(seed).random(n_samples), [0.0, 0.5, 0.25, 0.75]])
-    gain_h, after_h = _circle_step(rp, ap, alpha, 0)
-    gain_j, after_j = _circle_step(rp, ap, alpha, 1)
-    return ConeCheck(
-        holds=holds,
-        min_gain_jh=float(np.min(gain_h + _circle_step(rp, ap, after_h, 1)[0])),
-        min_gain_hj=float(np.min(gain_j + _circle_step(rp, ap, after_j, 0)[0])),
-    )
+    # Circle angles: the seeded samples in blocks of GAIN_CELLS, each a view of
+    # the one draw, then +e_last, -e_last, +e_0 and -e_0 as a last block.
+    samples = np.random.default_rng(seed).random(n_samples)
+    blocks = [samples[lo:lo + GAIN_CELLS] for lo in range(0, n_samples, GAIN_CELLS)]
+    blocks.append(np.array([0.0, 0.5, 0.25, 0.75]))
+    mins_jh, mins_hj = [], []
+    for alpha in blocks:
+        gain_h, after_h = _circle_step(rp, ap, alpha, 0)
+        gain_j, after_j = _circle_step(rp, ap, alpha, 1)
+        mins_jh.append(np.min(gain_h + _circle_step(rp, ap, after_h, 1)[0]))
+        mins_hj.append(np.min(gain_j + _circle_step(rp, ap, after_j, 0)[0]))
+    return ConeCheck(holds=holds, min_gain_jh=float(np.min(mins_jh)), min_gain_hj=float(np.min(mins_hj)))

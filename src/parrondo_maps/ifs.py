@@ -93,11 +93,20 @@ class IfsConfig:
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must lie strictly between 0 and 1, got {self.p}")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        if not (isinstance(self.horizon, numbers.Integral) and self.horizon >= 2 and self.horizon % 2 == 0):
+        if not (
+            isinstance(self.horizon, numbers.Integral)
+            and not isinstance(self.horizon, bool)
+            and self.horizon >= 2
+            and self.horizon % 2 == 0
+        ):
             raise ValueError(f"horizon must be an even integer >= 2, got {self.horizon}")
-        if not (isinstance(self.n_sequences, numbers.Integral) and self.n_sequences >= 1):
+        if not (
+            isinstance(self.n_sequences, numbers.Integral)
+            and not isinstance(self.n_sequences, bool)
+            and self.n_sequences >= 1
+        ):
             raise ValueError(f"n_sequences must be a positive integer, got {self.n_sequences}")
         if not (math.isfinite(self.a) and self.a > 0.0):
             raise ValueError(f"expansion a must be finite and positive, got {self.a}")

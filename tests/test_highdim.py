@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -374,7 +375,7 @@ class TestConeCondition:
             with pytest.raises(ValueError):
                 check_cone_condition(RadialProfile(5.0, w), AngularProfile(0.25, w), 3, n_samples=10)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True, False])
     def test_seed_must_be_a_non_negative_integer(self, profiles, seed):
         rp, ap = profiles
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
@@ -386,7 +387,7 @@ class TestConeCondition:
         with pytest.raises(ValueError, match="integer dimension k >= 3, got"):
             check_cone_condition(rp, ap, k, n_samples=10)
 
-    @pytest.mark.parametrize("n_samples", [2.5, 10.0, "10", 0, -3])
+    @pytest.mark.parametrize("n_samples", [2.5, 10.0, "10", 0, -3, True, False])
     def test_sample_count_must_be_a_positive_integer(self, profiles, n_samples):
         rp, ap = profiles
         with pytest.raises(ValueError, match="n_samples must be a positive integer, got"):
@@ -486,12 +487,74 @@ class TestConeMemo:
             check_cone_condition(rp, ap, 2, n_samples=50, seed=1)
         with pytest.raises(ValueError, match="n_samples"):
             check_cone_condition(rp, ap, 3, n_samples=0, seed=1)
+        # True == 1 and False == 0 hash alike, so a bool would hit this entry.
+        check_cone_condition(rp, ap, 3, n_samples=1, seed=0)
+        with pytest.raises(ValueError, match="n_samples"):
+            check_cone_condition(rp, ap, 3, n_samples=True, seed=0)
+        with pytest.raises(ValueError, match="seed"):
+            check_cone_condition(rp, ap, 3, n_samples=1, seed=False)
         # Warm the memo on a profile the public check rejects.
         for w in (0.5, 0.7):
             wide_rp, wide_ap = RadialProfile(5.0, w), AngularProfile(0.25, w)
             highdim._cone_check(wide_rp, wide_ap, 50, 1)
             with pytest.raises(ValueError, match="w must lie"):
                 check_cone_condition(wide_rp, wide_ap, 3, n_samples=50, seed=1)
+
+
+def _one_array_cone_minima(rp, ap, n_samples, seed):
+    """The composed-gain minima with every circle angle in one array: the
+    samples with the four axes appended, each map applied once."""
+    alpha = np.concatenate([np.random.default_rng(seed).random(n_samples), [0.0, 0.5, 0.25, 0.75]])
+    gain_h, after_h = highdim._circle_step(rp, ap, alpha, 0)
+    gain_j, after_j = highdim._circle_step(rp, ap, alpha, 1)
+    return (
+        float(np.min(gain_h + highdim._circle_step(rp, ap, after_h, 1)[0])),
+        float(np.min(gain_j + highdim._circle_step(rp, ap, after_j, 0)[0])),
+    )
+
+
+class TestConeBlocks:
+    """The sampled circle goes through the maps in blocks of ``GAIN_CELLS``
+    angles, with the axes as a last block."""
+
+    @pytest.mark.parametrize("shape", list(AngularShape))
+    @pytest.mark.parametrize("w", [0.125, 0.4])
+    @pytest.mark.parametrize("n_samples", [1, 8191, 8192, 8193, 16384, 16385, 30000])
+    def test_minima_equal_the_one_array_formula(self, n_samples, w, shape):
+        # 8192 and 16384 end a block exactly; 8193 and 16385 leave a block of
+        # one sample.  At w = 0.125 every minimum sits on an axis (3.0); at
+        # w = 0.4 the cone condition fails and the minima come from samples.
+        rp, ap = RadialProfile(5.0, w), AngularProfile(0.25, w, shape)
+        result = highdim._cone_check.__wrapped__(rp, ap, n_samples, 5)
+        jh, hj = _one_array_cone_minima(rp, ap, n_samples, 5)
+        assert (result.min_gain_jh.hex(), result.min_gain_hj.hex()) == (jh.hex(), hj.hex())
+
+    @pytest.mark.parametrize("shape, n_samples, seed", [
+        (AngularShape.RAISED_COSINE, 8192, 1538), (AngularShape.RAISED_COSINE, 8193, 7208),
+        (AngularShape.RAISED_COSINE, 16384, 3970), (AngularShape.RAISED_COSINE, 16385, 8327),
+        (AngularShape.PIECEWISE_LINEAR, 8192, 1461), (AngularShape.PIECEWISE_LINEAR, 8193, 22762),
+        (AngularShape.PIECEWISE_LINEAR, 16384, 2311), (AngularShape.PIECEWISE_LINEAR, 16385, 12047),
+    ])
+    def test_a_minimum_on_a_block_edge(self, shape, n_samples, seed):
+        # At these seeds the last sample, the last of a block or alone in
+        # one, sets a minimum, so a block split that loses it shows.
+        rp, ap = RadialProfile(5.0, 0.4), AngularProfile(0.25, 0.4, shape)
+        jh, hj = _one_array_cone_minima(rp, ap, n_samples, seed)
+        assert (jh, hj) != _one_array_cone_minima(rp, ap, n_samples - 1, seed)
+        result = highdim._cone_check.__wrapped__(rp, ap, n_samples, seed)
+        assert (result.min_gain_jh.hex(), result.min_gain_hj.hex()) == (jh.hex(), hj.hex())
+
+    def test_peak_memory_is_the_draw_plus_one_block(self, profiles):
+        rp, ap = profiles
+        # numpy.random imports lazily; its first use traces about 1 MB.
+        np.random.default_rng(0).random(1)
+        tracemalloc.start()
+        try:
+            highdim._cone_check.__wrapped__(rp, ap, 100_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 100_000 + 2**20
 
 
 def _composed_gain(rp, ap, first, second, x):

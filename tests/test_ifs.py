@@ -115,7 +115,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(w=0.3)
 
-    @pytest.mark.parametrize("bad", [-1, 1.5])
+    @pytest.mark.parametrize("bad", [-1, 1.5, True, False])
     def test_seed_must_be_a_non_negative_integer(self, bad):
         with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {bad}"):
             small_config(seed=bad)
@@ -143,6 +143,9 @@ class TestConfig:
     def test_counts_must_be_integers(self, field):
         with pytest.raises(ValueError, match=f"{field} must be an? .*integer.*, got 10.0"):
             small_config(**{field: 10.0})
+        for bad in (True, False):
+            with pytest.raises(ValueError, match=f"{field} must be an? .*integer.*, got {bad}"):
+                small_config(**{field: bad})
         assert getattr(small_config(**{field: np.int64(10)}), field) == 10
 
     def test_admissibility_agrees_with_k_and_the_sweep_label(self):
