@@ -15,6 +15,5 @@ from .highdim import *
 from .ifs import *
 from .planar import *
 from .profiles import *
-from . import errors
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -8,12 +8,11 @@ caller.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .errors import NoConvergenceError
 
 __all__ = [
     "Angle",
@@ -25,6 +24,11 @@ __all__ = [
 
 INVERSE_TOL = 1e-12
 INVERSE_BUDGET = 200
+
+
+def _is_count(x, least: int) -> bool:
+    """Whether ``x`` is an integer (numpy's included, ``bool`` not) of at least ``least``."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= least
 
 
 def _mod1(x):
@@ -140,14 +144,17 @@ def monotone_circle_inverse(lift: Callable[[float], float], y) -> Angle:
     ``lift`` has them.
 
     Returns an Angle ``x`` with ``circle_dist(lift(x) mod 1, y) <=
-    INVERSE_TOL`` within ``INVERSE_BUDGET`` steps, else raises
-    ``NoConvergenceError``; both constants are read at call time.  The root
-    of ``g(x) = lift(x) - target`` stays bracketed in a shrinking
-    subinterval of [0, 1].  Each step is a false-position (secant) step inside
-    the bracket, with the Anderson-Bjorck rescaling that keeps one end from
-    sticking, unless the last three evaluations have not halved the bracket:
-    then it bisects.  So any four consecutive evaluations at least halve the
-    bracket, whatever the lift.  The first step, from all of [0, 1],
+    INVERSE_TOL`` within ``INVERSE_BUDGET`` steps; both constants are read
+    at call time.  The root of ``g(x) = lift(x) - target`` stays bracketed in
+    a shrinking subinterval of [0, 1].  Each step is a false-position
+    (secant) step inside the bracket, with the Anderson-Bjorck rescaling
+    that keeps one end from sticking, unless the last three evaluations have
+    not halved the bracket: then it bisects.  So any four consecutive
+    evaluations at least halve the bracket, whatever the lift: 200 shrink it
+    to 2^-50, and a lift of slope below 2 (a validated drift's) is then
+    within ``INVERSE_TOL`` of the target anywhere inside it.  Only a lift
+    that breaks the precondition runs out of budget, so that raises
+    ``ValueError``, as bad input does.  The first step, from all of [0, 1],
     bisects; on the piecewise-linear drift it lands on the kink at 1/2 and
     leaves a bracket on which the lift is linear.  ``g(1)`` is taken as
     ``g(0) + 1``, the degree-one identity, so ``lift`` is evaluated once per
@@ -181,6 +188,6 @@ def monotone_circle_inverse(lift: Callable[[float], float], y) -> Angle:
                 m = 1.0 - g / g_hi
                 g_lo *= m if m > 0.0 else 0.5
             hi, g_hi, moved = x, g, 1
-    raise NoConvergenceError(
+    raise ValueError(
         f"inverse did not reach tol={tol} within {INVERSE_BUDGET} iterations"
     )

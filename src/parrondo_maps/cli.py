@@ -36,7 +36,6 @@ import numpy as np
 from . import __version__
 from .circle import Angle, CircleInterval
 from .dynamics import DEFAULT_TOL, DEFAULT_WINDOW, classify_orbit, iterate
-from .errors import ParrondoError
 from .highdim import apply_h, apply_h_k, apply_j_k, check_cone_condition
 from .ifs import (
     ESCAPE_THRESHOLD,
@@ -68,10 +67,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_WRITE_FAILED = 3
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _build_parsers():
@@ -156,11 +151,11 @@ def _load_file_config(path: str) -> dict:
     try:
         obj = json.loads(Path(path).read_text())
     except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
+        raise ValueError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        raise ValueError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        raise ConfigError("config file must hold a JSON object")
+        raise ValueError("config file must hold a JSON object")
     return obj
 
 
@@ -176,14 +171,14 @@ def _file_value(action: argparse.Action, value):
         return None
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         kind = action.type.__name__ if action.type else "str"
-        raise ConfigError(f"config key {key!r} takes a {kind}, got {json.dumps(value)}")
+        raise ValueError(f"config key {key!r} takes a {kind}, got {json.dumps(value)}")
     text = str(value)
     try:
         value = action.type(text) if action.type else text
     except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: invalid {action.type.__name__} value {text!r}") from exc
+        raise ValueError(f"config key {key!r}: invalid {action.type.__name__} value {text!r}") from exc
     if action.choices is not None and value not in action.choices:
-        raise ConfigError(f"config key {key!r}: {value!r} is not one of {sorted(action.choices)}")
+        raise ValueError(f"config key {key!r}: {value!r} is not one of {sorted(action.choices)}")
     return value
 
 
@@ -204,7 +199,7 @@ def _parse(argv) -> argparse.Namespace:
         options = {a.dest: a for a in command._actions if a.dest in vars(args) and a.dest != "config"}
         unknown = set(file_cfg) - set(options)
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         command.set_defaults(**{key: _file_value(options[key], v) for key, v in file_cfg.items()})
         args = parser.parse_args(argv)
     return args
@@ -219,27 +214,27 @@ def _parse_floats(text: str) -> list[float]:
     try:
         return [float(part) for part in str(text).split(",") if part != ""]
     except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
+        raise ValueError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
 def _parse_grid(text) -> list[float]:
     if text is None:
-        raise ConfigError("missing grid specification")
+        raise ValueError("missing grid specification")
     text = str(text)
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ConfigError(f"range grids use 'start:stop:count', got {text!r}")
+            raise ValueError(f"range grids use 'start:stop:count', got {text!r}")
         try:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
-            raise ConfigError(f"bad range grid {text!r}") from exc
+            raise ValueError(f"bad range grid {text!r}") from exc
         if count < 1:
-            raise ConfigError("grid count must be positive")
+            raise ValueError("grid count must be positive")
         return [float(x) for x in np.linspace(start, stop, count)]
     values = _parse_floats(text)
     if not values:
-        raise ConfigError(f"empty grid {text!r}")
+        raise ValueError(f"empty grid {text!r}")
     return values
 
 
@@ -283,7 +278,7 @@ def _int_option(params: dict, name: str, least: int) -> int:
     """An integer option that must be at least ``least``; the error names the flag."""
     value = int(params[name])
     if value < least:
-        raise ConfigError(f"--{name} must be at least {least}, got {value}")
+        raise ValueError(f"--{name} must be at least {least}, got {value}")
     return value
 
 
@@ -293,14 +288,14 @@ def cmd_verify(params: dict) -> int:
     samples, grid = _int_option(params, "samples", 1), _int_option(params, "grid", 2)
     seed = int(params["seed"])
     if seed < 0:
-        raise ConfigError(f"--seed must be non-negative, got {seed}")
+        raise ValueError(f"--seed must be non-negative, got {seed}")
     for name, value in (("a", a), ("d", d)):
         if not math.isfinite(value):
-            raise ConfigError(f"--{name} must be finite, got {value}")
+            raise ValueError(f"--{name} must be finite, got {value}")
     if not math.isfinite(2.0 * a):
-        raise ConfigError(f"--a is too large: a word of two maps gains up to 2 (a - 1), got {a}")
+        raise ValueError(f"--a is too large: a word of two maps gains up to 2 (a - 1), got {a}")
     if not 0.0 < w < 0.5:
-        raise ConfigError(f"w must lie in (0, 1/2) to describe an arc, got {w}")
+        raise ValueError(f"w must lie in (0, 1/2) to describe an arc, got {w}")
     # Raw profiles on purpose: out-of-range parameters must surface as failed
     # checks with witnesses, not as exceptions.
     rp = RadialProfile(a, w)
@@ -328,11 +323,11 @@ def cmd_verify(params: dict) -> int:
 def _parse_cyl_start(text) -> CylPoint:
     values = _parse_floats(text)
     if len(values) != 2:
-        raise ConfigError(f"cylinder start needs 'r,theta', got {text!r}")
+        raise ValueError(f"cylinder start needs 'r,theta', got {text!r}")
     try:
         return CylPoint(values[0], Angle(values[1]))
     except ValueError as exc:
-        raise ConfigError(f"bad cylinder start {text!r}: {exc}") from exc
+        raise ValueError(f"bad cylinder start {text!r}: {exc}") from exc
 
 
 def _build_orbit(params: dict):
@@ -341,7 +336,7 @@ def _build_orbit(params: dict):
     rp, ap = default_profiles(float(params["a"]), float(params["w"]), float(params["d"]))
     name = params["map"]
     if params["start_cart"] is not None and (params["word"] is not None or name not in ("hk", "jk")):
-        raise ConfigError("--start-cart applies only to --map hk or jk without --word")
+        raise ValueError("--start-cart applies only to --map hk or jk without --word")
     if params["word"] is not None:
         word = MapWord.parse(str(params["word"]))
         return word_step(word, rp, ap), _parse_cyl_start(params["start"]), None
@@ -359,7 +354,7 @@ def _build_orbit(params: dict):
     if params["start_cart"] is not None:
         start = np.asarray(_parse_floats(params["start_cart"]), dtype=float)
         if start.shape[0] != k:
-            raise ConfigError(f"--start-cart has {start.shape[0]} coordinates but k = {k}")
+            raise ValueError(f"--start-cart has {start.shape[0]} coordinates but k = {k}")
     fn = apply_h_k if name == "hk" else apply_j_k
     return (lambda x: fn(rp, ap, x)), start, None
 
@@ -377,7 +372,7 @@ def cmd_orbit(params: dict) -> int:
     step, start, trap = _build_orbit(params)
     window = int(params["window"])
     if window > steps:
-        raise ConfigError(f"window {window} exceeds the {steps}-step orbit")
+        raise ValueError(f"window {window} exceeds the {steps}-step orbit")
     trace = iterate(step, start, steps, trap=trap)
     # An orbit cut short by an escape is classified over the steps it ran.
     label, rate = classify_orbit(trace, min(window, trace.n_steps), float(params["tol"]))
@@ -477,7 +472,7 @@ def main(argv=None) -> int:
     try:
         args = _parse(argv)
         return args.handler(vars(args))
-    except (ValueError, ParrondoError, MemoryError) as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except OSError as exc:

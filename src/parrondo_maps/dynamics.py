@@ -14,8 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .circle import CircleInterval
-from .errors import OriginNotRepresentableError, WindowTooLargeError
+from .circle import CircleInterval, _is_count
 from .highdim import _polar, robust_norm  # noqa: F401  perfbench/test_pb_harness.py expects robust_norm patched here
 from .planar import CylPoint
 
@@ -65,7 +64,7 @@ class OrbitTrace:
 
 
 def iterate(step: Callable, start, n_steps: int, *, trap: CircleInterval | None = None) -> OrbitTrace:
-    """Run ``n_steps`` of a map and record the full trace.
+    """Run ``n_steps`` (an integer of at least 1) of a map and record the full trace.
 
     ``start`` may be a CylPoint (cylinder maps) or one nonzero array-like
     point of shape (k,), k >= 3, with finite coordinates (Cartesian maps;
@@ -76,7 +75,7 @@ def iterate(step: Callable, start, n_steps: int, *, trap: CircleInterval | None 
     given, the entry step into the trapping arc is recorded from the traced
     angles, for Cartesian orbits too.
     """
-    if n_steps < 1:
+    if not _is_count(n_steps, 1):
         raise ValueError("n_steps must be at least 1")
     if isinstance(start, CylPoint):
         x = start
@@ -116,7 +115,7 @@ def iterate(step: Callable, start, n_steps: int, *, trap: CircleInterval | None 
         x = step(x)
     r = rs[0]
     if r == -inf:
-        raise OriginNotRepresentableError("Cartesian orbits must start off the origin")
+        raise ValueError("Cartesian orbits must start off the origin")
     if not abs(r) <= R_ESCAPE:
         raise ValueError(f"start log-radius {r:g} already exceeds the escape bound {R_ESCAPE:g} in magnitude")
     rs = np.array(rs)
@@ -133,16 +132,14 @@ def classify_orbit(
 
     Mean below ``-tol`` is attraction, above ``tol`` repulsion, in between
     undecided; the mean itself is returned as the rate estimate.  ``window``
-    must be at least 1 and ``tol`` finite and non-negative.
+    must be an integer of at least 1 and ``tol`` finite and non-negative.
     """
-    if window < 1:
+    if not _is_count(window, 1):
         raise ValueError(f"window must be at least 1, got {window}")
     if not 0.0 <= tol < inf:
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
     if window > len(trace.gains):
-        raise WindowTooLargeError(
-            f"window {window} exceeds the {len(trace.gains)}-step trace"
-        )
+        raise ValueError(f"window {window} exceeds the {len(trace.gains)}-step trace")
     rate = float(np.mean(trace.gains[-window:]))
     if rate < -tol:
         label = OrbitClass.ATTRACTED

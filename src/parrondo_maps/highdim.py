@@ -19,13 +19,12 @@ across the seams.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 from math import acos, copysign, cos, exp, hypot, inf, log, sin
 
 import numpy as np
 
-from .circle import Angle, _mod1
+from .circle import Angle, _is_count, _mod1
 from .planar import GAIN_CELLS, CylPoint
 from .profiles import TWO_PI, AngularProfile, RadialProfile
 
@@ -193,11 +192,11 @@ def check_cone_condition(
     allocated raises ``MemoryError``, which the CLI reports with exit status 2.
     ``k``, ``n_samples`` and ``seed`` must be integers; a ``bool`` is refused.
     """
-    if not (isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= 3):
+    if not _is_count(k, 3):
         raise ValueError(f"cone check needs an integer dimension k >= 3, got {k!r}")
-    if not (isinstance(n_samples, numbers.Integral) and not isinstance(n_samples, bool) and n_samples >= 1):
+    if not _is_count(n_samples, 1):
         raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
-    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
+    if not _is_count(seed, 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if not 0.0 < rp.w < 0.5:
         raise ValueError(f"w must lie in (0, 1/2) turns, got {rp.w}")

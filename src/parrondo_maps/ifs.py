@@ -26,12 +26,12 @@ its ``run_ifs``.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circle import Angle, _mod1
+from .circle import Angle, _is_count, _mod1
+from .planar import GAIN_CELLS
 from .profiles import (
     DEFAULT_D,
     DEFAULT_W,
@@ -62,12 +62,6 @@ ESCAPE_THRESHOLD = 100.0
 # however many distinct p values share the run (each adds one lane per stream).
 CHUNK_SYMBOLS = 1 << 20
 
-# Radial increments held at once by the lock-step engine: the angles of a
-# block of steps are kept and their increments read in one call, at most this
-# many float64 values (64 KiB) for all values of ``a``, which keeps the
-# block's temporaries below the allocator's 128 KiB mmap threshold.
-BLOCK_VALUES = 1 << 13
-
 # Generic start angle: off both invariant rays and equidistant from both slow arcs.
 DEFAULT_START = Angle(0.25)
 
@@ -93,20 +87,11 @@ class IfsConfig:
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must lie strictly between 0 and 1, got {self.p}")
-        if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool) and self.seed >= 0):
+        if not _is_count(self.seed, 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        if not (
-            isinstance(self.horizon, numbers.Integral)
-            and not isinstance(self.horizon, bool)
-            and self.horizon >= 2
-            and self.horizon % 2 == 0
-        ):
+        if not (_is_count(self.horizon, 2) and self.horizon % 2 == 0):
             raise ValueError(f"horizon must be an even integer >= 2, got {self.horizon}")
-        if not (
-            isinstance(self.n_sequences, numbers.Integral)
-            and not isinstance(self.n_sequences, bool)
-            and self.n_sequences >= 1
-        ):
+        if not _is_count(self.n_sequences, 1):
             raise ValueError(f"n_sequences must be a positive integer, got {self.n_sequences}")
         if not (math.isfinite(self.a) and self.a > 0.0):
             raise ValueError(f"expansion a must be finite and positive, got {self.a}")
@@ -155,6 +140,8 @@ def theoretical_bounds(p: float, a: float) -> TheoreticalBounds:
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
+    if not (math.isfinite(a) and a > 0.0):
+        raise ValueError(f"expansion a must be finite and positive, got {a}")
     pq = p * (1.0 - p)
     K = 2.0 * (a * pq - 1.0)
     return TheoreticalBounds(a_min=1.0 / pq, K=K, pair_slope_lb=K)
@@ -307,7 +294,7 @@ def monte_carlo_grid(configs, start: Angle = DEFAULT_START) -> list[IfsStats]:
     exactly the work of a product grid.  Each stream's uniforms are drawn
     once for every ``p``.  Streams advance in lock-step, in chunks holding at
     most ``CHUNK_SYMBOLS`` symbols.  Within a chunk the steps run in blocks of
-    at most ``BLOCK_VALUES`` radial increments: the step loop moves the
+    at most ``planar.GAIN_CELLS`` radial increments: the step loop moves the
     angles only, and after each block one ``delta_r`` call reads every angle
     of the block, whose rows are added to the log-radius in step order.
     """
@@ -340,7 +327,7 @@ def monte_carlo_grid(configs, start: Angle = DEFAULT_START) -> list[IfsStats]:
         # The same operations as run_ifs, one lane per (p, stream); x - floor(x)
         # is run_ifs's % 1.0 bit for bit (see circle._mod1).
         lanes = n_p * width
-        block = max(1, BLOCK_VALUES // (n_a * lanes))
+        block = max(1, GAIN_CELLS // (n_a * lanes))
         r = np.zeros((n_a, lanes))
         th = np.full(lanes, start.value)
         thetas = np.empty((block, lanes))

@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .circle import Angle, _mod1, monotone_circle_inverse
+from .circle import Angle, _is_count, _mod1, monotone_circle_inverse
 from .profiles import AngularProfile, RadialProfile
 
 __all__ = [
@@ -36,8 +36,10 @@ __all__ = [
 
 CERTIFICATE_SLACK = 1e-6
 
-# Grid cells carried through a word at once by ``composition_radial_gain``:
-# each block's temporaries hold at most this many float64 values (64 KiB).
+# Float64 values in one block of temporaries (64 KiB, below the allocator's
+# 128 KiB mmap threshold): the grid cells ``composition_radial_gain`` carries
+# through a word at once, the angles of one cone-check block, and the radial
+# increments of one lock-step Monte Carlo block.
 GAIN_CELLS = 1 << 13
 
 
@@ -167,7 +169,7 @@ def composition_radial_gain(
     ``grid_n`` points; a rigorous lower bound over every grid cell certifies
     that the true minimum cannot sit materially below the grid minimum.
     """
-    if grid_n < 2:
+    if not _is_count(grid_n, 2):
         raise ValueError("grid_n must be at least 2")
     # Cell i is the arc [e[i], e[i+1]]; neighbouring cells share an edge, so
     # each block's edges, one more than its cells, are carried through the

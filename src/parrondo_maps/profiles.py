@@ -30,12 +30,6 @@ from enum import Enum
 import numpy as np
 
 from .circle import Angle, CircleInterval, _dist_to_zero, _mod1
-from .errors import (
-    BadExpansionError,
-    BadWidthError,
-    DriftTooLargeError,
-    NotHomeomorphismError,
-)
 
 __all__ = [
     "AngularProfile",
@@ -139,9 +133,9 @@ class AngularProfile:
 def make_radial_profile(a: float, w: float) -> RadialProfile:
     """Validated tent profile; requires a > 4 and 0 < w < 1/4."""
     if not a > 4.0:
-        raise BadExpansionError(f"expansion a must exceed 4, got {a}")
+        raise ValueError(f"expansion a must exceed 4, got {a}")
     if not 0.0 < w < 0.25:
-        raise BadWidthError(f"arc half width w must lie in (0, 1/4) turns, got {w}")
+        raise ValueError(f"arc half width w must lie in (0, 1/4) turns, got {w}")
     return RadialProfile(float(a), float(w))
 
 
@@ -157,14 +151,14 @@ def make_angular_profile(
     # The monotonicity bound is checked first: a drift that destroys the
     # homeomorphism is a worse defect than one that merely overshoots the gap.
     if not ap.lift_increasing:
-        raise NotHomeomorphismError(
+        raise ValueError(
             f"drift amplitude {d} >= {1.0 / DRIFT_LIPSCHITZ_FACTOR[shape]:.6g} for the "
             f"{shape.value} drift; the angular lift would not be strictly increasing"
         )
     if not w_ref > 0.0:
-        raise BadWidthError(f"reference arc half width w_ref must be positive, got {w_ref}")
+        raise ValueError(f"reference arc half width w_ref must be positive, got {w_ref}")
     if d > 0.5 - 2.0 * w_ref:
-        raise DriftTooLargeError(
+        raise ValueError(
             f"drift amplitude {d} exceeds the gap 1/2 - 2*w = {0.5 - 2.0 * w_ref}"
         )
     return ap

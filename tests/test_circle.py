@@ -16,7 +16,6 @@ from parrondo_maps.circle import (
     _mod1,
     wrap_turns,
 )
-from parrondo_maps.errors import NoConvergenceError
 from parrondo_maps.profiles import AngularProfile, AngularShape
 
 angles = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
@@ -202,7 +201,7 @@ class TestMonotoneInverse:
         # The tolerance and the budget are read at call time.
         monkeypatch.setattr(circle, "INVERSE_TOL", 1e-15)
         monkeypatch.setattr(circle, "INVERSE_BUDGET", 3)
-        with pytest.raises(NoConvergenceError, match="within 3 iterations"):
+        with pytest.raises(ValueError, match="within 3 iterations"):
             monotone_circle_inverse(_drift_lift(0.25), 0.3)
 
     @settings(max_examples=300)

@@ -13,7 +13,6 @@ from parrondo_maps.dynamics import (
     detect_trap_entry,
     iterate,
 )
-from parrondo_maps.errors import WindowTooLargeError
 from parrondo_maps.highdim import apply_h_k, apply_j_k, robust_norm
 from parrondo_maps.planar import (
     CylPoint,
@@ -86,8 +85,11 @@ class TestIterate:
         assert abs(trace.rs[-1]) > R_ESCAPE
 
     def test_rejects_zero_steps(self, profiles):
-        with pytest.raises(ValueError):
-            iterate(_f0_step(profiles), CylPoint(0.0, Angle(0.0)), 0)
+        # A count is an integer: a bool or a float is refused, a numpy integer is not.
+        for bad in (0, True, 2.5):
+            with pytest.raises(ValueError, match="n_steps must be at least 1"):
+                iterate(_f0_step(profiles), CylPoint(0.0, Angle(0.0)), bad)
+        assert iterate(_f0_step(profiles), CylPoint(0.0, Angle(0.0)), np.int64(2)).n_steps == 2
 
     @pytest.mark.parametrize("start, shape", [(np.ones((2, 3)), r"\(2, 3\)"), (np.float64(1.0), r"\(\)"),
                                               ([], r"\(0,\)")])
@@ -266,11 +268,12 @@ class TestClassify:
 
     def test_window_too_large(self, profiles):
         trace = iterate(_f0_step(profiles), CylPoint(0.0, Angle(0.3)), 50)
-        with pytest.raises(WindowTooLargeError):
+        with pytest.raises(ValueError, match="window 51 exceeds the 50-step trace"):
             classify_orbit(trace, window=51)
         classify_orbit(trace, window=50)
+        classify_orbit(trace, window=np.int64(50))
 
-    @pytest.mark.parametrize("window", [0, -5])
+    @pytest.mark.parametrize("window", [0, -5, True, 2.5])
     def test_window_below_one_is_rejected(self, profiles, window):
         trace = iterate(_f0_step(profiles), CylPoint(0.0, Angle(0.3)), 50)
         with pytest.raises(ValueError, match=f"window must be at least 1, got {window}"):

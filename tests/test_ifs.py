@@ -91,6 +91,12 @@ class TestTheoreticalBounds:
         with pytest.raises(ValueError):
             theoretical_bounds(0.0, 5.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_expansion_rejected(self, bad):
+        # Else K would be NaN, or a negative expansion would be labelled inadmissible.
+        with pytest.raises(ValueError, match="expansion a must be finite and positive"):
+            theoretical_bounds(0.5, bad)
+
     @given(
         st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         st.floats(0.0, exclude_min=True, allow_infinity=False),
@@ -351,7 +357,7 @@ class TestMonteCarloGrid:
         # 7 streams under 3 values of p are 21 lanes, and 2 values of a make
         # 42 radial increments a step: one step per block, blocks of 3 steps
         # with a last block of 1, and one block longer than the 40-step horizon.
-        monkeypatch.setattr(ifs, "BLOCK_VALUES", budget)
+        monkeypatch.setattr(ifs, "GAIN_CELLS", budget)
         seen = []
         delta_r = ifs.RadialProfile.delta_r
         monkeypatch.setattr(ifs.RadialProfile, "delta_r", lambda rp, t: seen.append(len(t)) or delta_r(rp, t))

@@ -26,4 +26,4 @@ def test_package_reexports_each_layer_name(layer):
 def test_package_names_only_the_layers_public_names():
     # Besides the layers' __all__, the namespace holds the submodules alone.
     names = {name for layer in LAYERS for name in importlib.import_module(f"parrondo_maps.{layer}").__all__}
-    assert set(parrondo_maps.__all__) - names == {*LAYERS, "errors"}
+    assert set(parrondo_maps.__all__) - names == set(LAYERS)

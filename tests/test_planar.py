@@ -272,8 +272,11 @@ class TestCompositionGain:
 
     def test_tiny_grid_rejected(self, profiles):
         rp, ap = profiles
-        with pytest.raises(ValueError):
-            composition_radial_gain(MapWord.parse("f0"), rp, ap, grid_n=1)
+        # A count is an integer: a bool or a float is refused, a numpy integer is not.
+        for bad in (1, True, 2.5):
+            with pytest.raises(ValueError, match="grid_n must be at least 2"):
+                composition_radial_gain(MapWord.parse("f0"), rp, ap, grid_n=bad)
+        composition_radial_gain(MapWord.parse("f0"), rp, ap, grid_n=np.int64(2))
 
     @pytest.mark.parametrize("d", [0.35, 0.31831])
     @pytest.mark.parametrize("text", ["f0,f1", "f1,f0"])

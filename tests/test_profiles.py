@@ -11,12 +11,6 @@ from hypothesis import strategies as st
 
 from parrondo_maps.circle import _dist_to_zero, circle_dist
 from parrondo_maps.cli import main
-from parrondo_maps.errors import (
-    BadExpansionError,
-    BadWidthError,
-    DriftTooLargeError,
-    NotHomeomorphismError,
-)
 from parrondo_maps.profiles import (
     DRIFT_LIPSCHITZ_FACTOR,
     AngularProfile,
@@ -137,29 +131,29 @@ class TestPiecewiseLinearDrift:
 
 class TestFactories:
     def test_expansion_bound(self):
-        with pytest.raises(BadExpansionError):
+        with pytest.raises(ValueError, match="expansion a must exceed 4"):
             make_radial_profile(4.0, 0.125)
         make_radial_profile(4.0 + 1e-9, 0.125)
 
     def test_width_bounds(self):
-        with pytest.raises(BadWidthError):
+        with pytest.raises(ValueError, match="arc half width w must lie in"):
             make_radial_profile(5.0, 0.3)
-        with pytest.raises(BadWidthError):
+        with pytest.raises(ValueError, match="arc half width w must lie in"):
             make_radial_profile(5.0, 0.0)
 
     def test_monotonicity_bound_checked_first(self):
         # 0.35 violates both the gap cap and 1/pi; the homeomorphism bound wins.
-        with pytest.raises(NotHomeomorphismError):
+        with pytest.raises(ValueError, match="strictly increasing"):
             make_angular_profile(0.35, w_ref=0.125)
 
     def test_monotonicity_bound_follows_shape(self):
         # 0.4 fits the gap for w = 0.01; it breaks the raised cosine (>= 1/pi)
         # but not the tent (< 1/2).
-        with pytest.raises(NotHomeomorphismError):
+        with pytest.raises(ValueError, match="strictly increasing"):
             make_angular_profile(0.4, w_ref=0.01)
         ap = make_angular_profile(0.4, w_ref=0.01, shape=AngularShape.PIECEWISE_LINEAR)
         assert ap.shape is AngularShape.PIECEWISE_LINEAR
-        with pytest.raises(NotHomeomorphismError):
+        with pytest.raises(ValueError, match="strictly increasing"):
             make_angular_profile(0.5, w_ref=0.0, shape=AngularShape.PIECEWISE_LINEAR)
 
     @pytest.mark.parametrize("w_ref", [math.nan, -math.inf, -1.0, 0.0])
@@ -167,11 +161,11 @@ class TestFactories:
         # d = 0.1 is below both shapes' monotonicity bounds, and the gap test
         # d > 1/2 - 2*w_ref passes each of these widths (a NaN gap compares false).
         for shape in AngularShape:
-            with pytest.raises(BadWidthError, match="w_ref"):
+            with pytest.raises(ValueError, match="w_ref"):
                 make_angular_profile(0.1, w_ref=w_ref, shape=shape)
 
     def test_drift_cap(self):
-        with pytest.raises(DriftTooLargeError):
+        with pytest.raises(ValueError, match="exceeds the gap"):
             make_angular_profile(0.26, w_ref=0.125)
 
     def test_nonpositive_drift(self):
@@ -247,7 +241,7 @@ class TestValidateProfiles:
         report = validate_profiles(RadialProfile(5.0, 0.05), AngularProfile(0.31831, 0.05))
         assert [c.code for c in report.failures()] == ["C4"]
         assert report["C4"].witness == 0.75
-        with pytest.raises(NotHomeomorphismError):
+        with pytest.raises(ValueError, match="strictly increasing"):
             make_angular_profile(0.31831, 0.05)
 
     @pytest.mark.parametrize("shape", list(AngularShape))
@@ -412,7 +406,7 @@ def test_what_the_factories_accept_passes_every_check(p):
     try:
         rp = make_radial_profile(p["a"], p["w"])
         ap = make_angular_profile(p["d_share"] * cap, p["w"], p["shape"])
-    except (BadExpansionError, BadWidthError, DriftTooLargeError, NotHomeomorphismError, ValueError):
+    except ValueError:
         return
     assert validate_profiles(rp, ap, require_even=True).passed
 
@@ -432,8 +426,8 @@ def test_c4_fails_iff_the_factory_refuses_the_drift(d, w, shape):
     try:
         make_angular_profile(d, w, shape)
         refused = False
-    except NotHomeomorphismError:
-        refused = True
-    except DriftTooLargeError:
-        refused = False
+    except ValueError as exc:
+        # The monotonicity refusal, or the gap's: only the first is C4's.
+        refused = "strictly increasing" in str(exc)
+        assert refused or "exceeds the gap" in str(exc)
     assert c4.passed is not refused
