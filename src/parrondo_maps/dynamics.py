@@ -76,7 +76,7 @@ def iterate(step: Callable, start, n_steps: int, *, trap: CircleInterval | None 
     angles, for Cartesian orbits too.
     """
     if not _is_count(n_steps, 1):
-        raise ValueError("n_steps must be at least 1")
+        raise ValueError(f"n_steps must be at least 1 and an integer, got {n_steps}")
     if isinstance(start, CylPoint):
         x = start
 

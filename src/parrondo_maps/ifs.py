@@ -158,8 +158,12 @@ def bernoulli_sequence(p, n: int, seed: int, stream: int = 0) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if not all(0.0 < q < 1.0 for q in p.ravel().tolist()):
         raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
-    if n < 1:
-        raise ValueError(f"sequence length must be positive, got {n}")
+    if not _is_count(n, 1):
+        raise ValueError(f"sequence length must be a positive integer, got {n}")
+    if not _is_count(seed, 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if not _is_count(stream, 0):
+        raise ValueError(f"stream must be a non-negative integer, got {stream}")
     u = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,)))).random(n)
     return (u >= p).astype(np.int8)
 

@@ -105,20 +105,15 @@ class AngularProfile:
     shape: AngularShape = AngularShape.RAISED_COSINE
 
     def __post_init__(self):
-        shape = AngularShape(self.shape)
-        object.__setattr__(self, "shape", shape)
-        # The formula is bound once here rather than tested on every call: the
-        # raised cosine keeps the class method, the tent shadows it per instance.
-        if shape is AngularShape.PIECEWISE_LINEAR:
-            object.__setattr__(self, "delta_theta", self._piecewise_linear_drift)
+        object.__setattr__(self, "shape", AngularShape(self.shape))
 
     def delta_theta(self, theta):
+        # A str enum equals its value; looking the member up on the enum class is several times slower.
+        if self.shape == "piecewise_linear":
+            return 2.0 * self.d * _dist_to_zero(theta)
         if isinstance(theta, float):
             return 0.5 * self.d * (1.0 - math.cos(TWO_PI * (theta % 1.0)))
         return 0.5 * self.d * (1.0 - np.cos(TWO_PI * _mod1(theta)))
-
-    def _piecewise_linear_drift(self, theta):
-        return 2.0 * self.d * _dist_to_zero(theta)
 
     def lift(self, x):
         """Lift of ``theta -> theta + delta_theta(theta)``; degree one by construction."""
@@ -144,16 +139,15 @@ def make_angular_profile(
 ) -> AngularProfile:
     """Validated drift; requires 0 < d <= 1/2 - 2*w_ref, w_ref > 0 and d below
     the shape's monotonicity bound (1/pi for the raised cosine, 1/2 for the tent)."""
-    shape = AngularShape(shape)
+    ap = AngularProfile(float(d), float(w_ref), shape)
     if not d > 0.0:
         raise ValueError(f"drift amplitude d must be positive, got {d}")
-    ap = AngularProfile(float(d), float(w_ref), shape)
     # The monotonicity bound is checked first: a drift that destroys the
     # homeomorphism is a worse defect than one that merely overshoots the gap.
     if not ap.lift_increasing:
         raise ValueError(
-            f"drift amplitude {d} >= {1.0 / DRIFT_LIPSCHITZ_FACTOR[shape]:.6g} for the "
-            f"{shape.value} drift; the angular lift would not be strictly increasing"
+            f"drift amplitude {d} >= {1.0 / DRIFT_LIPSCHITZ_FACTOR[ap.shape]:.6g} for the "
+            f"{ap.shape.value} drift; the angular lift would not be strictly increasing"
         )
     if not w_ref > 0.0:
         raise ValueError(f"reference arc half width w_ref must be positive, got {w_ref}")
@@ -229,7 +223,7 @@ def validate_profiles(
     # d at the antipode (the -0.0 at 0 when d < 0).
     gap = 0.5 - 2.0 * w
     peak = max(d, 0.0 * d)
-    capped = peak <= gap + 1e-12
+    capped = peak <= gap  # the factory's comparison, so every command gives one verdict
     c3 = 0.0 < d < math.inf and math.isfinite(w) and capped
     # The lift's least slope, 1 - factor * |d|, is at 3/4 when d > 0 and at 1/4 when d < 0.
     checks = [

@@ -237,6 +237,17 @@ class TestVerify:
         assert [(c["code"], c["witness"]) for c in payload["profile_checks"] if not c["passed"]] == [("C4", 0.75)]
         assert [s["certified"] for s in payload["compositions"].values()] == [False, False]
 
+    def test_drift_just_past_the_gap_fails_as_orbit_refuses_it(self, tmp_path, capsys):
+        # One comparison decides the gap: verify reports it, orbit refuses it.
+        out = tmp_path / "verify.json"
+        assert run(["verify", "--d", "0.2500000000001", "--grid", "2000", "--out", str(out)]) == 1
+        payload = strict_json(out.read_text())
+        failed = [(c["code"], c["witness"], c["detail"]) for c in payload["profile_checks"] if not c["passed"]]
+        assert failed == [("C3", 0.5, "max drift 0.2500000000001 > gap 0.25")]
+        capsys.readouterr()
+        assert run(["orbit", "--d", "0.2500000000001", "--steps", "2", "--window", "2"]) == 2
+        assert "exceeds the gap" in capsys.readouterr().err
+
     def test_uncertified_gains_when_the_lift_decreases(self, tmp_path):
         out = tmp_path / "verify.json"
         assert run(["verify", "--d", "0.35", "--w", "0.05", "--grid", "2000", "--out", str(out)]) == 1

@@ -87,7 +87,7 @@ class TestIterate:
     def test_rejects_zero_steps(self, profiles):
         # A count is an integer: a bool or a float is refused, a numpy integer is not.
         for bad in (0, True, 2.5):
-            with pytest.raises(ValueError, match="n_steps must be at least 1"):
+            with pytest.raises(ValueError, match=f"^n_steps must be at least 1 and an integer, got {bad}$"):
                 iterate(_f0_step(profiles), CylPoint(0.0, Angle(0.0)), bad)
         assert iterate(_f0_step(profiles), CylPoint(0.0, Angle(0.0)), np.int64(2)).n_steps == 2
 

@@ -582,3 +582,28 @@ class TestGreatCircleBound:
         assert jh >= _composed_gain(rp, ap, apply_h_k, apply_j_k, _circle_point(k, polar)) - 1e-9
         hj = _composed_gain(rp, ap, apply_j_k, apply_h_k, x)
         assert hj >= _composed_gain(rp, ap, apply_j_k, apply_h_k, _circle_point(k, 0.25 - from_first)) - 1e-9
+
+
+class TestReductionToThreeDimensions:
+    """Both maps keep the direction of the middle block ``x_1 .. x_{k-2}``, so
+    ``(x_0, |x_mid|, x_{k-1})`` of a k-orbit is the k = 3 orbit of that point."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([4, 5, 7]),
+        shapes,
+        st.integers(0, 2**32 - 1),
+        st.floats(-20.0, 20.0),
+        st.lists(st.booleans(), min_size=1, max_size=40),
+    )
+    def test_every_step_is_the_reduced_orbit(self, k, shape, seed, log_radius, word):
+        # A seeded normal direction keeps the start off the axes, where acos is ill-conditioned.
+        rp, ap = _profiles_with(shape)
+        x = np.random.default_rng(seed).standard_normal(k)
+        x *= math.exp(log_radius) / robust_norm(x)
+        y = np.array([x[0], robust_norm(x[1:-1]), x[-1]])
+        for use_j in word:
+            step = apply_j_k if use_j else apply_h_k
+            x, y = step(rp, ap, x), step(rp, ap, y)
+            reduced = np.array([x[0], robust_norm(x[1:-1]), x[-1]])
+            assert np.max(np.abs(reduced - y)) <= 1e-9 * robust_norm(x)

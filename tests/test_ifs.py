@@ -53,8 +53,18 @@ class TestBernoulliSequences:
                 bernoulli_sequence(bad, 10, seed=0)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            bernoulli_sequence(0.5, 0, seed=0)
+        # The length is a count: a bool or a float is refused too.
+        for bad in (0, -3, True, 2.5):
+            with pytest.raises(ValueError, match=f"sequence length must be a positive integer, got {bad}"):
+                bernoulli_sequence(0.5, bad, seed=0)
+
+    @pytest.mark.parametrize("name", ["seed", "stream"])
+    @pytest.mark.parametrize("bad", [-1, True, False, 2.5])
+    def test_seed_and_stream_must_be_non_negative_integers(self, name, bad):
+        # A bool would run seed or stream 0 or 1 unseen.
+        with pytest.raises(ValueError, match=f"{name} must be a non-negative integer, got {bad}"):
+            bernoulli_sequence(0.5, 4, **{"seed": 1, "stream": 0, name: bad})
+        assert bernoulli_sequence(0.5, 4, np.int64(1), np.uint8(2)).shape == (4,)
 
     def test_p_column_equals_scalar_calls(self):
         ps = [0.1, 0.5, 0.5, 0.93]
@@ -199,6 +209,11 @@ class TestRunIfs:
         run = run_ifs(small_config(), stream=1)
         assert type(run.k_m) is int
         assert run.k_m == np.count_nonzero(run.pair_mixed)
+
+    @pytest.mark.parametrize("bad", [-1, True, 2.5])
+    def test_stream_must_be_a_non_negative_integer(self, bad):
+        with pytest.raises(ValueError, match=f"stream must be a non-negative integer, got {bad}"):
+            run_ifs(small_config(horizon=4), stream=bad)
 
     def test_symbol_length_checked(self):
         with pytest.raises(ValueError):

@@ -128,6 +128,24 @@ class TestPiecewiseLinearDrift:
         assert ap.shape is AngularShape.PIECEWISE_LINEAR
         assert ap.delta_theta(0.25) == 0.125
 
+    def test_one_class_method_serves_both_shapes(self, monkeypatch):
+        # A tracer wraps delta_theta on the class; an instance holds only its fields.
+        assert set(vars(AngularProfile(0.25, 0.125, "piecewise_linear"))) == {"d", "w_ref", "shape"}
+        assert not hasattr(AngularProfile, "_piecewise_linear_drift")
+        calls = []
+        original = AngularProfile.delta_theta
+
+        def counted(self, theta):
+            calls.append(self.shape)
+            return original(self, theta)
+
+        monkeypatch.setattr(AngularProfile, "delta_theta", counted)
+        for shape in AngularShape:
+            ap = AngularProfile(0.25, 0.125, shape)
+            for theta in (0.0, 0.1, 0.5, 0.9, np.linspace(0.0, 1.0, 5)):
+                ap.delta_theta(theta)
+        assert calls == [AngularShape.RAISED_COSINE] * 5 + [AngularShape.PIECEWISE_LINEAR] * 5
+
 
 class TestFactories:
     def test_expansion_bound(self):
@@ -431,3 +449,32 @@ def test_c4_fails_iff_the_factory_refuses_the_drift(d, w, shape):
         refused = "strictly increasing" in str(exc)
         assert refused or "exceeds the gap" in str(exc)
     assert c4.passed is not refused
+
+
+drifts = st.sampled_from(list(AngularShape)).flatmap(
+    lambda shape: st.tuples(
+        st.floats(0.0, 1.0 / DRIFT_LIPSCHITZ_FACTOR[shape], exclude_min=True, exclude_max=True),
+        st.just(shape),
+    )
+)
+
+
+@settings(max_examples=300)
+@given(drifts, st.floats(min_value=0.0, max_value=0.25, exclude_min=True, exclude_max=True))
+@example((math.nextafter(0.25, 1.0), AngularShape.RAISED_COSINE), 0.125)
+@example((math.nextafter(0.25, 1.0), AngularShape.PIECEWISE_LINEAR), 0.125)
+@example((0.25 + 1e-13, AngularShape.RAISED_COSINE), 0.125)
+@example((0.25 + 1e-13, AngularShape.PIECEWISE_LINEAR), 0.125)
+@example((0.25, AngularShape.RAISED_COSINE), 0.125)
+def test_c3_fails_iff_the_factory_refuses_the_gap(drift, w):
+    # Below the monotonicity bound the gap is the factory's only refusal.
+    d, shape = drift
+    c3 = validate_profiles(RadialProfile(5.0, w), AngularProfile(d, w, shape))["C3"]
+    try:
+        make_angular_profile(d, w, shape)
+        refused = False
+    except ValueError as exc:
+        assert "exceeds the gap" in str(exc)
+        refused = True
+    assert c3.passed is not refused
+    assert c3.witness == (0.5 if refused else None)
