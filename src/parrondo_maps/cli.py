@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -70,14 +71,17 @@ EXIT_WRITE_FAILED = 3
 
 
 def _build_parsers():
-    """The top-level parser and the action holding its subcommand parsers."""
+    """A new top-level parser and the action holding its subcommand parsers.
+
+    The parsers hold no functions: ``main`` finds ``cmd_<command>`` by name.
+    """
     parser = argparse.ArgumentParser(
         prog="parrondo",
         description="Attracting map pairs with repelling compositions: verification and experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, handler, help, *, fmt=None, a=True, seed=True):
+    def add_command(name, help, *, fmt=None, a=True, seed=True):
         """A subcommand with the common options it reads.  Abbreviations are
         off, so an undeclared option is an error, not a prefix of a declared
         one (sweep's --a of --a-grid)."""
@@ -96,13 +100,12 @@ def _build_parsers():
             p.add_argument("--format", choices=["csv", "json"], default=fmt,
                            help="output format (default %(default)s)")
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.set_defaults(handler=handler)
         return p
 
     def add_start(p):
         p.add_argument("--start", default="0,0.25", help="cylinder start 'r,theta' (default %(default)s)")
 
-    pv = add_command("verify", cmd_verify, "run the structural checks and certified gain bounds (JSON)")
+    pv = add_command("verify", "run the structural checks and certified gain bounds (JSON)")
     pv.add_argument("--k", type=int, default=2,
                     help="dimension; k >= 3 adds the cone condition check (default %(default)s)")
     pv.add_argument("--grid", type=int, default=100_000,
@@ -111,7 +114,7 @@ def _build_parsers():
                     help="seeded directions on the (x_0, x_last) great circle for the cone check's "
                          "composed-gain minima (default %(default)s)")
 
-    po = add_command("orbit", cmd_orbit, "iterate a map and write the trace", fmt="csv", seed=False)
+    po = add_command("orbit", "iterate a map and write the trace", fmt="csv", seed=False)
     po.add_argument("--map", choices=["f0", "f1", "h", "hk", "jk"], default="f0",
                     help="named map to iterate (default %(default)s)")
     po.add_argument("--word", help="composition word such as 'f0,f1' or '01'; overrides --map")
@@ -124,7 +127,7 @@ def _build_parsers():
                     help="classification window, at most --steps (default %(default)s)")
     po.add_argument("--tol", type=float, default=DEFAULT_TOL, help="classification tolerance (default %(default)s)")
 
-    pi = add_command("ifs", cmd_ifs, "randomized-composition Monte Carlo", fmt="json")
+    pi = add_command("ifs", "randomized-composition Monte Carlo", fmt="json")
     pi.add_argument("--p", type=float, default=0.5, help="probability of the first map (default %(default)s)")
     pi.add_argument("--horizon", "--steps", dest="horizon", type=int, default=2000,
                     help="steps per sequence, even (default %(default)s)")
@@ -133,7 +136,7 @@ def _build_parsers():
                     help="terminal gain counted as escape (default %(default)s)")
     add_start(pi)
 
-    ps = add_command("sweep", cmd_sweep, "admissibility and growth over (p, a) grids (CSV)", a=False)
+    ps = add_command("sweep", "admissibility and growth over (p, a) grids (CSV)", a=False)
     ps.add_argument("--p-grid", dest="p_grid", help="comma list '0.1,0.5' or range 'start:stop:count'")
     ps.add_argument("--a-grid", dest="a_grid", help="comma list or range of expansion values")
     ps.add_argument("--horizon", type=int, default=400,
@@ -143,7 +146,9 @@ def _build_parsers():
     return parser, sub
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process; callers must not change it."""
     return _build_parsers()[0]
 
 
@@ -186,16 +191,18 @@ def _parse(argv) -> argparse.Namespace:
     """Parse the command line; with --config, parse it again over the file's values.
 
     The file's values become the subcommand's defaults, so flags still win;
-    each value is checked and converted like the same flag first.
+    each value is checked and converted like the same flag first.  The
+    second parse runs on a new parser pair, so the shared one keeps the
+    declared defaults.
     """
-    parser, sub = _build_parsers()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.config:
         file_cfg = _load_file_config(args.config)
+        parser, sub = _build_parsers()
         command = sub.choices[args.command]
-        # Every option of the subcommand is a config key; the command, the
-        # config path and the handler are not.  argparse offers no public
-        # list of a parser's options, hence ``_actions``.
+        # Every option of the subcommand is a config key; the command and the
+        # config path are not.  argparse offers no public list of a parser's
+        # options, hence ``_actions``.
         options = {a.dest: a for a in command._actions if a.dest in vars(args) and a.dest != "config"}
         unknown = set(file_cfg) - set(options)
         if unknown:
@@ -207,12 +214,16 @@ def _parse(argv) -> argparse.Namespace:
 
 def _echo_config(params: dict) -> dict:
     """The reproducibility record: every option except the output and config paths."""
-    return {k: v for k, v in params.items() if k not in ("out", "config", "handler")}
+    return {k: v for k, v in params.items() if k not in ("out", "config")}
 
 
 def _parse_floats(text: str) -> list[float]:
+    """The numbers of a comma list; empty text has none, and an empty field is refused."""
+    text = str(text)
+    if not text:
+        return []
     try:
-        return [float(part) for part in str(text).split(",") if part != ""]
+        return [float(part) for part in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"expected comma-separated numbers, got {text!r}") from exc
 
@@ -470,8 +481,8 @@ def cmd_sweep(params: dict) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = _parse(argv)
-        return args.handler(vars(args))
+        params = vars(_parse(argv))
+        return globals()[f"cmd_{params['command']}"](params)
     except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

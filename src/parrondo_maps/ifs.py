@@ -26,7 +26,7 @@ its ``run_ifs``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -156,6 +156,8 @@ def bernoulli_sequence(p, n: int, seed: int, stream: int = 0) -> np.ndarray:
     call with that ``p``.
     """
     p = np.asarray(p, dtype=float)
+    if p.ndim != 0 and (p.ndim != 2 or p.shape[1] != 1):
+        raise ValueError(f"p must be a probability or a column of them, got shape {p.shape}")
     if not all(0.0 < q < 1.0 for q in p.ravel().tolist()):
         raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
     if not _is_count(n, 1):
@@ -305,8 +307,12 @@ def monte_carlo_grid(configs, start: Angle = DEFAULT_START) -> list[IfsStats]:
     configs = list(configs)
     if not configs:
         raise ValueError("monte_carlo_grid needs at least one config")
+    # The other fields as one list per config, so that a NaN object equals
+    # itself, as in dataclass equality.
+    others = [f.name for f in fields(IfsConfig) if f.name not in ("a", "p")]
     base = configs[0]
-    if any(replace(c, a=base.a, p=base.p) != base for c in configs):
+    key = [getattr(base, name) for name in others]
+    if any([getattr(c, name) for name in others] != key for c in configs):
         raise ValueError("the configs of one grid may differ only in a and p")
     # Distinct values in first-seen order; duplicate cells read the same lanes.
     p_index = {p: i for i, p in enumerate(dict.fromkeys(c.p for c in configs))}

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -51,6 +52,47 @@ def test_echoed_default_config(command, monkeypatch):
     monkeypatch.setattr(cli, f"cmd_{command}", handler)
     assert run([command]) == 0
     assert json.dumps(seen, sort_keys=True) == ECHOED_DEFAULTS[command]
+
+
+def test_build_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_plain_runs_build_no_parser_after_the_first(monkeypatch):
+    for command in ECHOED_DEFAULTS:
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda params: 0)
+    assert run(["verify"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for command in sorted(ECHOED_DEFAULTS):
+        assert run([command]) == 0
+    cli.build_parser()
+    assert built == []
+
+
+@pytest.mark.parametrize("command", sorted(ECHOED_DEFAULTS))
+def test_config_run_leaves_the_declared_defaults(command, monkeypatch, tmp_path):
+    # --config parses on a parser pair of its own, so a plain run after it
+    # echoes the declared defaults again.
+    seen = []
+
+    def handler(params):
+        seen.append(cli._echo_config(params))
+        return 0
+
+    monkeypatch.setattr(cli, f"cmd_{command}", handler)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"w": 0.1, "d": 0.2}))
+    assert run([command, "--config", str(cfg)]) == 0
+    assert run([command]) == 0
+    assert (seen[0]["w"], seen[0]["d"]) == (0.1, 0.2)
+    assert json.dumps(seen[1], sort_keys=True) == ECHOED_DEFAULTS[command]
 
 
 def test_help_shows_the_declared_defaults(capsys):
@@ -340,8 +382,8 @@ class TestVerify:
         assert run(["verify", "--config", "/no/such/file.json"]) == 2
 
     def test_unknown_config_key(self, tmp_path, capsys):
-        # command, config and handler live in the parsed namespace but are
-        # not options, so a config file may not set them.
+        # command and config live in the parsed namespace but are not
+        # options, so a config file may not set them, nor any other name.
         cfg = tmp_path / "c.json"
         for key in ("bogus", "command", "config", "handler"):
             cfg.write_text(json.dumps({key: "ifs"}))
@@ -487,6 +529,21 @@ class TestOrbit:
 
     def test_bad_start(self):
         assert run(["orbit", "--start", "1;2"]) == 2
+
+    @pytest.mark.parametrize("argv, text", [
+        (["--map", "hk", "--start-cart", "1,,2,3"], "1,,2,3"),
+        (["--start", "0,,0.3"], "0,,0.3"),
+        (["--start", "0,0.3,"], "0,0.3,"),
+    ])
+    def test_empty_field_in_a_comma_list_is_refused(self, argv, text, tmp_path, capsys):
+        out = tmp_path / "orbit.csv"
+        assert run(["orbit", *argv, "--steps", "5", "--window", "5", "--out", str(out)]) == 2
+        assert f"error: expected comma-separated numbers, got {text!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_start_keeps_its_message(self, capsys):
+        assert run(["orbit", "--start", ""]) == 2
+        assert "error: cylinder start needs 'r,theta', got ''" in capsys.readouterr().err
 
     @pytest.mark.parametrize("option, message", [
         ("--window=0", "window must be at least 1, got 0"),
@@ -929,8 +986,17 @@ class TestSweep:
         digest = "a5162b2d4f17f33dc7b728eaecb4039cb340e6394f302f18b87a00b698e227de"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
-    def test_empty_grid_rejected(self):
+    def test_empty_grid_rejected(self, capsys):
         assert run(["sweep", "--p-grid", "", "--a-grid", "5"]) == 2
+        assert "error: empty grid ''" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p_grid", ["0.5,", ",0.5", "0.3,,0.5"])
+    def test_empty_field_in_a_grid_is_refused(self, p_grid, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--p-grid", p_grid, "--a-grid", "5", "--horizon", "10", "--sequences", "2"]
+        assert run(argv + ["--out", str(out)]) == 2
+        assert f"error: expected comma-separated numbers, got {p_grid!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_seed_is_named(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,12 @@ class TestBernoulliSequences:
         with pytest.raises(ValueError, match=f"{name} must be a non-negative integer, got {bad}"):
             bernoulli_sequence(0.5, 4, **{"seed": 1, "stream": 0, name: bad})
         assert bernoulli_sequence(0.5, 4, np.int64(1), np.uint8(2)).shape == (4,)
+
+    @pytest.mark.parametrize("p, n", [([0.3, 0.7], 2), ([0.3, 0.7], 3), ([[0.3, 0.7]], 2), ([[[0.5]]], 2)])
+    def test_p_must_be_a_probability_or_a_column(self, p, n):
+        # A row of probabilities would threshold position by position.
+        with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(p)}")):
+            bernoulli_sequence(p, n, seed=0)
 
     def test_p_column_equals_scalar_calls(self):
         ps = [0.1, 0.5, 0.5, 0.93]
