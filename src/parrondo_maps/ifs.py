@@ -170,6 +170,12 @@ def bernoulli_sequence(p, n: int, seed: int, stream: int = 0) -> np.ndarray:
     return (u >= p).astype(np.int8)
 
 
+def _check_start(start) -> None:
+    # A bare number of turns would fail deep in the run, as an AttributeError.
+    if not isinstance(start, Angle):
+        raise ValueError(f"start must be an Angle, got {type(start).__name__}")
+
+
 @dataclass(frozen=True, eq=False)
 class IfsRun:
     """One random orbit's pair gains, its mixed pairs (``k_m`` of them) and total gain."""
@@ -194,6 +200,7 @@ def run_ifs(
     a 1-D sequence of ``horizon`` values, each exactly 0 or 1; otherwise they
     are drawn from the config's stream.
     """
+    _check_start(start)
     rp, ap = config.profiles()
     if symbols is None:
         symbols = bernoulli_sequence(config.p, config.horizon, config.seed, stream)
@@ -293,17 +300,21 @@ def monte_carlo_grid(configs, start: Angle = DEFAULT_START) -> list[IfsStats]:
     """``monte_carlo`` of each config, for configs that differ only in ``a`` and ``p``.
 
     The symbols and the angle orbit depend on ``p``, ``d`` and the seed but
-    not on ``a``, so all configs share one run.  Its lanes are (distinct
-    ``p``) x (stream): every lane's angle moves once per step, and its radial
-    increment is read for the whole column of distinct ``a`` values at once.
-    Every (``a``, ``p``) pair of the distinct values is computed, which is
-    exactly the work of a product grid.  Each stream's uniforms are drawn
-    once for every ``p``.  Streams advance in lock-step, in chunks holding at
-    most ``CHUNK_SYMBOLS`` symbols.  Within a chunk the steps run in blocks of
-    at most ``planar.GAIN_CELLS`` radial increments: the step loop moves the
-    angles only, and after each block one ``delta_r`` call reads every angle
-    of the block, whose rows are added to the log-radius in step order.
+    not on ``a``, so all configs share one run.  Its lanes are (stream) x
+    (distinct ``p``), each stream's ``p`` values side by side: every lane's
+    angle moves once per step, and its radial increment is read for the whole
+    column of distinct ``a`` values at once.  Every (``a``, ``p``) pair of the
+    distinct values is computed, which is exactly the work of a product grid.
+    Each stream's uniforms are drawn once for every ``p``.  Streams advance in
+    lock-step, in chunks holding at most ``CHUNK_SYMBOLS`` symbols.  Within a
+    chunk the steps run in blocks of at most ``planar.GAIN_CELLS`` angles: the
+    step loop moves the angles only, and after each block one ``delta_r`` call
+    reads every angle of the block for every ``a``, whose rows are added to
+    the log-radius in step order.  That read holds one increment per angle
+    and value of ``a``, ``n_a`` x 64 KiB; with its temporaries and the
+    previous block's read, the engine holds up to 3 x ``n_a`` x 64 KiB.
     """
+    _check_start(start)
     configs = list(configs)
     if not configs:
         raise ValueError("monte_carlo_grid needs at least one config")
@@ -318,7 +329,8 @@ def monte_carlo_grid(configs, start: Angle = DEFAULT_START) -> list[IfsStats]:
     p_index = {p: i for i, p in enumerate(dict.fromkeys(c.p for c in configs))}
     a_index = {a: i for i, a in enumerate(dict.fromkeys(c.a for c in configs))}
     _, ap = base.profiles()
-    # a as an (n_a, 1, 1) column, so one call reads a block of (step, lane) angles.
+    # a as an (n_a, 1, 1) column, so one call reads a block of (step, lane)
+    # angles for every a: n_a increments per angle.
     radial = RadialProfile(np.array([[[a]] for a in a_index]), base.w)
     p_col = np.array([[p] for p in p_index])
     n_a, n_p, n, horizon = len(a_index), len(p_index), base.n_sequences, base.horizon
@@ -329,15 +341,18 @@ def monte_carlo_grid(configs, start: Angle = DEFAULT_START) -> list[IfsStats]:
         hi = min(lo + streams, n)
         width = hi - lo
         # Step-major, so that each step reads one contiguous column; lane
-        # i * width + (s - lo) holds stream s under the i-th p.
-        cols = np.empty((horizon, n_p * width), dtype=np.int8)
+        # (s - lo) * n_p + i holds stream s under the i-th p, so each stream
+        # writes its (horizon, n_p) symbols as one slab of adjacent columns.
+        lanes = width * n_p
+        cols = np.empty((horizon, lanes), dtype=np.int8)
+        slabs = cols.reshape(horizon, width, n_p)
         for s in range(lo, hi):
-            cols[:, s - lo::width] = bernoulli_sequence(p_col, horizon, base.seed, s).T
-        k_counts[:, lo:hi] = np.count_nonzero(cols[0::2] != cols[1::2], axis=0).reshape(n_p, width)
-        # The same operations as run_ifs, one lane per (p, stream); x - floor(x)
-        # is run_ifs's % 1.0 bit for bit (see circle._mod1).
-        lanes = n_p * width
-        block = max(1, GAIN_CELLS // (n_a * lanes))
+            slabs[:, s - lo] = bernoulli_sequence(p_col, horizon, base.seed, s).T
+        k_counts[:, lo:hi] = np.count_nonzero(slabs[0::2] != slabs[1::2], axis=0).T
+        # The same operations as run_ifs, one lane per (stream, p); x - floor(x)
+        # is run_ifs's % 1.0 bit for bit (see circle._mod1).  A block holds
+        # GAIN_CELLS angles whatever the number of a values.
+        block = max(1, GAIN_CELLS // lanes)
         r = np.zeros((n_a, lanes))
         th = np.full(lanes, start.value)
         thetas = np.empty((block, lanes))
@@ -347,10 +362,13 @@ def monte_carlo_grid(configs, start: Angle = DEFAULT_START) -> list[IfsStats]:
                 np.add(th, h, out=t)
                 th = _mod1(th + ap.delta_theta(t))
             # Added one step at a time, as run_ifs adds them; a sum over the
-            # block would round in another order.
+            # block would round in another order.  The last row keeps this
+            # block's increments until the next read returns; freed earlier,
+            # glibc trims the heap top every block (about 2600 page faults a
+            # call on a 9 p x 4 a x 50 x 400 grid).
             for row in radial.delta_r(thetas[:len(half)]).swapaxes(0, 1):
                 r += row
-        deltas[:, :, lo:hi] = r.reshape(n_a, n_p, width)
+        deltas[:, :, lo:hi] = r.reshape(n_a, width, n_p).transpose(0, 2, 1)
     # Each cell gets its own arrays, duplicate cells included.
     return [
         IfsStats(

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -370,25 +371,61 @@ class TestMonteCarloGrid:
         start = Angle(0.4)
         assert_matches_run_ifs(configs, start, monte_carlo_grid(configs, start))
 
-    @pytest.mark.parametrize("budget, rows", [
-        (1, [1] * 40),
-        (3 * 2 * 21, [3] * 13 + [1]),
-        (41 * 2 * 21, [40]),
-    ])
-    def test_block_boundaries(self, budget, rows, monkeypatch):
-        # 7 streams under 3 values of p are 21 lanes, and 2 values of a make
-        # 42 radial increments a step: one step per block, blocks of 3 steps
-        # with a last block of 1, and one block longer than the 40-step horizon.
+    @staticmethod
+    def _block_rows(monkeypatch, budget, a_values):
+        """The steps each ``delta_r`` call reads on 7 streams of 40 symbols
+        under 3 values of p, with blocks of ``budget`` angles; the cells must
+        still equal their ``run_ifs``."""
         monkeypatch.setattr(ifs, "GAIN_CELLS", budget)
         seen = []
         delta_r = ifs.RadialProfile.delta_r
         monkeypatch.setattr(ifs.RadialProfile, "delta_r", lambda rp, t: seen.append(len(t)) or delta_r(rp, t))
-        configs = [small_config(p=p, a=a, horizon=40, n_sequences=7) for p in (0.2, 0.5, 0.7) for a in (3.0, 5.0)]
+        configs = [small_config(p=p, a=a, horizon=40, n_sequences=7) for p in (0.2, 0.5, 0.7) for a in a_values]
         start = Angle(0.4)
         stats = monte_carlo_grid(configs, start)
-        assert seen == rows
         monkeypatch.undo()
         assert_matches_run_ifs(configs, start, stats)
+        return seen
+
+    @pytest.mark.parametrize("budget, rows", [
+        (1, [1] * 40),
+        (3 * 21, [3] * 13 + [1]),
+        (41 * 21, [40]),
+    ])
+    def test_block_boundaries(self, budget, rows, monkeypatch):
+        # 7 streams under 3 values of p are 21 lanes, so 21 angles a step:
+        # one step per block, blocks of 3 steps with a last block of 1, and
+        # one block longer than the 40-step horizon.
+        assert self._block_rows(monkeypatch, budget, (3.0, 5.0)) == rows
+
+    @pytest.mark.parametrize("a_values", [(5.0,), (3.0, 5.0), (3.0, 5.0, 9.0)])
+    def test_block_length_does_not_depend_on_the_a_column(self, a_values, monkeypatch):
+        # A block is sized by the angles it holds: 63 angles are 3 steps of
+        # 21 lanes, whatever the number of a values read at each angle.
+        assert self._block_rows(monkeypatch, 3 * 21, a_values) == [3] * 13 + [1]
+
+    @pytest.mark.parametrize("n_sequences, chunk", [(40, ifs.CHUNK_SYMBOLS), (400, 3 * 200 * 40)])
+    def test_traced_peak_is_one_chunk_and_one_block(self, n_sequences, chunk, monkeypatch):
+        # 16 values of a x 3 of p, then 10x the sequences in 10 chunks of 40
+        # streams.  A block's radial read holds n_a x GAIN_CELLS increments;
+        # with its product temporary and the previous block's read, the peak
+        # stays below one chunk of int8 symbols, 3 such float64 arrays and
+        # the outputs, whatever the number of sequences.
+        monkeypatch.setattr(ifs, "CHUNK_SYMBOLS", chunk)
+        n_a, n_p, horizon = 16, 3, 200
+        configs = [small_config(p=p, a=4.0 + 0.5 * i, horizon=horizon, n_sequences=n_sequences)
+                   for p in (0.3, 0.5, 0.7) for i in range(n_a)]
+        tracemalloc.start()
+        try:
+            stats = monte_carlo_grid(configs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk_bytes = min(chunk, n_p * horizon * n_sequences)
+        # The grid's deltas and k_counts, each cell's copies of them, and 1 KiB
+        # a cell for its objects.
+        outputs = (n_a * n_p + n_p) * n_sequences * 8 + len(stats) * (16 * n_sequences + 1024)
+        assert peak < chunk_bytes + 3 * n_a * ifs.GAIN_CELLS * 8 + outputs
 
     def test_accepts_configs_differing_in_p(self):
         configs = [small_config(a=5.0, horizon=60, n_sequences=6),
@@ -432,6 +469,24 @@ class TestMonteCarloGrid:
         for s, (deltas, k_counts) in zip(rest, before):
             np.testing.assert_array_equal(s.deltas, deltas)
             np.testing.assert_array_equal(s.k_counts, k_counts)
+
+
+class TestStartMustBeAnAngle:
+    @pytest.mark.parametrize("run", [
+        lambda start: run_ifs(small_config(horizon=4), start),
+        lambda start: monte_carlo(small_config(horizon=4, n_sequences=2), start),
+        lambda start: monte_carlo_grid([small_config(a=a, horizon=4, n_sequences=2) for a in (5.0, 6.0)], start),
+    ], ids=["run_ifs", "monte_carlo", "monte_carlo_grid"])
+    @pytest.mark.parametrize("start, name", [
+        (0.25, "float"), (np.float64(0.25), "float64"), (None, "NoneType"), ("0.25", "str"),
+    ])
+    def test_refused_before_any_symbol_is_drawn(self, run, start, name, monkeypatch):
+        # A bare number of turns is refused, naming its type, before any work.
+        drawn = []
+        monkeypatch.setattr(ifs, "bernoulli_sequence", lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match=f"start must be an Angle, got {name}$"):
+            run(start)
+        assert drawn == []
 
 
 class TestRecurrence:
