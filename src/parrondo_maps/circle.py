@@ -31,7 +31,7 @@ def _is_count(x, least: int) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= least
 
 
-def _mod1(x):
+def _mod1(x, out=None):
     """``x % 1.0``: numpy's and Python's remainder, computed as ``x - floor(x)`` on arrays.
 
     The two agree bit for bit on every finite double, sign of zero included.
@@ -39,9 +39,14 @@ def _mod1(x):
     value ``x - trunc(x) + 1`` once: ``%`` adds 1 to the exact ``fmod``, and
     ``floor(x)`` is exactly ``trunc(x) - 1`` unless ``x`` is an integer, where
     both give +0.  The floor form is several times faster than numpy's ``%``.
+
+    An array ``x`` may write through ``out``, which holds the floor and then
+    the result, so ``out`` must be another array than ``x``.
     """
     if isinstance(x, np.ndarray):
-        return x - np.floor(x)
+        if out is x:
+            raise ValueError("out must be another array than x: the floor would overwrite x")
+        return np.subtract(x, np.floor(x, out=out), out=out)
     return x % 1.0
 
 
@@ -61,11 +66,12 @@ def _as_turns(x):
     return x.value if isinstance(x, Angle) else x
 
 
-def _dist_to_zero(theta):
-    """Distance from a circle point to 0, in [0, 1/2] turns; elementwise on arrays."""
-    t = _mod1(theta)
+def _dist_to_zero(theta, out=None):
+    """Distance from a circle point to 0, in [0, 1/2] turns; elementwise on arrays,
+    which may write through ``out`` as ``_mod1`` does."""
+    t = _mod1(theta, out)
     if isinstance(t, np.ndarray):
-        return np.minimum(t, 1.0 - t)
+        return np.minimum(t, 1.0 - t, out=out)
     return t if t <= 0.5 else 1.0 - t
 
 

@@ -166,8 +166,12 @@ def bernoulli_sequence(p, n: int, seed: int, stream: int = 0) -> np.ndarray:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if not _is_count(stream, 0):
         raise ValueError(f"stream must be a non-negative integer, got {stream}")
-    u = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,)))).random(n)
-    return (u >= p).astype(np.int8)
+    return (_uniforms(seed, stream, n) >= p).astype(np.int8)
+
+
+def _uniforms(seed: int, stream: int, n: int) -> np.ndarray:
+    """The ``n`` uniforms of stream ``stream`` under the root ``seed``, unchecked."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,)))).random(n)
 
 
 def _check_start(start) -> None:
@@ -305,14 +309,17 @@ def monte_carlo_grid(configs, start: Angle = DEFAULT_START) -> list[IfsStats]:
     angle moves once per step, and its radial increment is read for the whole
     column of distinct ``a`` values at once.  Every (``a``, ``p``) pair of the
     distinct values is computed, which is exactly the work of a product grid.
-    Each stream's uniforms are drawn once for every ``p``.  Streams advance in
-    lock-step, in chunks holding at most ``CHUNK_SYMBOLS`` symbols.  Within a
-    chunk the steps run in blocks of at most ``planar.GAIN_CELLS`` angles: the
-    step loop moves the angles only, and after each block one ``delta_r`` call
-    reads every angle of the block for every ``a``, whose rows are added to
-    the log-radius in step order.  That read holds one increment per angle
-    and value of ``a``, ``n_a`` x 64 KiB; with its temporaries and the
-    previous block's read, the engine holds up to 3 x ``n_a`` x 64 KiB.
+    Each stream's uniforms are drawn once and thresholded against every
+    ``p``.  Streams advance in lock-step, in chunks holding at most
+    ``CHUNK_SYMBOLS`` symbols.  Within a chunk the steps run in blocks of at
+    most ``planar.GAIN_CELLS`` angles: the step loop moves the angles only,
+    and after each block one ``delta_r`` call reads every angle of the block
+    for every ``a``, whose rows are added to the log-radius in step order.
+    That read holds one increment per angle and value of ``a``, ``n_a`` x
+    64 KiB.  It and the angle buffers are allocated once per chunk and
+    written through ``out`` by every step and block, so a steady loop of
+    calls takes no page faults for them (about 2000 a call on a 9 ``p`` x
+    64 ``a`` x 50 x 400 grid when each block allocated its read).
     """
     _check_start(start)
     configs = list(configs)
@@ -332,7 +339,7 @@ def monte_carlo_grid(configs, start: Angle = DEFAULT_START) -> list[IfsStats]:
     # a as an (n_a, 1, 1) column, so one call reads a block of (step, lane)
     # angles for every a: n_a increments per angle.
     radial = RadialProfile(np.array([[[a]] for a in a_index]), base.w)
-    p_col = np.array([[p] for p in p_index])
+    p_row = np.array(list(p_index))
     n_a, n_p, n, horizon = len(a_index), len(p_index), base.n_sequences, base.horizon
     deltas = np.empty((n_a, n_p, n))
     k_counts = np.empty((n_p, n), dtype=np.int64)
@@ -342,31 +349,36 @@ def monte_carlo_grid(configs, start: Angle = DEFAULT_START) -> list[IfsStats]:
         width = hi - lo
         # Step-major, so that each step reads one contiguous column; lane
         # (s - lo) * n_p + i holds stream s under the i-th p, so each stream
-        # writes its (horizon, n_p) symbols as one slab of adjacent columns.
+        # thresholds its uniforms against every p straight into one slab of
+        # adjacent columns, as bernoulli_sequence thresholds them.
         lanes = width * n_p
         cols = np.empty((horizon, lanes), dtype=np.int8)
         slabs = cols.reshape(horizon, width, n_p)
         for s in range(lo, hi):
-            slabs[:, s - lo] = bernoulli_sequence(p_col, horizon, base.seed, s).T
+            np.greater_equal(_uniforms(base.seed, s, horizon)[:, None], p_row, out=slabs[:, s - lo])
         k_counts[:, lo:hi] = np.count_nonzero(slabs[0::2] != slabs[1::2], axis=0).T
         # The same operations as run_ifs, one lane per (stream, p); x - floor(x)
         # is run_ifs's % 1.0 bit for bit (see circle._mod1).  A block holds
-        # GAIN_CELLS angles whatever the number of a values.
-        block = max(1, GAIN_CELLS // lanes)
+        # GAIN_CELLS angles whatever the number of a values.  Every buffer is
+        # allocated here, once per chunk: the block's angles, the lanes'
+        # angle and its step, and the block's radial read.
+        block = min(horizon, max(1, GAIN_CELLS // lanes))
+        thetas = np.empty((block, lanes))
+        read = np.empty((n_a, block, lanes))
         r = np.zeros((n_a, lanes))
         th = np.full(lanes, start.value)
-        thetas = np.empty((block, lanes))
+        step = np.empty(lanes)
         for b in range(0, horizon, block):
-            half = 0.5 * cols[b:b + block]
-            for t, h in zip(thetas, half):
-                np.add(th, h, out=t)
-                th = _mod1(th + ap.delta_theta(t))
+            length = min(block, horizon - b)
+            # Each row holds its step's half turns until the step adds the angle.
+            angles = np.multiply(0.5, cols[b:b + length], out=thetas[:length])
+            for t in angles:
+                np.add(th, t, out=t)
+                np.add(th, ap.delta_theta(t, out=step), out=step)
+                _mod1(step, out=th)
             # Added one step at a time, as run_ifs adds them; a sum over the
-            # block would round in another order.  The last row keeps this
-            # block's increments until the next read returns; freed earlier,
-            # glibc trims the heap top every block (about 2600 page faults a
-            # call on a 9 p x 4 a x 50 x 400 grid).
-            for row in radial.delta_r(thetas[:len(half)]).swapaxes(0, 1):
+            # block would round in another order.
+            for row in radial.delta_r(angles, out=read[:, :length]).swapaxes(0, 1):
                 r += row
         deltas[:, :, lo:hi] = r.reshape(n_a, width, n_p).transpose(0, 2, 1)
     # Each cell gets its own arrays, duplicate cells included.

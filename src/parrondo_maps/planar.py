@@ -40,7 +40,7 @@ CERTIFICATE_SLACK = 1e-6
 # 128 KiB mmap threshold): the grid cells ``composition_radial_gain`` carries
 # through a word at once, the angles of one cone-check block, and the angles
 # of one lock-step Monte Carlo block, whose radial read holds one increment
-# per angle and value of ``a`` (n_a x 64 KiB).
+# per angle and value of ``a`` (n_a x 64 KiB) in a buffer held for the chunk.
 GAIN_CELLS = 1 << 13
 
 

@@ -76,7 +76,10 @@ class RadialProfile:
     a: float
     w: float
 
-    def delta_r(self, theta):
+    def delta_r(self, theta, out=None):
+        """The increment at ``theta``, shaped like ``a * theta``.  An array
+        ``theta`` may write the increments through ``out``, another array than
+        ``theta``; only the angle-shaped steps before the product allocate."""
         # A plain float, one orbit step, skips numpy; its test keeps w = 0 from dividing.
         if isinstance(theta, float):
             t = theta % 1.0
@@ -84,8 +87,11 @@ class RadialProfile:
             if dist >= self.w:
                 return self.a - 1.0
             return self.a * (dist / self.w) - 1.0
+        if out is theta:
+            raise ValueError("out must be another array than theta")
         # Past the arc min(dist, w) / w is exactly 1.0: the float branch, with no overflow.
-        return self.a * (np.minimum(_dist_to_zero(theta), self.w) / self.w) - 1.0
+        q = np.minimum(_dist_to_zero(theta), self.w) / self.w
+        return np.subtract(np.multiply(self.a, q, out=out), 1.0, out=out)
 
 
 @dataclass(frozen=True)
@@ -107,13 +113,21 @@ class AngularProfile:
     def __post_init__(self):
         object.__setattr__(self, "shape", AngularShape(self.shape))
 
-    def delta_theta(self, theta):
+    def delta_theta(self, theta, out=None):
+        """The drift at ``theta``.  An array ``theta`` may write it through
+        ``out``, another array than ``theta``, with no other array allocated
+        for the raised cosine and one for the tent's ``1 - t``."""
         # A str enum equals its value; looking the member up on the enum class is several times slower.
         if self.shape == "piecewise_linear":
-            return 2.0 * self.d * _dist_to_zero(theta)
+            # In place: an array dist is new or out, and a scalar stays the type it was.
+            dist = _dist_to_zero(theta, out)
+            dist *= 2.0 * self.d
+            return dist
         if isinstance(theta, float):
             return 0.5 * self.d * (1.0 - math.cos(TWO_PI * (theta % 1.0)))
-        return 0.5 * self.d * (1.0 - np.cos(TWO_PI * _mod1(theta)))
+        x = np.multiply(TWO_PI, _mod1(theta, out), out=out)
+        x = np.subtract(1.0, np.cos(x, out=out), out=out)
+        return np.multiply(0.5 * self.d, x, out=out)
 
     def lift(self, x):
         """Lift of ``theta -> theta + delta_theta(theta)``; degree one by construction."""

@@ -103,6 +103,23 @@ class TestTurnReduction:
         np.testing.assert_array_equal(_bits(got), _bits(x % 1.0))
         np.testing.assert_array_equal(_bits(got), _bits([v % 1.0 for v in xs]))
         np.testing.assert_array_equal(np.signbit(got), np.signbit(x % 1.0))
+        # Through out, a strided view as the lock-step engine passes, x untouched.
+        before = x.copy()
+        buf = np.full((len(xs), 2), np.nan)[:, 0]
+        assert _mod1(x, out=buf) is buf
+        np.testing.assert_array_equal(_bits(buf), _bits(x % 1.0))
+        np.testing.assert_array_equal(_bits(x), _bits(before))
+
+    def test_out_may_not_be_the_input(self):
+        # x - floor(x) written into x itself would read the floor back: zeros.
+        x = np.array([0.25, -0.75, 3.5])
+        with pytest.raises(ValueError, match="out must be another array than x"):
+            _mod1(x, out=x)
+        np.testing.assert_array_equal(x, [0.25, -0.75, 3.5])
+
+    @pytest.mark.parametrize("x, kind", [(3, float), (np.float64(-0.75), np.float64), (np.array(-0.75), np.float64)])
+    def test_scalar_types_are_kept(self, x, kind):
+        assert type(_mod1(x)) is kind
 
     @settings(max_examples=300)
     @given(st.lists(reducible, min_size=1, max_size=8))

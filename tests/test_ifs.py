@@ -372,20 +372,26 @@ class TestMonteCarloGrid:
         assert_matches_run_ifs(configs, start, monte_carlo_grid(configs, start))
 
     @staticmethod
-    def _block_rows(monkeypatch, budget, a_values):
-        """The steps each ``delta_r`` call reads on 7 streams of 40 symbols
-        under 3 values of p, with blocks of ``budget`` angles; the cells must
-        still equal their ``run_ifs``."""
+    def _block_reads(monkeypatch, budget, a_values):
+        """The angles and the ``out`` of each ``delta_r`` call on 7 streams of
+        40 symbols under 3 values of p, with blocks of ``budget`` angles; the
+        cells must still equal their ``run_ifs``."""
         monkeypatch.setattr(ifs, "GAIN_CELLS", budget)
         seen = []
         delta_r = ifs.RadialProfile.delta_r
-        monkeypatch.setattr(ifs.RadialProfile, "delta_r", lambda rp, t: seen.append(len(t)) or delta_r(rp, t))
+        monkeypatch.setattr(ifs.RadialProfile, "delta_r",
+                            lambda rp, t, out=None: seen.append((t, out)) or delta_r(rp, t, out=out))
         configs = [small_config(p=p, a=a, horizon=40, n_sequences=7) for p in (0.2, 0.5, 0.7) for a in a_values]
         start = Angle(0.4)
         stats = monte_carlo_grid(configs, start)
         monkeypatch.undo()
         assert_matches_run_ifs(configs, start, stats)
         return seen
+
+    @classmethod
+    def _block_rows(cls, monkeypatch, budget, a_values):
+        """The steps each ``delta_r`` call reads, as ``_block_reads``."""
+        return [len(t) for t, _ in cls._block_reads(monkeypatch, budget, a_values)]
 
     @pytest.mark.parametrize("budget, rows", [
         (1, [1] * 40),
@@ -404,13 +410,31 @@ class TestMonteCarloGrid:
         # 21 lanes, whatever the number of a values read at each angle.
         assert self._block_rows(monkeypatch, 3 * 21, a_values) == [3] * 13 + [1]
 
+    @pytest.mark.parametrize("chunk, chunks", [(ifs.CHUNK_SYMBOLS, 1), (3 * 3 * 40, 3)])
+    def test_each_block_reads_into_one_held_buffer(self, chunk, chunks, monkeypatch):
+        # 14 blocks of 3 steps (the last of 1) in one chunk of 7 streams, then
+        # chunks of 3, 3 and 1 streams: every read of a chunk writes through
+        # a view of the one radial buffer that chunk holds.
+        def owner(x):
+            return x if x.base is None else x.base
+
+        monkeypatch.setattr(ifs, "CHUNK_SYMBOLS", chunk)
+        reads = self._block_reads(monkeypatch, 3 * 21, (3.0, 5.0))
+        assert all(isinstance(out, np.ndarray) for _, out in reads)
+        # The block's angles are held per chunk too, so they name the chunk.
+        held = {}
+        for t, out in reads:
+            assert owner(out) is held.setdefault(id(owner(t)), owner(out))
+        assert len(held) == chunks
+
     @pytest.mark.parametrize("n_sequences, chunk", [(40, ifs.CHUNK_SYMBOLS), (400, 3 * 200 * 40)])
     def test_traced_peak_is_one_chunk_and_one_block(self, n_sequences, chunk, monkeypatch):
         # 16 values of a x 3 of p, then 10x the sequences in 10 chunks of 40
-        # streams.  A block's radial read holds n_a x GAIN_CELLS increments;
-        # with its product temporary and the previous block's read, the peak
-        # stays below one chunk of int8 symbols, 3 such float64 arrays and
-        # the outputs, whatever the number of sequences.
+        # streams.  Each chunk holds one radial read of n_a x GAIN_CELLS
+        # increments, and its angle buffers and delta_r's temporaries hold a
+        # few GAIN_CELLS more, so the peak stays below one chunk of int8
+        # symbols, 3 such float64 reads and the outputs, whatever the number
+        # of sequences.
         monkeypatch.setattr(ifs, "CHUNK_SYMBOLS", chunk)
         n_a, n_p, horizon = 16, 3, 200
         configs = [small_config(p=p, a=4.0 + 0.5 * i, horizon=horizon, n_sequences=n_sequences)
@@ -426,6 +450,24 @@ class TestMonteCarloGrid:
         # a cell for its objects.
         outputs = (n_a * n_p + n_p) * n_sequences * 8 + len(stats) * (16 * n_sequences + 1024)
         assert peak < chunk_bytes + 3 * n_a * ifs.GAIN_CELLS * 8 + outputs
+
+    def test_steady_calls_take_few_minor_page_faults(self):
+        # 9 values of p x 64 of a x 50 x 400: a radial read of 4 MiB, held for
+        # the call, where a read allocated every block made about 2000 minor
+        # faults a call.  The bound leaves room for the outputs' heap.
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource.getrusage(resource.RUSAGE_SELF), "ru_minflt"):
+            pytest.skip("getrusage reports no minor page faults here")
+        configs = [small_config(p=p, a=a, horizon=400, n_sequences=50)
+                   for p in np.linspace(0.1, 0.9, 9).tolist() for a in np.linspace(4.0, 20.0, 64).tolist()]
+        for _ in range(2):
+            monte_carlo_grid(configs)
+        faults = []
+        for _ in range(5):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            monte_carlo_grid(configs)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert sorted(faults)[2] < 200, faults
 
     def test_accepts_configs_differing_in_p(self):
         configs = [small_config(a=5.0, horizon=60, n_sequences=6),
@@ -481,9 +523,10 @@ class TestStartMustBeAnAngle:
         (0.25, "float"), (np.float64(0.25), "float64"), (None, "NoneType"), ("0.25", "str"),
     ])
     def test_refused_before_any_symbol_is_drawn(self, run, start, name, monkeypatch):
-        # A bare number of turns is refused, naming its type, before any work.
+        # A bare number of turns is refused, naming its type, before any work:
+        # every draw goes through _uniforms.
         drawn = []
-        monkeypatch.setattr(ifs, "bernoulli_sequence", lambda *args: drawn.append(args))
+        monkeypatch.setattr(ifs, "_uniforms", lambda *args: drawn.append(args))
         with pytest.raises(ValueError, match=f"start must be an Angle, got {name}$"):
             run(start)
         assert drawn == []

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from parrondo_maps.circle import _dist_to_zero, circle_dist
 from parrondo_maps.cli import main
@@ -145,6 +146,66 @@ class TestPiecewiseLinearDrift:
             for theta in (0.0, 0.1, 0.5, 0.9, np.linspace(0.0, 1.0, 5)):
                 ap.delta_theta(theta)
         assert calls == [AngularShape.RAISED_COSINE] * 5 + [AngularShape.PIECEWISE_LINEAR] * 5
+
+
+# Finite doubles of every sign and magnitude, signed zeros, whole turns and
+# huge values included, as 1-D arrays of lanes or 2-D (step, lane) blocks.
+out_turns = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=1, max_dims=2, max_side=6),
+    elements=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 0.5, -0.5, 1.0 - 2.0**-53, -1e-20,
+                         2.0**53, -(2.0**53), 1e300, -1e300]),
+    ),
+)
+
+OUT_PROFILES = {
+    "radial": RadialProfile(5.0, 0.125),
+    "radial a column": RadialProfile(np.array([[[4.5]], [[5.0]], [[1e300]]]), 0.125),
+    "raised cosine": AngularProfile(0.25, 0.125),
+    "tent": AngularProfile(0.2, 0.125, AngularShape.PIECEWISE_LINEAR),
+}
+
+
+def _profile_function(name):
+    profile = OUT_PROFILES[name]
+    return profile.delta_r if isinstance(profile, RadialProfile) else profile.delta_theta
+
+
+class TestOutContract:
+    @settings(max_examples=300, deadline=None)
+    @given(out_turns)
+    def test_out_receives_the_result_bit_for_bit(self, theta):
+        before = theta.copy()
+        for name in OUT_PROFILES:
+            f = _profile_function(name)
+            want = f(theta)
+            # Contiguous, and a strided view as the lock-step engine's last block passes.
+            for buf in (np.full(want.shape, np.nan), np.full(want.shape + (2,), np.nan)[..., 0]):
+                assert f(theta, out=buf) is buf, name
+                assert buf.tobytes() == want.tobytes(), name
+            assert theta.tobytes() == before.tobytes(), name
+
+    @pytest.mark.parametrize("name", list(OUT_PROFILES))
+    def test_out_may_not_be_theta(self, name):
+        theta = np.array([0.25, -0.75, 3.5])
+        with pytest.raises(ValueError, match="out must be another array than"):
+            _profile_function(name)(theta, out=theta)
+        np.testing.assert_array_equal(theta, [0.25, -0.75, 3.5])
+
+    # The types a scalar angle gave before out existed: an int, a numpy float
+    # (which takes the float branch) and a 0-d array.
+    @pytest.mark.parametrize("name, kinds", [
+        ("radial", (np.float64, float, np.float64)),
+        ("radial a column", (np.ndarray, np.ndarray, np.ndarray)),
+        ("raised cosine", (np.float64, float, np.float64)),
+        ("tent", (float, np.float64, np.float64)),
+    ])
+    def test_scalar_types_are_kept(self, name, kinds):
+        f = _profile_function(name)
+        for theta, kind in zip((0, np.float64(0.3), np.array(0.3)), kinds):
+            assert type(f(theta)) is kind, theta
 
 
 class TestFactories:
