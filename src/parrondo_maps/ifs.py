@@ -13,14 +13,18 @@ One root seed plus a per-sequence stream index gives fully reproducible,
 embarrassingly parallel experiments: stream ``i`` uses the child generator
 ``SeedSequence(seed, spawn_key=(i,))``.
 
-``run_ifs`` records one orbit's per-pair gains.  ``monte_carlo`` and
-``monte_carlo_grid`` keep only each stream's terminal gain and mixed-pair
-count, and advance all streams (of every ``p`` and ``a`` in a grid) in
-lock-step.  The angle does not depend on the radius, so the step loop moves
-only the angles, one numpy step per map application; the log-radius is the
-running sum of ``delta_r`` along the angle orbit, evaluated once per block of
-steps and added in step order.  Each stream's numbers are bit-identical to
-its ``run_ifs``.
+The angle does not depend on the radius, and ``delta_r = a q - 1`` where
+the slow-arc fraction ``q`` (``RadialProfile.slow_arc_fraction``) does not
+depend on ``a``.  So the log-radius after ``n`` steps is ``a S - n``, where
+``S`` is the sum of ``q`` along the angle orbit, in step order, and one orbit
+serves every ``a``.  ``run_ifs`` records one orbit's per-pair gains,
+``a (q_even + q_odd) - 2``.  ``monte_carlo`` and ``monte_carlo_grid`` keep
+only each stream's terminal gain and mixed-pair count, and advance all
+streams (of every ``p`` in a grid) in lock-step: the step loop moves only
+the angles, one numpy step per map application, ``q`` is read once per block
+of steps and added to ``S`` in step order, and ``S`` meets the ``a`` values
+once, at the end.  Each stream's numbers are bit-identical to its
+``run_ifs``.
 """
 
 from __future__ import annotations
@@ -95,8 +99,10 @@ class IfsConfig:
             raise ValueError(f"n_sequences must be a positive integer, got {self.n_sequences}")
         if not (math.isfinite(self.a) and self.a > 0.0):
             raise ValueError(f"expansion a must be finite and positive, got {self.a}")
-        # Bounds every sum of gains; an int compares with a float exactly, with no overflow.
-        if not self.horizon * self.n_sequences <= np.finfo(float).max / (2.0 * self.a):
+        # Bounds every sum of gains, each gain within [-1, a - 1]; an int
+        # compares with a float exactly, and below a = 1 the bound is max / 2,
+        # where max / (2 a) would overflow.
+        if not self.horizon * self.n_sequences <= np.finfo(float).max / 2.0 / max(self.a, 1.0):
             raise ValueError(f"expansion a = {self.a} is too large for {self.n_sequences} x {self.horizon} steps")
         if not 0.0 < self.w < 0.25:
             raise ValueError(f"w must lie in (0, 1/4), got {self.w}")
@@ -147,18 +153,12 @@ def theoretical_bounds(p: float, a: float) -> TheoreticalBounds:
     return TheoreticalBounds(a_min=1.0 / pq, K=K, pair_slope_lb=K)
 
 
-def bernoulli_sequence(p, n: int, seed: int, stream: int = 0) -> np.ndarray:
-    """i.i.d. symbols in {0, 1} with P(0) = p, reproducible per (seed, stream).
-
-    ``p`` is a probability, giving shape ``(n,)``, or a column of them, shape
-    ``(n_p, 1)``, giving one row per ``p``.  The stream's uniforms are drawn
-    once and thresholded against every ``p``, so each row equals the scalar
-    call with that ``p``.
-    """
+def bernoulli_sequence(p: float, n: int, seed: int, stream: int = 0) -> np.ndarray:
+    """``n`` i.i.d. symbols in {0, 1} with P(0) = p, reproducible per (seed, stream)."""
     p = np.asarray(p, dtype=float)
-    if p.ndim != 0 and (p.ndim != 2 or p.shape[1] != 1):
-        raise ValueError(f"p must be a probability or a column of them, got shape {p.shape}")
-    if not all(0.0 < q < 1.0 for q in p.ravel().tolist()):
+    if p.ndim != 0:
+        raise ValueError(f"p must be a probability, got shape {p.shape}")
+    if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
     if not _is_count(n, 1):
         raise ValueError(f"sequence length must be a positive integer, got {n}")
@@ -222,18 +222,17 @@ def run_ifs(
         t = th + 0.5 if sym else th
         shifted.append(t)
         th = (th + delta_theta(t)) % 1.0
-    # The log-radius change is summed from 0, in step order, so no gain is
-    # lost to rounding against a huge start radius; each step's gain is the
-    # difference of two such sums.
-    rs = np.cumsum(rp.delta_r(np.array(shifted)))
-    gains = np.diff(rs, prepend=0.0)
+    # The a-free fractions are summed from 0, in step order, as the lock-step
+    # engine adds them.  A mixed pair reads q = 1.0 exactly at least once, so
+    # its gain rounds to at least a - 2.
+    q = rp.slow_arc_fraction(np.array(shifted))
     pair_mixed = symbols[0::2] != symbols[1::2]
     return IfsRun(
         symbols=symbols,
         pair_mixed=pair_mixed,
-        pair_gains=gains[0::2] + gains[1::2],
+        pair_gains=config.a * (q[0::2] + q[1::2]) - 2.0,
         k_m=int(np.count_nonzero(pair_mixed)),
-        delta_total=float(rs[-1]),
+        delta_total=float(config.a * np.cumsum(q)[-1] - config.horizon),
     )
 
 
@@ -305,21 +304,19 @@ def monte_carlo_grid(configs, start: Angle = DEFAULT_START) -> list[IfsStats]:
 
     The symbols and the angle orbit depend on ``p``, ``d`` and the seed but
     not on ``a``, so all configs share one run.  Its lanes are (stream) x
-    (distinct ``p``), each stream's ``p`` values side by side: every lane's
-    angle moves once per step, and its radial increment is read for the whole
-    column of distinct ``a`` values at once.  Every (``a``, ``p``) pair of the
-    distinct values is computed, which is exactly the work of a product grid.
-    Each stream's uniforms are drawn once and thresholded against every
-    ``p``.  Streams advance in lock-step, in chunks holding at most
-    ``CHUNK_SYMBOLS`` symbols.  Within a chunk the steps run in blocks of at
-    most ``planar.GAIN_CELLS`` angles: the step loop moves the angles only,
-    and after each block one ``delta_r`` call reads every angle of the block
-    for every ``a``, whose rows are added to the log-radius in step order.
-    That read holds one increment per angle and value of ``a``, ``n_a`` x
-    64 KiB.  It and the angle buffers are allocated once per chunk and
-    written through ``out`` by every step and block, so a steady loop of
-    calls takes no page faults for them (about 2000 a call on a 9 ``p`` x
-    64 ``a`` x 50 x 400 grid when each block allocated its read).
+    (distinct ``p``), each stream's ``p`` values side by side, and every
+    lane's angle moves once per step.  Each stream's uniforms are drawn once
+    and thresholded against every ``p``.  Streams advance in lock-step, in
+    chunks holding at most ``CHUNK_SYMBOLS`` symbols.  Within a chunk the
+    steps run in blocks of at most ``planar.GAIN_CELLS`` angles: the step
+    loop moves the angles only, and after each block one
+    ``slow_arc_fraction`` call reads every angle of the block, whose rows are
+    added to each lane's sum ``S`` in step order.  At the end of the chunk
+    every distinct ``a`` maps ``S`` to the gain ``a S - horizon`` at once, so
+    every (``a``, ``p``) pair of the distinct values is computed, and the
+    ``a`` values cost one product per lane each.  The block's read, its angles
+    and the lane buffers are allocated once per chunk, whatever the number of
+    ``a`` values, and written through ``out`` by every step and block.
     """
     _check_start(start)
     configs = list(configs)
@@ -335,11 +332,9 @@ def monte_carlo_grid(configs, start: Angle = DEFAULT_START) -> list[IfsStats]:
     # Distinct values in first-seen order; duplicate cells read the same lanes.
     p_index = {p: i for i, p in enumerate(dict.fromkeys(c.p for c in configs))}
     a_index = {a: i for i, a in enumerate(dict.fromkeys(c.a for c in configs))}
-    _, ap = base.profiles()
-    # a as an (n_a, 1, 1) column, so one call reads a block of (step, lane)
-    # angles for every a: n_a increments per angle.
-    radial = RadialProfile(np.array([[[a]] for a in a_index]), base.w)
+    radial, ap = base.profiles()
     p_row = np.array(list(p_index))
+    a_col = np.array(list(a_index))[:, None]
     n_a, n_p, n, horizon = len(a_index), len(p_index), base.n_sequences, base.horizon
     deltas = np.empty((n_a, n_p, n))
     k_counts = np.empty((n_p, n), dtype=np.int64)
@@ -358,14 +353,13 @@ def monte_carlo_grid(configs, start: Angle = DEFAULT_START) -> list[IfsStats]:
             np.greater_equal(_uniforms(base.seed, s, horizon)[:, None], p_row, out=slabs[:, s - lo])
         k_counts[:, lo:hi] = np.count_nonzero(slabs[0::2] != slabs[1::2], axis=0).T
         # The same operations as run_ifs, one lane per (stream, p); x - floor(x)
-        # is run_ifs's % 1.0 bit for bit (see circle._mod1).  A block holds
-        # GAIN_CELLS angles whatever the number of a values.  Every buffer is
-        # allocated here, once per chunk: the block's angles, the lanes'
-        # angle and its step, and the block's radial read.
+        # is run_ifs's % 1.0 bit for bit (see circle._mod1).  Every buffer is
+        # allocated here, once per chunk: the block's angles and its read of
+        # the slow-arc fraction, the lanes' angle and its step, and their sums.
         block = min(horizon, max(1, GAIN_CELLS // lanes))
         thetas = np.empty((block, lanes))
-        read = np.empty((n_a, block, lanes))
-        r = np.zeros((n_a, lanes))
+        read = np.empty((block, lanes))
+        total = np.zeros(lanes)
         th = np.full(lanes, start.value)
         step = np.empty(lanes)
         for b in range(0, horizon, block):
@@ -376,11 +370,12 @@ def monte_carlo_grid(configs, start: Angle = DEFAULT_START) -> list[IfsStats]:
                 np.add(th, t, out=t)
                 np.add(th, ap.delta_theta(t, out=step), out=step)
                 _mod1(step, out=th)
-            # Added one step at a time, as run_ifs adds them; a sum over the
-            # block would round in another order.
-            for row in radial.delta_r(angles, out=read[:, :length]).swapaxes(0, 1):
-                r += row
-        deltas[:, :, lo:hi] = r.reshape(n_a, width, n_p).transpose(0, 2, 1)
+            # Added one step at a time, as run_ifs's cumsum adds them; a sum
+            # over the block would round in another order.
+            for row in radial.slow_arc_fraction(angles, out=read[:length]):
+                total += row
+        gains = a_col * total - horizon
+        deltas[:, :, lo:hi] = gains.reshape(n_a, width, n_p).transpose(0, 2, 1)
     # Each cell gets its own arrays, duplicate cells included.
     return [
         IfsStats(

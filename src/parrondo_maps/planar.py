@@ -39,8 +39,8 @@ CERTIFICATE_SLACK = 1e-6
 # Float64 values in one block of temporaries (64 KiB, below the allocator's
 # 128 KiB mmap threshold): the grid cells ``composition_radial_gain`` carries
 # through a word at once, the angles of one cone-check block, and the angles
-# of one lock-step Monte Carlo block, whose radial read holds one increment
-# per angle and value of ``a`` (n_a x 64 KiB) in a buffer held for the chunk.
+# of one lock-step Monte Carlo block, whose a-free radial read fills one such
+# block, held for the chunk.
 GAIN_CELLS = 1 << 13
 
 

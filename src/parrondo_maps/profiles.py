@@ -77,9 +77,9 @@ class RadialProfile:
     w: float
 
     def delta_r(self, theta, out=None):
-        """The increment at ``theta``, shaped like ``a * theta``.  An array
-        ``theta`` may write the increments through ``out``, another array than
-        ``theta``; only the angle-shaped steps before the product allocate."""
+        """The increment ``a * slow_arc_fraction(theta) - 1`` at ``theta``.  An
+        array ``theta`` may write the increments through ``out``, as
+        ``slow_arc_fraction`` does."""
         # A plain float, one orbit step, skips numpy; its test keeps w = 0 from dividing.
         if isinstance(theta, float):
             t = theta % 1.0
@@ -87,11 +87,19 @@ class RadialProfile:
             if dist >= self.w:
                 return self.a - 1.0
             return self.a * (dist / self.w) - 1.0
+        # Past the arc the fraction is exactly 1.0: the float branch, with no overflow.
+        q = self.slow_arc_fraction(theta, out)
+        return np.subtract(np.multiply(self.a, q, out=out), 1.0, out=out)
+
+    def slow_arc_fraction(self, theta, out=None):
+        """``min(dist(theta, 0), w) / w``, the part of ``delta_r`` that does not
+        depend on ``a``: 0 at 0, rising linearly to exactly 1.0 at the edge of
+        the slow arc and past it.  An array ``theta`` may write it through
+        ``out``, another array than ``theta``, with one array allocated for
+        the distance's ``1 - t``."""
         if out is theta:
             raise ValueError("out must be another array than theta")
-        # Past the arc min(dist, w) / w is exactly 1.0: the float branch, with no overflow.
-        q = np.minimum(_dist_to_zero(theta), self.w) / self.w
-        return np.subtract(np.multiply(self.a, q, out=out), 1.0, out=out)
+        return np.divide(np.minimum(_dist_to_zero(theta, out), self.w, out=out), self.w, out=out)
 
 
 @dataclass(frozen=True)

@@ -806,7 +806,7 @@ class TestIfs:
         assert "expansion a must be finite and positive, got inf" in err and "JSON" not in err
 
     @pytest.mark.parametrize("sequences, digest", [
-        ("20", "d430fb34628e895f7c50f292943e60eae8e85222311a55e379fba9822f54b259"),
+        ("20", "a0936e90ae9d5930b525dff2b3da6a00ae4b4d65f98ca4bd8dd3e1b259317e83"),
         # One sequence has no spread: slope_se, both interval ends and stderr are null.
         ("1", "28dcec189422383b6e1ba9a8bcb0afcfc26ff03dff253e090e2ad462e7bc21cd"),
     ])
@@ -821,16 +821,16 @@ class TestIfs:
         out = tmp_path / "seqs.csv"
         assert run(["ifs", "--format", "csv", "--horizon", "200", "--sequences", "20", "--seed", "3",
                     "--out", str(out)]) == 0
-        digest = "61f3a618cd5da4d950d9bcac82e221eb4755eeb0214fce7ca05835449b16e75a"
+        digest = "e8a5ebc0945668ff9487f1c25bab11dbc1ec9f50c40a7cdfc4d45b3cd99af70a"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_csv_bytes_are_pinned_over_many_blocks(self, tmp_path):
-        # 300 sequences x 2000 steps: the radial increments are read in about
-        # 75 blocks of 27 steps, so block boundaries fall all along the run.
+        # 300 sequences x 2000 steps: the slow-arc fractions are read in 75
+        # blocks of 27 steps, so block boundaries fall all along the run.
         out = tmp_path / "seqs.csv"
         assert run(["ifs", "--format", "csv", "--horizon", "2000", "--sequences", "300", "--seed", "7",
                     "--out", str(out)]) == 0
-        digest = "f1cf44d9c22a4eca3c9164cb5662c8a51677c2447d9c31d06b4603f55d96e6da"
+        digest = "1f9ec15fe0c236729f1a956fd78371bf8f0ca016cd568172ff13bfe2089139de"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_negative_seed_is_named(self, capsys):
@@ -983,7 +983,7 @@ class TestSweep:
         argv = ["sweep", "--p-grid", "0.1:0.9:9", "--a-grid", "4,5,8", "--horizon", "200",
                 "--sequences", "30", "--seed", "3", "--out", str(out)]
         assert run(argv) == 0
-        digest = "a5162b2d4f17f33dc7b728eaecb4039cb340e6394f302f18b87a00b698e227de"
+        digest = "fccf4888a16fc59718059cfa30935a4bdf18cd48c3b2f6e58d70c3105ea540a3"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_empty_grid_rejected(self, capsys):

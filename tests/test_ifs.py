@@ -50,7 +50,7 @@ class TestBernoulliSequences:
         assert abs(freq - p) <= 3.0 * math.sqrt(p * (1 - p) / n)
 
     def test_boundary_probabilities_rejected(self):
-        for bad in (0.0, 1.0, -0.2, 1.7, math.nan, np.array([[0.5], [1.0]])):
+        for bad in (0.0, 1.0, -0.2, 1.7, math.nan, np.array(1.0)):
             with pytest.raises(ValueError, match="strictly between 0 and 1"):
                 bernoulli_sequence(bad, 10, seed=0)
 
@@ -68,18 +68,15 @@ class TestBernoulliSequences:
             bernoulli_sequence(0.5, 4, **{"seed": 1, "stream": 0, name: bad})
         assert bernoulli_sequence(0.5, 4, np.int64(1), np.uint8(2)).shape == (4,)
 
-    @pytest.mark.parametrize("p, n", [([0.3, 0.7], 2), ([0.3, 0.7], 3), ([[0.3, 0.7]], 2), ([[[0.5]]], 2)])
+    @pytest.mark.parametrize("p, n", [
+        ([0.3, 0.7], 2), ([0.3, 0.7], 3), ([[0.3, 0.7]], 2), ([[[0.5]]], 2), ([[0.3], [0.7]], 2), ([[0.5]], 2),
+    ])
     def test_p_must_be_a_probability_or_a_column(self, p, n):
-        # A row of probabilities would threshold position by position.
-        with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(p)}")):
+        # A row of probabilities would threshold position by position, and a
+        # column would broadcast to a block of rows: each is refused, a column
+        # of probabilities included.
+        with pytest.raises(ValueError, match=re.escape(f"p must be a probability, got shape {np.shape(p)}")):
             bernoulli_sequence(p, n, seed=0)
-
-    def test_p_column_equals_scalar_calls(self):
-        ps = [0.1, 0.5, 0.5, 0.93]
-        rows = bernoulli_sequence(np.array([[p] for p in ps]), 500, seed=4, stream=9)
-        assert rows.shape == (4, 500) and rows.dtype == np.int8
-        for p, row in zip(ps, rows):
-            np.testing.assert_array_equal(row, bernoulli_sequence(p, 500, seed=4, stream=9))
 
     def test_stream_rng_is_pcg64(self):
         # Stream s is a PCG64 generator on child s of the root seed.
@@ -148,6 +145,13 @@ class TestConfig:
     def test_non_finite_or_non_positive_expansion_rejected(self, bad):
         with pytest.raises(ValueError, match="expansion a must be finite and positive"):
             small_config(a=bad)
+
+    @pytest.mark.parametrize("a", [0.25, 5e-324, np.float64(0.1)])
+    def test_small_expansion_runs_with_no_overflow_warning(self, a):
+        # The size bound divided the largest double by 2a, which overflows
+        # below a = 1/2; the test settings make that warning an error.
+        config = small_config(a=a, horizon=4, n_sequences=2)
+        assert monte_carlo(config).deltas.shape == (2,)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_escape_threshold_rejected(self, bad):
@@ -264,9 +268,16 @@ class TestPlanarMapsAgreeWithTheRecurrence:
             yield trace, run_ifs(config, start=Angle(theta), symbols=np.full(cls.STEPS, symbol))
 
     def test_f0_matches_all_zero_symbols_bit_for_bit(self):
+        # run_ifs reads the profile where the planar orbit does, bit for bit,
+        # and sums the a-free fraction, a * sum(q) - n, where the orbit sums
+        # a * q - 1 step by step: the two sums round apart, under 1e-12 here.
+        rp = small_config().profiles()[0]
+        a = rp.a
         for trace, run in self._orbits(apply_f0, 0):
-            assert trace.rs[-1] == run.delta_total
-            assert np.array_equal(trace.gains[0::2] + trace.gains[1::2], run.pair_gains)
+            q = rp.slow_arc_fraction(trace.thetas[:-1])
+            assert run.delta_total == a * np.cumsum(q)[-1] - self.STEPS
+            assert np.array_equal(run.pair_gains, a * (q[0::2] + q[1::2]) - 2.0)
+            assert abs(trace.rs[-1] - run.delta_total) <= 1e-9
 
     def test_f1_matches_all_one_symbols_to_rounding(self):
         # apply_f1 reads the profiles at (theta + 1/2) % 1 where run_ifs reads
@@ -373,14 +384,14 @@ class TestMonteCarloGrid:
 
     @staticmethod
     def _block_reads(monkeypatch, budget, a_values):
-        """The angles and the ``out`` of each ``delta_r`` call on 7 streams of
-        40 symbols under 3 values of p, with blocks of ``budget`` angles; the
-        cells must still equal their ``run_ifs``."""
+        """The angles and the ``out`` of each ``slow_arc_fraction`` call on 7
+        streams of 40 symbols under 3 values of p, with blocks of ``budget``
+        angles; the cells must still equal their ``run_ifs``."""
         monkeypatch.setattr(ifs, "GAIN_CELLS", budget)
         seen = []
-        delta_r = ifs.RadialProfile.delta_r
-        monkeypatch.setattr(ifs.RadialProfile, "delta_r",
-                            lambda rp, t, out=None: seen.append((t, out)) or delta_r(rp, t, out=out))
+        fraction = ifs.RadialProfile.slow_arc_fraction
+        monkeypatch.setattr(ifs.RadialProfile, "slow_arc_fraction",
+                            lambda rp, t, out=None: seen.append((t, out)) or fraction(rp, t, out=out))
         configs = [small_config(p=p, a=a, horizon=40, n_sequences=7) for p in (0.2, 0.5, 0.7) for a in a_values]
         start = Angle(0.4)
         stats = monte_carlo_grid(configs, start)
@@ -390,7 +401,7 @@ class TestMonteCarloGrid:
 
     @classmethod
     def _block_rows(cls, monkeypatch, budget, a_values):
-        """The steps each ``delta_r`` call reads, as ``_block_reads``."""
+        """The steps each ``slow_arc_fraction`` call reads, as ``_block_reads``."""
         return [len(t) for t, _ in cls._block_reads(monkeypatch, budget, a_values)]
 
     @pytest.mark.parametrize("budget, rows", [
@@ -407,14 +418,14 @@ class TestMonteCarloGrid:
     @pytest.mark.parametrize("a_values", [(5.0,), (3.0, 5.0), (3.0, 5.0, 9.0)])
     def test_block_length_does_not_depend_on_the_a_column(self, a_values, monkeypatch):
         # A block is sized by the angles it holds: 63 angles are 3 steps of
-        # 21 lanes, whatever the number of a values read at each angle.
+        # 21 lanes, whatever the number of a values.
         assert self._block_rows(monkeypatch, 3 * 21, a_values) == [3] * 13 + [1]
 
     @pytest.mark.parametrize("chunk, chunks", [(ifs.CHUNK_SYMBOLS, 1), (3 * 3 * 40, 3)])
     def test_each_block_reads_into_one_held_buffer(self, chunk, chunks, monkeypatch):
         # 14 blocks of 3 steps (the last of 1) in one chunk of 7 streams, then
         # chunks of 3, 3 and 1 streams: every read of a chunk writes through
-        # a view of the one radial buffer that chunk holds.
+        # a view of the one fraction buffer that chunk holds.
         def owner(x):
             return x if x.base is None else x.base
 
@@ -430,15 +441,17 @@ class TestMonteCarloGrid:
     @pytest.mark.parametrize("n_sequences, chunk", [(40, ifs.CHUNK_SYMBOLS), (400, 3 * 200 * 40)])
     def test_traced_peak_is_one_chunk_and_one_block(self, n_sequences, chunk, monkeypatch):
         # 16 values of a x 3 of p, then 10x the sequences in 10 chunks of 40
-        # streams.  Each chunk holds one radial read of n_a x GAIN_CELLS
-        # increments, and its angle buffers and delta_r's temporaries hold a
-        # few GAIN_CELLS more, so the peak stays below one chunk of int8
-        # symbols, 3 such float64 reads and the outputs, whatever the number
-        # of sequences.
+        # streams.  Each chunk holds its block's angles and one a-free read of
+        # at most GAIN_CELLS fractions, the read's distance takes one more
+        # such temporary, and the 16 values of a meet the lanes' sums once a
+        # chunk, so the peak stays below one chunk of int8 symbols, 3 float64
+        # blocks and the outputs, whatever the number of sequences.
         monkeypatch.setattr(ifs, "CHUNK_SYMBOLS", chunk)
         n_a, n_p, horizon = 16, 3, 200
         configs = [small_config(p=p, a=4.0 + 0.5 * i, horizon=horizon, n_sequences=n_sequences)
                    for p in (0.3, 0.5, 0.7) for i in range(n_a)]
+        # The first draw in a process imports numpy.random, about 0.5 MB.
+        monte_carlo_grid(configs[:1])
         tracemalloc.start()
         try:
             stats = monte_carlo_grid(configs)
@@ -449,12 +462,13 @@ class TestMonteCarloGrid:
         # The grid's deltas and k_counts, each cell's copies of them, and 1 KiB
         # a cell for its objects.
         outputs = (n_a * n_p + n_p) * n_sequences * 8 + len(stats) * (16 * n_sequences + 1024)
-        assert peak < chunk_bytes + 3 * n_a * ifs.GAIN_CELLS * 8 + outputs
+        assert peak < chunk_bytes + 3 * ifs.GAIN_CELLS * 8 + outputs
 
     def test_steady_calls_take_few_minor_page_faults(self):
-        # 9 values of p x 64 of a x 50 x 400: a radial read of 4 MiB, held for
-        # the call, where a read allocated every block made about 2000 minor
-        # faults a call.  The bound leaves room for the outputs' heap.
+        # 9 values of p x 64 of a x 50 x 400: one a-free read of 64 KiB, held
+        # for the call, where a read of every a allocated every block made
+        # about 2000 minor faults a call.  The bound leaves room for the
+        # outputs' heap.
         resource = pytest.importorskip("resource")
         if not hasattr(resource.getrusage(resource.RUSAGE_SELF), "ru_minflt"):
             pytest.skip("getrusage reports no minor page faults here")
@@ -511,6 +525,31 @@ class TestMonteCarloGrid:
         for s, (deltas, k_counts) in zip(rest, before):
             np.testing.assert_array_equal(s.deltas, deltas)
             np.testing.assert_array_equal(s.k_counts, k_counts)
+
+
+class TestPairBoundHoldsUnderRounding:
+    """The paper's bound Delta_2m >= a k_m - 2m with no rounding allowance.
+    A mixed pair reads the slow-arc fraction q = 1.0 exactly at least once,
+    every q is at least 0, and rounding is monotone, so the a-free sum S
+    rounds to at least k_m and a S - 2m to at least a k_m - 2m."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.floats(min_value=0.01, max_value=0.99),
+        a_values=st.lists(st.floats(min_value=0.1, max_value=1e3), min_size=1, max_size=3),
+        seed=st.integers(min_value=0, max_value=2**32),
+        pairs=st.integers(min_value=1, max_value=100),
+        n_sequences=st.integers(min_value=1, max_value=5),
+    )
+    @example(p=0.5, a_values=[3.0, 4.0, 5.0], seed=0, pairs=100, n_sequences=5)
+    def test_every_delta_and_mixed_pair_meets_the_bound(self, p, a_values, seed, pairs, n_sequences):
+        configs = [IfsConfig(p=p, a=a, seed=seed, horizon=2 * pairs, n_sequences=n_sequences) for a in a_values]
+        for config, stats in zip(configs, monte_carlo_grid(configs)):
+            assert np.all(stats.deltas >= config.a * stats.k_counts - 2.0 * pairs)
+            for stream in range(n_sequences):
+                run = run_ifs(config, stream=stream)
+                assert np.all(run.pair_gains[run.pair_mixed] >= config.a - 2.0)
+                assert np.all(run.pair_gains >= -2.0)
 
 
 class TestStartMustBeAnAngle:

@@ -59,6 +59,19 @@ class TestRadialProfile:
                 rp.delta_r(thetas), np.array([rp.delta_r(float(t)) for t in thetas]), err_msg=f"a={a}, w={w}"
             )
 
+    def test_array_evaluation_is_a_times_the_slow_arc_fraction_minus_one(self):
+        # The fraction is a-free: 0 at whole turns, in [0, 1], and exactly 1.0 from the
+        # arc's edge on, so the increment there is exactly a - 1.
+        w = 0.125
+        thetas = np.concatenate([np.linspace(-1.0, 2.0, 301), [w, -w, math.nextafter(w, 0.0), 0.5, -0.0]])
+        q = RadialProfile(5.0, w).slow_arc_fraction(thetas)
+        assert np.all(q[0:301:100] == 0.0) and np.all((0.0 <= q) & (q <= 1.0))
+        assert np.array_equal(q == 1.0, circle_dist(thetas, 0.0) >= w)
+        for a in (5.0, 0.5, 1e300, sys.float_info.max):
+            rp = RadialProfile(a, w)
+            assert np.array_equal(rp.slow_arc_fraction(thetas), q)
+            assert rp.delta_r(thetas).tobytes() == (a * q - 1.0).tobytes()
+
     def test_grid_minimum_only_in_trap_closure(self, profiles):
         rp, _ = profiles
         grid = np.linspace(0.0, 1.0, 100_000, endpoint=False)
@@ -161,16 +174,15 @@ out_turns = hnp.arrays(
 )
 
 OUT_PROFILES = {
-    "radial": RadialProfile(5.0, 0.125),
-    "radial a column": RadialProfile(np.array([[[4.5]], [[5.0]], [[1e300]]]), 0.125),
-    "raised cosine": AngularProfile(0.25, 0.125),
-    "tent": AngularProfile(0.2, 0.125, AngularShape.PIECEWISE_LINEAR),
+    "radial": RadialProfile(5.0, 0.125).delta_r,
+    "slow arc fraction": RadialProfile(5.0, 0.125).slow_arc_fraction,
+    "raised cosine": AngularProfile(0.25, 0.125).delta_theta,
+    "tent": AngularProfile(0.2, 0.125, AngularShape.PIECEWISE_LINEAR).delta_theta,
 }
 
 
 def _profile_function(name):
-    profile = OUT_PROFILES[name]
-    return profile.delta_r if isinstance(profile, RadialProfile) else profile.delta_theta
+    return OUT_PROFILES[name]
 
 
 class TestOutContract:
@@ -198,7 +210,7 @@ class TestOutContract:
     # (which takes the float branch) and a 0-d array.
     @pytest.mark.parametrize("name, kinds", [
         ("radial", (np.float64, float, np.float64)),
-        ("radial a column", (np.ndarray, np.ndarray, np.ndarray)),
+        ("slow arc fraction", (np.float64, np.float64, np.float64)),
         ("raised cosine", (np.float64, float, np.float64)),
         ("tent", (float, np.float64, np.float64)),
     ])
