@@ -29,6 +29,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -86,6 +87,8 @@ def _build_parsers():
         off, so an undeclared option is an error, not a prefix of a declared
         one (sweep's --a of --a-grid)."""
         p = sub.add_parser(name, help=help, allow_abbrev=False)
+        # A token such as -5,0.25 or -1e3 is a value: no option here starts with "-" and a digit.
+        p._negative_number_matcher = re.compile(r"-\.?\d")
         if a:
             p.add_argument("--a", type=float, default=DEFAULT_A,
                            help="radial expansion parameter (default %(default)s)")
@@ -242,6 +245,8 @@ def _parse_grid(text) -> list[float]:
             raise ValueError(f"bad range grid {text!r}") from exc
         if count < 1:
             raise ValueError("grid count must be positive")
+        if not math.isfinite(stop - start):  # else np.linspace warns
+            raise ValueError(f"range grid ends and their span must be finite, got {text!r}")
         return [float(x) for x in np.linspace(start, stop, count)]
     values = _parse_floats(text)
     if not values:

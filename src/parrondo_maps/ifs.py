@@ -19,12 +19,11 @@ depend on ``a``.  So the log-radius after ``n`` steps is ``a S - n``, where
 ``S`` is the sum of ``q`` along the angle orbit, in step order, and one orbit
 serves every ``a``.  ``run_ifs`` records one orbit's per-pair gains,
 ``a (q_even + q_odd) - 2``.  ``monte_carlo`` and ``monte_carlo_grid`` keep
-only each stream's terminal gain and mixed-pair count, and advance all
-streams (of every ``p`` in a grid) in lock-step: the step loop moves only
-the angles, one numpy step per map application, ``q`` is read once per block
-of steps and added to ``S`` in step order, and ``S`` meets the ``a`` values
-once, at the end.  Each stream's numbers are bit-identical to its
-``run_ifs``.
+only each stream's sum ``S`` and mixed-pair count, per ``p``, and advance all
+streams in lock-step: the step loop moves only the angles, one numpy step per
+map application, and ``q`` is read once per block of steps and added to ``S``
+in step order.  Each config then maps its ``p``'s sums to its gains
+``a S - n``.  Each stream's numbers are bit-identical to its ``run_ifs``.
 """
 
 from __future__ import annotations
@@ -311,12 +310,10 @@ def monte_carlo_grid(configs, start: Angle = DEFAULT_START) -> list[IfsStats]:
     steps run in blocks of at most ``planar.GAIN_CELLS`` angles: the step
     loop moves the angles only, and after each block one
     ``slow_arc_fraction`` call reads every angle of the block, whose rows are
-    added to each lane's sum ``S`` in step order.  At the end of the chunk
-    every distinct ``a`` maps ``S`` to the gain ``a S - horizon`` at once, so
-    every (``a``, ``p``) pair of the distinct values is computed, and the
-    ``a`` values cost one product per lane each.  The block's read, its angles
-    and the lane buffers are allocated once per chunk, whatever the number of
-    ``a`` values, and written through ``out`` by every step and block.
+    added to each lane's sum ``S`` in step order.  Each config maps its
+    ``p``'s sums to its gains ``a S - horizon``.  The block's read, its angles
+    and the lane buffers are allocated once per chunk and written through
+    ``out`` by every step and block.
     """
     _check_start(start)
     configs = list(configs)
@@ -329,14 +326,12 @@ def monte_carlo_grid(configs, start: Angle = DEFAULT_START) -> list[IfsStats]:
     key = [getattr(base, name) for name in others]
     if any([getattr(c, name) for name in others] != key for c in configs):
         raise ValueError("the configs of one grid may differ only in a and p")
-    # Distinct values in first-seen order; duplicate cells read the same lanes.
+    # Distinct p values in first-seen order; duplicate p values read the same lanes.
     p_index = {p: i for i, p in enumerate(dict.fromkeys(c.p for c in configs))}
-    a_index = {a: i for i, a in enumerate(dict.fromkeys(c.a for c in configs))}
     radial, ap = base.profiles()
     p_row = np.array(list(p_index))
-    a_col = np.array(list(a_index))[:, None]
-    n_a, n_p, n, horizon = len(a_index), len(p_index), base.n_sequences, base.horizon
-    deltas = np.empty((n_a, n_p, n))
+    n_p, n, horizon = len(p_index), base.n_sequences, base.horizon
+    sums = np.empty((n_p, n))
     k_counts = np.empty((n_p, n), dtype=np.int64)
     streams = max(1, CHUNK_SYMBOLS // (horizon * n_p))
     for lo in range(0, n, streams):
@@ -374,13 +369,12 @@ def monte_carlo_grid(configs, start: Angle = DEFAULT_START) -> list[IfsStats]:
             # over the block would round in another order.
             for row in radial.slow_arc_fraction(angles, out=read[:length]):
                 total += row
-        gains = a_col * total - horizon
-        deltas[:, :, lo:hi] = gains.reshape(n_a, width, n_p).transpose(0, 2, 1)
-    # Each cell gets its own arrays, duplicate cells included.
+        sums[:, lo:hi] = total.reshape(width, n_p).T
+    # Each cell maps its p's sums into a new array, duplicate cells included.
     return [
         IfsStats(
             config=c,
-            deltas=deltas[a_index[c.a], p_index[c.p]].copy(),
+            deltas=c.a * sums[p_index[c.p]] - horizon,
             k_counts=k_counts[p_index[c.p]].copy(),
         )
         for c in configs

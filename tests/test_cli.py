@@ -153,6 +153,24 @@ def test_unallocatable_size_is_a_bad_config(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["orbit", "--steps", "20", "--window", "20"], "--start", "-5,0.25"),
+    (["orbit", "--steps", "20", "--window", "20"], "--start", "-.5,0.25"),
+    (["orbit", "--map", "hk", "--steps", "20", "--window", "20"], "--start-cart", "-1,0.5,2"),
+    (["orbit", "--map", "hk", "--steps", "20", "--window", "20"], "--start-cart", "-1,0,0"),
+    (["ifs", "--horizon", "20", "--sequences", "3"], "--escape-threshold", "-1e3"),
+    (["ifs", "--horizon", "20", "--sequences", "3", "--format", "csv"], "--start", "-2.5,0.75"),
+])
+def test_negative_value_after_a_space_is_its_equals_form(argv, flag, value, tmp_path, capsys):
+    # argparse reads only -5 or -.5 after a space as a number, so on Python
+    # 3.10 and 3.11 these values lacked their option's argument.
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    assert run(argv + [flag, value, "--out", str(spaced)]) == 0
+    assert run(argv + [f"{flag}={value}", "--out", str(joined)]) == 0
+    assert "error" not in capsys.readouterr().err
+    assert spaced.read_bytes() == joined.read_bytes()
+
+
 HUGE_A_ARGV = {
     "ifs": ["ifs", "--horizon", "200", "--sequences", "50", "--a"],
     "sweep": ["sweep", "--p-grid", "0.5", "--horizon", "200", "--sequences", "50", "--a-grid"],
@@ -1032,6 +1050,18 @@ class TestSweep:
         assert not out.exists()
         err = capsys.readouterr().err
         assert message in err and "JSON" not in err
+
+    @pytest.mark.parametrize("grid", ["inf:5:3", "0:-inf:3", "nan:1:3", "1e308:-1e308:3", "-1.7e308:1.7e308:2"])
+    @pytest.mark.parametrize("flag", ["--p-grid", "--a-grid"])
+    def test_range_grid_with_infinite_ends_or_span_is_refused(self, flag, grid, tmp_path, capsys):
+        # np.linspace would warn on such ends before the cells refused them;
+        # the test settings make that warning an error.
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--p-grid", "0.5", "--a-grid", "5", flag, grid, "--horizon", "10", "--sequences", "2"]
+        assert run(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"error: range grid ends and their span must be finite, got {grid!r}\n"
 
     def test_missing_grid_rejected(self):
         assert run(["sweep", "--a-grid", "5"]) == 2

@@ -365,6 +365,27 @@ class TestMonteCarloGrid:
         configs, start = grid
         assert_matches_run_ifs(configs, start, monte_carlo_grid(configs, start))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.floats(min_value=0.01, max_value=0.99),
+        a_values=st.lists(st.floats(min_value=0.0, max_value=20.0, exclude_min=True), min_size=2, max_size=5),
+        seed=st.integers(min_value=0, max_value=2**32),
+        pairs=st.integers(min_value=1, max_value=40),
+        n_sequences=st.integers(min_value=1, max_value=6),
+    )
+    @example(p=0.5, a_values=[5e-324, 1.0, 4.0, 20.0], seed=11, pairs=40, n_sequences=6)
+    def test_a_row_is_non_decreasing_in_a(self, p, a_values, seed, pairs, n_sequences):
+        # Every gain is a S - horizon with the a-free S >= 0, and rounding is
+        # monotone, so along a row of one p each stream's gain, the mean and
+        # the escape fraction never fall as a grows, tiny a included.
+        configs = [small_config(p=p, a=a, seed=seed, horizon=2 * pairs, n_sequences=n_sequences)
+                   for a in sorted(a_values)]
+        row = monte_carlo_grid(configs)
+        for low, high in zip(row, row[1:]):
+            assert np.all(low.deltas <= high.deltas)
+            assert low.mean_pair_gain <= high.mean_pair_gain
+            assert low.escape_fraction <= high.escape_fraction
+
     @pytest.mark.parametrize("chunk", [1, 3 * 40, 3 * 40 + 1])
     def test_chunk_boundaries(self, chunk, monkeypatch):
         # 7 streams of 40 symbols: one stream per chunk, then chunks of 3, 3, 1.
@@ -442,10 +463,10 @@ class TestMonteCarloGrid:
     def test_traced_peak_is_one_chunk_and_one_block(self, n_sequences, chunk, monkeypatch):
         # 16 values of a x 3 of p, then 10x the sequences in 10 chunks of 40
         # streams.  Each chunk holds its block's angles and one a-free read of
-        # at most GAIN_CELLS fractions, the read's distance takes one more
-        # such temporary, and the 16 values of a meet the lanes' sums once a
-        # chunk, so the peak stays below one chunk of int8 symbols, 3 float64
-        # blocks and the outputs, whatever the number of sequences.
+        # at most GAIN_CELLS fractions, and the read's distance takes one more
+        # such temporary; the run keeps one a-free sum per (p, stream), so the
+        # peak stays below one chunk of int8 symbols, 3 float64 blocks and the
+        # outputs, whatever the number of sequences or of values of a.
         monkeypatch.setattr(ifs, "CHUNK_SYMBOLS", chunk)
         n_a, n_p, horizon = 16, 3, 200
         configs = [small_config(p=p, a=4.0 + 0.5 * i, horizon=horizon, n_sequences=n_sequences)
@@ -459,9 +480,9 @@ class TestMonteCarloGrid:
         finally:
             tracemalloc.stop()
         chunk_bytes = min(chunk, n_p * horizon * n_sequences)
-        # The grid's deltas and k_counts, each cell's copies of them, and 1 KiB
-        # a cell for its objects.
-        outputs = (n_a * n_p + n_p) * n_sequences * 8 + len(stats) * (16 * n_sequences + 1024)
+        # The grid's sums and k_counts, each cell's deltas and k_counts, and
+        # 1 KiB a cell for its objects; no term grows with a x p x streams.
+        outputs = 2 * n_p * n_sequences * 8 + len(stats) * (16 * n_sequences + 1024)
         assert peak < chunk_bytes + 3 * ifs.GAIN_CELLS * 8 + outputs
 
     def test_steady_calls_take_few_minor_page_faults(self):
