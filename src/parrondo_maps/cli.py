@@ -87,8 +87,8 @@ def _build_parsers():
         off, so an undeclared option is an error, not a prefix of a declared
         one (sweep's --a of --a-grid)."""
         p = sub.add_parser(name, help=help, allow_abbrev=False)
-        # A token such as -5,0.25 or -1e3 is a value: no option here starts with "-" and a digit.
-        p._negative_number_matcher = re.compile(r"-\.?\d")
+        # -5,0.25, -1e3 and -inf are values: no option here starts with "-" and a digit, "-i" or "-n".
+        p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
         if a:
             p.add_argument("--a", type=float, default=DEFAULT_A,
                            help="radial expansion parameter (default %(default)s)")

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from math import hypot, inf, isfinite, log
+from math import acos, hypot, inf, isfinite, log, tau
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .circle import CircleInterval, _is_count
-from .highdim import _polar, robust_norm  # noqa: F401  perfbench/test_pb_harness.py expects robust_norm patched here
+from .highdim import robust_norm  # noqa: F401  perfbench/test_pb_harness.py expects robust_norm patched here
 from .planar import CylPoint
 
 __all__ = [
@@ -96,12 +96,16 @@ def iterate(step: Callable, start, n_steps: int, *, trap: CircleInterval | None 
         def observe(x):
             # Each point is observed once, on Python floats: its log-norm from
             # ``math.hypot`` of its coordinates, as ``highdim.robust_norm``
-            # takes it, and its polar angle from the last axis.
-            vals = x.tolist() if isinstance(x, np.ndarray) else [float(v) for v in x]
+            # takes it, and its polar angle from the last axis, clamped and
+            # scaled as ``highdim._h_k`` takes it (``math.tau`` equals ``TWO_PI``).
+            vals = x.tolist() if type(x) is np.ndarray else [float(v) for v in x]
             if len(vals) != k:
                 raise ValueError(f"a step changed the dimension of the point from {k}")
             norm = hypot(*vals)
-            return (log(norm) if norm > 0.0 else -inf), (_polar(norm, vals) if 0.0 < norm < inf else 0.0)
+            if not 0.0 < norm < inf:
+                return (log(norm) if norm > 0.0 else -inf), 0.0
+            c = vals[-1] / norm
+            return log(norm), acos(-1.0 if c < -1.0 else 1.0 if c > 1.0 else c) / tau
 
     # The loop stops before a step once |r| <= R_ESCAPE fails, as it does for
     # a non-finite r, so a start outside the bound is never stepped.

@@ -49,11 +49,10 @@ def robust_norm(x) -> float:
 
 
 def _half_step(rp: RadialProfile, ap: AngularProfile, r, polar):
-    """One step of the doubled-angle dynamics on the closed half-circle [0, 1/2].
-
-    Works elementwise on arrays; the image polar angle stays in [0, 1/2]
-    because the full-circle lift fixes both endpoints.
-    """
+    """One step of the doubled-angle dynamics on the closed half-circle [0, 1/2],
+    elementwise on arrays; the image polar angle stays in [0, 1/2] because the
+    full-circle lift fixes both endpoints.  ``_h_k`` writes the same operations
+    out on Python floats."""
     doubled = 2.0 * polar
     return r + rp.delta_r(doubled), polar + 0.5 * ap.delta_theta(doubled)
 
@@ -64,14 +63,9 @@ def apply_h(rp: RadialProfile, ap: AngularProfile, p: CylPoint) -> CylPoint:
     return CylPoint(p.r + float(gain), Angle(float(image)))
 
 
-def _polar(norm: float, vals: list) -> float:
-    """Polar angle in turns, from the last axis, of a point of positive norm held as a list of floats."""
-    c = vals[-1] / norm
-    return acos(-1.0 if c < -1.0 else 1.0 if c > 1.0 else c) / TWO_PI
-
-
 def _h_k(rp: RadialProfile, ap: AngularProfile, vals: list) -> list:
-    """``apply_h_k`` of one point held as a list of floats, on Python floats.
+    """``apply_h_k`` of a new list of floats, which it pops: the polar split,
+    ``_half_step`` and the recomposition written out on Python floats.
 
     Orbit iteration calls this once per step.  A step whose radius overflows
     gives infinite (or NaN) coordinates instead of raising.
@@ -79,20 +73,24 @@ def _h_k(rp: RadialProfile, ap: AngularProfile, vals: list) -> list:
     norm = hypot(*vals)
     if norm == 0.0:
         return [0.0] * len(vals)
-    r2, p2 = _half_step(rp, ap, log(norm), _polar(norm, vals))
+    last = vals.pop()
+    c = last / norm
+    polar = acos(-1.0 if c < -1.0 else 1.0 if c > 1.0 else c) / TWO_PI
+    doubled = 2.0 * polar
+    r2 = log(norm) + rp.delta_r(doubled)
+    p2 = polar + 0.5 * ap.delta_theta(doubled)
     try:
         rho = exp(r2)
     except OverflowError:
         rho = inf
-    head = vals[:-1]
-    eq_norm = hypot(*head)
+    eq_norm = hypot(*vals)
     if eq_norm == 0.0:
         out = [0.0] * len(vals)
-        out[-1] = copysign(rho, vals[-1])
+        out.append(copysign(rho, last))
         return out
     ang = TWO_PI * p2
     factor = rho * sin(ang) / eq_norm
-    out = [factor * v for v in head]
+    out = [factor * v for v in vals]
     out.append(rho * cos(ang))
     return out
 
@@ -101,16 +99,11 @@ _FLOAT64 = np.dtype(float)
 
 
 def _point(x) -> list:
-    """One point of dimension k >= 3 as a new list of floats.
-
-    A 1-D float64 array, which every orbit step passes, skips ``np.asarray``.
-    """
-    if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
-        x = np.asarray(x, dtype=float)
-    vals = x.tolist()
-    if x.ndim != 1 or len(vals) < 3:
+    """One point of dimension k >= 3, other than a 1-D float64 array, as a new list of floats."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size < 3:
         raise ValueError(f"the suspension takes one point of dimension k >= 3, got shape {x.shape}")
-    return vals
+    return x.tolist()
 
 
 def apply_h_k(rp: RadialProfile, ap: AngularProfile, x) -> np.ndarray:
@@ -120,14 +113,16 @@ def apply_h_k(rp: RadialProfile, ap: AngularProfile, x) -> np.ndarray:
     direction untouched; the origin is fixed and axis points stay on the axis
     exactly.  Takes one point of shape (k,).
     """
-    return np.array(_h_k(rp, ap, _point(x)))
+    # A 1-D float64 array, which every orbit step passes, skips np.asarray.
+    v = x.tolist() if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim == 1 and x.size >= 3 else _point(x)
+    return np.array(_h_k(rp, ap, v))
 
 
 def apply_j_k(rp: RadialProfile, ap: AngularProfile, x) -> np.ndarray:
     """The rotated conjugate of the suspension; its invariant axis is the first coordinate axis."""
     # The quarter turns e_last -> e_0 -> -e_last only move and negate
     # coordinates, which is exact, so they are done in place on the new lists.
-    v = _point(x)
+    v = x.tolist() if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim == 1 and x.size >= 3 else _point(x)
     v[0], v[-1] = v[-1], -v[0]
     y = _h_k(rp, ap, v)
     y[0], y[-1] = -y[-1], y[0]

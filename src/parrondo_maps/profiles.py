@@ -125,14 +125,14 @@ class AngularProfile:
         """The drift at ``theta``.  An array ``theta`` may write it through
         ``out``, another array than ``theta``, with no other array allocated
         for the raised cosine and one for the tent's ``1 - t``."""
-        # A str enum equals its value; looking the member up on the enum class is several times slower.
+        # An orbit step's float on the raised cosine goes first.  A str enum equals its value: faster than a lookup.
+        if isinstance(theta, float) and self.shape == "raised_cosine":
+            return 0.5 * self.d * (1.0 - math.cos(TWO_PI * (theta % 1.0)))
         if self.shape == "piecewise_linear":
             # In place: an array dist is new or out, and a scalar stays the type it was.
             dist = _dist_to_zero(theta, out)
             dist *= 2.0 * self.d
             return dist
-        if isinstance(theta, float):
-            return 0.5 * self.d * (1.0 - math.cos(TWO_PI * (theta % 1.0)))
         x = np.multiply(TWO_PI, _mod1(theta, out), out=out)
         x = np.subtract(1.0, np.cos(x, out=out), out=out)
         return np.multiply(0.5 * self.d, x, out=out)

@@ -171,6 +171,27 @@ def test_negative_value_after_a_space_is_its_equals_form(argv, flag, value, tmp_
     assert spaced.read_bytes() == joined.read_bytes()
 
 
+@pytest.mark.parametrize("argv, flag, value, message", [
+    (["orbit"], "--start", "-inf,0.25", "log-radius must be finite, got -inf"),
+    (["orbit"], "--start", "-nan,0.25", "log-radius must be finite, got nan"),
+    (["orbit"], "--start", "-Infinity,0.25", "log-radius must be finite, got -inf"),
+    (["orbit"], "--start", "-NaN,0.25", "log-radius must be finite, got nan"),
+    (["orbit", "--map", "hk"], "--start-cart", "-inf,0,1", "finite"),
+    (["orbit"], "--tol", "-inf", "tol must be finite"),
+    (["ifs", "--horizon", "2", "--sequences", "1"], "--escape-threshold", "-inf", "escape_threshold must be finite"),
+])
+def test_non_finite_value_after_a_space_is_its_equals_form(argv, flag, value, message, capsys):
+    # A value such as -inf after a space was read as an unknown option, so
+    # argparse reported the missing argument instead of the real fault.
+    spaced_code = run(argv + [flag, value])
+    spaced = capsys.readouterr()
+    joined_code = run(argv + [f"{flag}={value}"])
+    joined = capsys.readouterr()
+    assert spaced_code == joined_code == 2
+    assert (spaced.out, spaced.err) == (joined.out, joined.err)
+    assert message in spaced.err and "expected one argument" not in spaced.err
+
+
 HUGE_A_ARGV = {
     "ifs": ["ifs", "--horizon", "200", "--sequences", "50", "--a"],
     "sweep": ["sweep", "--p-grid", "0.5", "--horizon", "200", "--sequences", "50", "--a-grid"],

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -290,6 +291,71 @@ class TestRotatedConjugate:
                 y = apply_j_k(rp, ap, apply_h_k(rp, ap, scale * x))
                 gains.append(math.log(robust_norm(y)) - math.log(robust_norm(scale * x)))
             assert max(gains) - min(gains) <= 1e-10
+
+
+def _edge_branch_digest() -> str:
+    """sha256 over ``apply_h_k`` and ``apply_j_k`` images of the points an
+    orbit digest never reaches, for both drift shapes:
+
+    * zero, +pole, -pole, equator and general rows at scales 1e300 and
+      1e-300, for k = 3 ... 8;
+    * an overflowing row (1e307 in each coordinate) and a subnormal row;
+    * int lists, tuples, float32 arrays and a strided float64 view.
+    """
+    points = []
+    for k in range(3, 9):
+        rng = np.random.default_rng(1000 + k)
+        for scale in (1e300, 1e-300):
+            general = rng.standard_normal(k) * scale
+            pole = np.zeros(k)
+            pole[-1] = 1.5 * scale
+            equator = general.copy()
+            equator[-1] = 0.0
+            points += [np.zeros(k), pole, -pole, equator, general]
+        subnormal = np.zeros(k)
+        subnormal[0], subnormal[-1] = 5e-324, -1e-320
+        points += [np.full(k, 1e307), subnormal]
+    points += [
+        [1, -2, 3],
+        [0, 0, 0, 7],
+        (0.5, 0.0, -2.0, 1e-300),
+        (3.0, 4.0, 0.0),
+        np.array([1.0, -0.25, 2.0, 0.125], dtype=np.float32),
+        np.array([0.0, 0.0, -3.0], dtype=np.float32),
+        np.arange(1.0, 11.0)[::2],
+    ]
+    h = hashlib.sha256()
+    for shape in AngularShape:
+        rp, ap = _profiles_with(shape)
+        for x in points:
+            for fn in (apply_h_k, apply_j_k):
+                y = fn(rp, ap, x)
+                assert y.dtype == np.float64 and y.shape == (len(x),)
+                h.update(y.tobytes())
+    return h.hexdigest()
+
+
+def test_edge_branch_images_are_pinned():
+    # Digest taken before apply_h_k and apply_j_k became one inline kernel;
+    # the lean step must keep every bit of these images.
+    assert _edge_branch_digest() == "287252a587aa49a0d8ce912e8fdd9cab3d973418f078ceccb726773d338515cb"
+
+
+@pytest.mark.parametrize("fn", [apply_h_k, apply_j_k])
+def test_each_step_calls_each_profile_method_once(profiles, fn, monkeypatch):
+    # A tracer wraps delta_r and delta_theta on the class, as here: the step
+    # kernel reads the profiles only through them, so it sees every step.
+    rp, ap = profiles
+    calls = {"delta_r": 0, "delta_theta": 0}
+    for cls, name in ((RadialProfile, "delta_r"), (AngularProfile, "delta_theta")):
+        def counted(self, theta, out=None, _original=getattr(cls, name), _name=name):
+            calls[_name] += 1
+            return _original(self, theta, out)
+
+        monkeypatch.setattr(cls, name, counted)
+    trace = iterate(lambda y: fn(rp, ap, y), np.array([0.3, -1.2, 0.7, 0.4]), 50)
+    assert trace.n_steps == 50
+    assert calls == {"delta_r": 50, "delta_theta": 50}
 
 
 def _circle_point(k, polar):
