@@ -9,13 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from math import acos, hypot, inf, isfinite, log, tau
+from math import inf
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .circle import CircleInterval, _is_count
-from .highdim import robust_norm  # noqa: F401  perfbench/test_pb_harness.py expects robust_norm patched here
+from .highdim import _cartesian_orbit, robust_norm  # noqa: F401  perfbench/test_pb_harness.py expects robust_norm patched here
 from .planar import CylPoint
 
 __all__ = [
@@ -83,29 +83,7 @@ def iterate(step: Callable, start, n_steps: int, *, trap: CircleInterval | None 
         def observe(p):
             return p.r, p.theta.value
     else:
-        x = np.asarray(start, dtype=float)
-        if x.ndim != 1 or not x.size:
-            raise ValueError(f"a Cartesian start must be one point, an array of shape (k,), got shape {x.shape}")
-        vals = x.tolist()
-        if not all(map(isfinite, vals)):
-            raise ValueError(f"a Cartesian start needs finite coordinates, got {vals}")
-        k = len(vals)
-        if k < 3:
-            raise ValueError(f"a Cartesian start needs k >= 3 coordinates, got shape {x.shape}")
-
-        def observe(x):
-            # Each point is observed once, on Python floats: its log-norm from
-            # ``math.hypot`` of its coordinates, as ``highdim.robust_norm``
-            # takes it, and its polar angle from the last axis, clamped and
-            # scaled as ``highdim._h_k`` takes it (``math.tau`` equals ``TWO_PI``).
-            vals = x.tolist() if type(x) is np.ndarray else [float(v) for v in x]
-            if len(vals) != k:
-                raise ValueError(f"a step changed the dimension of the point from {k}")
-            norm = hypot(*vals)
-            if not 0.0 < norm < inf:
-                return (log(norm) if norm > 0.0 else -inf), 0.0
-            c = vals[-1] / norm
-            return log(norm), acos(-1.0 if c < -1.0 else 1.0 if c > 1.0 else c) / tau
+        x, observe = _cartesian_orbit(start)
 
     # The loop stops before a step once |r| <= R_ESCAPE fails, as it does for
     # a non-finite r, so a start outside the bound is never stepped.

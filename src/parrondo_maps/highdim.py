@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import acos, copysign, cos, exp, hypot, inf, log, sin
+from math import acos, copysign, cos, exp, hypot, inf, isfinite, log, sin
 
 import numpy as np
 
@@ -48,15 +48,6 @@ def robust_norm(x) -> float:
     return hypot(*np.asarray(x, dtype=float).tolist())
 
 
-def _half_step(rp: RadialProfile, ap: AngularProfile, r, polar):
-    """One step of the doubled-angle dynamics on the closed half-circle [0, 1/2],
-    elementwise on arrays; the image polar angle stays in [0, 1/2] because the
-    full-circle lift fixes both endpoints.  ``_h_k`` writes the same operations
-    out on Python floats."""
-    doubled = 2.0 * polar
-    return r + rp.delta_r(doubled), polar + 0.5 * ap.delta_theta(doubled)
-
-
 def apply_h(rp: RadialProfile, ap: AngularProfile, p: CylPoint) -> CylPoint:
     """The axially symmetric planar map: ``_circle_step`` at the point's one angle and ``s = 0``."""
     gain, image = _circle_step(rp, ap, p.theta.value, 0)
@@ -65,7 +56,7 @@ def apply_h(rp: RadialProfile, ap: AngularProfile, p: CylPoint) -> CylPoint:
 
 def _h_k(rp: RadialProfile, ap: AngularProfile, vals: list) -> list:
     """``apply_h_k`` of a new list of floats, which it pops: the polar split,
-    ``_half_step`` and the recomposition written out on Python floats.
+    the doubled-angle step and the recomposition written out on Python floats.
 
     Orbit iteration calls this once per step.  A step whose radius overflows
     gives infinite (or NaN) coordinates instead of raising.
@@ -93,6 +84,32 @@ def _h_k(rp: RadialProfile, ap: AngularProfile, vals: list) -> list:
     out = [factor * v for v in vals]
     out.append(rho * cos(ang))
     return out
+
+
+def _cartesian_orbit(start) -> tuple:
+    """The checked first point of a Cartesian orbit, and its observer in ``_h_k``'s chart."""
+    x = np.asarray(start, dtype=float)
+    if x.ndim != 1 or not x.size:
+        raise ValueError(f"a Cartesian start must be one point, an array of shape (k,), got shape {x.shape}")
+    vals = x.tolist()
+    if not all(map(isfinite, vals)):
+        raise ValueError(f"a Cartesian start needs finite coordinates, got {vals}")
+    k = len(vals)
+    if k < 3:
+        raise ValueError(f"a Cartesian start needs k >= 3 coordinates, got shape {x.shape}")
+
+    def observe(x):
+        # Each point's (log-norm, polar angle in turns), taken once on Python floats.
+        vals = x.tolist() if type(x) is np.ndarray else [float(v) for v in x]
+        if len(vals) != k:
+            raise ValueError(f"a step changed the dimension of the point from {k}")
+        norm = hypot(*vals)
+        if not 0.0 < norm < inf:
+            return (log(norm) if norm > 0.0 else -inf), 0.0
+        c = vals[-1] / norm
+        return log(norm), acos(-1.0 if c < -1.0 else 1.0 if c > 1.0 else c) / TWO_PI
+
+    return x, observe
 
 
 _FLOAT64 = np.dtype(float)
@@ -136,11 +153,14 @@ def _circle_step(rp: RadialProfile, ap: AngularProfile, alpha, s):
     ``alpha`` is in turns from +e_last toward +e_0.  The half x_0 >= 0 keeps
     the direction +e_0 and the other half -e_0, so ``h_k`` acts as ``apply_h``.
     ``j_k`` is ``h_k`` conjugated by the quarter turn alpha -> alpha + 1/4.
+    Each half keeps its polar angle in [0, 1/2]: the lift fixes both ends.
     """
     t = _mod1(alpha + 0.25 * s)
     upper = t <= 0.5
-    gain, polar = _half_step(rp, ap, 0.0, np.where(upper, t, 1.0 - t))
-    return gain, np.where(upper, polar, 1.0 - polar) - 0.25 * s
+    polar = np.where(upper, t, 1.0 - t)
+    doubled = 2.0 * polar
+    polar = polar + 0.5 * ap.delta_theta(doubled)
+    return rp.delta_r(doubled), np.where(upper, polar, 1.0 - polar) - 0.25 * s
 
 
 @dataclass(frozen=True)

@@ -141,11 +141,14 @@ def inverse_f0(rp: RadialProfile, ap: AngularProfile, q: CylPoint) -> CylPoint:
 
 @dataclass(frozen=True)
 class GainStudy:
-    """Grid minimum of a word's total radial gain, with a rigorous lower bound.
+    """Grid minimum of a word's total radial gain, with a lower bound over every cell.
 
     ``lower_bound`` comes from propagating each grid cell through the word as
-    an exact arc (the angular lift is strictly increasing, so arcs map to
-    arcs) and taking the exact minimum of the tent increment over every arc.
+    an arc (the angular lift is strictly increasing, so arcs map to arcs) and
+    taking the minimum of the tent increment over every arc.  The propagation
+    is not rounded outward, so the bound holds only up to its rounding: at
+    the defaults both words give exactly 3.0, where an outward-rounded
+    propagation gives 2.9999999999999987.
     ``certified`` holds when the lift is strictly increasing (check C4 of
     ``validate_profiles``) and the grid minimum exceeds that bound by less
     than CERTIFICATE_SLACK, i.e. no angle between grid points can undershoot
@@ -167,8 +170,8 @@ def composition_radial_gain(
     """Study the total radial gain of a word as a function of the starting angle.
 
     The gain depends only on the angle, so it is evaluated on a grid of
-    ``grid_n`` points; a rigorous lower bound over every grid cell certifies
-    that the true minimum cannot sit materially below the grid minimum.
+    ``grid_n`` points; a lower bound over every cell, sound up to rounding,
+    certifies that the true minimum cannot sit materially below the grid minimum.
     """
     if not _is_count(grid_n, 2):
         raise ValueError("grid_n must be at least 2")

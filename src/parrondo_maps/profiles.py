@@ -76,10 +76,8 @@ class RadialProfile:
     a: float
     w: float
 
-    def delta_r(self, theta, out=None):
-        """The increment ``a * slow_arc_fraction(theta) - 1`` at ``theta``.  An
-        array ``theta`` may write the increments through ``out``, as
-        ``slow_arc_fraction`` does."""
+    def delta_r(self, theta):
+        """The increment ``a * slow_arc_fraction(theta) - 1`` at ``theta``."""
         # A plain float, one orbit step, skips numpy; its test keeps w = 0 from dividing.
         if isinstance(theta, float):
             t = theta % 1.0
@@ -88,8 +86,7 @@ class RadialProfile:
                 return self.a - 1.0
             return self.a * (dist / self.w) - 1.0
         # Past the arc the fraction is exactly 1.0: the float branch, with no overflow.
-        q = self.slow_arc_fraction(theta, out)
-        return np.subtract(np.multiply(self.a, q, out=out), 1.0, out=out)
+        return self.a * self.slow_arc_fraction(theta) - 1.0
 
     def slow_arc_fraction(self, theta, out=None):
         """``min(dist(theta, 0), w) / w``, the part of ``delta_r`` that does not

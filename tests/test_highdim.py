@@ -348,14 +348,45 @@ def test_each_step_calls_each_profile_method_once(profiles, fn, monkeypatch):
     rp, ap = profiles
     calls = {"delta_r": 0, "delta_theta": 0}
     for cls, name in ((RadialProfile, "delta_r"), (AngularProfile, "delta_theta")):
-        def counted(self, theta, out=None, _original=getattr(cls, name), _name=name):
+        def counted(self, *args, _original=getattr(cls, name), _name=name, **kwargs):
             calls[_name] += 1
-            return _original(self, theta, out)
+            return _original(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, name, counted)
     trace = iterate(lambda y: fn(rp, ap, y), np.array([0.3, -1.2, 0.7, 0.4]), 50)
     assert trace.n_steps == 50
     assert calls == {"delta_r": 50, "delta_theta": 50}
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_kernel_and_observer_read_one_chart(profiles, k, monkeypatch):
+    # The step kernel and iterate's observer each take the polar angle of a
+    # point; the kernel's delta_r argument is twice the observed angle.
+    rp, ap = profiles
+    seen = []
+
+    def spy(self, theta, _original=RadialProfile.delta_r):
+        seen.append(theta)
+        return _original(self, theta)
+
+    monkeypatch.setattr(RadialProfile, "delta_r", spy)
+    rng = np.random.default_rng(2000 + k)
+    subnormal = np.zeros(k)
+    subnormal[0], subnormal[-1] = 5e-324, -1e-320
+    points = [subnormal]
+    for scale in (1e300, 1e-300):
+        for _ in range(20):
+            general = rng.standard_normal(k) * scale
+            pole = np.zeros(k)
+            pole[-1] = general[-1]
+            equator = general.copy()
+            equator[-1] = 0.0
+            points += [general, pole, -pole, equator]
+    for x in points:
+        seen.clear()
+        trace = iterate(lambda y: apply_h_k(rp, ap, y), x, 1)
+        assert len(seen) == 1
+        assert (2.0 * trace.thetas[0]).tobytes() == np.float64(seen[0]).tobytes(), x
 
 
 def _circle_point(k, polar):
@@ -394,6 +425,29 @@ class TestCircleStep:
         lanes = [highdim._circle_step(rp, ap, float(t), int(s)) for t, s in zip(alpha, syms)]
         got = np.stack([gains, images], axis=1)
         np.testing.assert_array_equal(got.view(np.uint64), np.array(lanes, dtype=float).view(np.uint64))
+
+
+def _circle_step_digest() -> str:
+    """sha256 over ``_circle_step``'s gains and images for ``s = 0``, ``s = 1``
+    and an array of symbols, on both drift shapes, at 0, 1/4, 1/2 and 3/4,
+    one ulp either side of each, and seeded angles."""
+    rng = np.random.default_rng(33)
+    edges = [np.nextafter(q, q + side) for q in (0.0, 0.25, 0.5, 0.75) for side in (-1.0, 0.0, 1.0)]
+    alpha = np.concatenate([edges, rng.random(500)])
+    syms = rng.integers(0, 2, len(alpha))
+    h = hashlib.sha256()
+    for shape in AngularShape:
+        rp, ap = _profiles_with(shape)
+        for s in (0, 1, syms):
+            for part in highdim._circle_step(rp, ap, alpha, s):
+                h.update(np.asarray(part, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def test_circle_step_is_pinned():
+    # Digest taken before the half step was folded into _circle_step; the
+    # cone check's circle maps must keep every bit.
+    assert _circle_step_digest() == "5104e5901863b6898bba5e5d052e4207bc5f4601c5271a3cce8c8d0b01f1f688"
 
 
 class TestConeCondition:

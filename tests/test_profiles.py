@@ -174,7 +174,6 @@ out_turns = hnp.arrays(
 )
 
 OUT_PROFILES = {
-    "radial": RadialProfile(5.0, 0.125).delta_r,
     "slow arc fraction": RadialProfile(5.0, 0.125).slow_arc_fraction,
     "raised cosine": AngularProfile(0.25, 0.125).delta_theta,
     "tent": AngularProfile(0.2, 0.125, AngularShape.PIECEWISE_LINEAR).delta_theta,
@@ -182,7 +181,7 @@ OUT_PROFILES = {
 
 
 def _profile_function(name):
-    return OUT_PROFILES[name]
+    return {"radial": RadialProfile(5.0, 0.125).delta_r, **OUT_PROFILES}[name]
 
 
 class TestOutContract:
