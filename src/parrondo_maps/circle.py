@@ -41,12 +41,16 @@ def _mod1(x, out=None):
     both give +0.  The floor form is several times faster than numpy's ``%``.
 
     An array ``x`` may write through ``out``, which holds the floor and then
-    the result, so ``out`` must be another array than ``x``.
+    the result, so ``out`` must be another array than ``x``.  ``out`` goes to
+    both ufuncs positionally, which numpy parses faster than a keyword: the
+    lock-step engine reduces a row of lanes this way once per step.  The
+    result has the dtype numpy gives ``x - floor(x)``, so a float array keeps
+    its own.
     """
     if isinstance(x, np.ndarray):
         if out is x:
             raise ValueError("out must be another array than x: the floor would overwrite x")
-        return np.subtract(x, np.floor(x, out=out), out=out)
+        return np.subtract(x, np.floor(x, out), out)
     return x % 1.0
 
 

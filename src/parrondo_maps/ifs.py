@@ -313,7 +313,11 @@ def monte_carlo_grid(configs, start: Angle = DEFAULT_START) -> list[IfsStats]:
     added to each lane's sum ``S`` in step order.  Each config maps its
     ``p``'s sums to its gains ``a S - horizon``.  The block's read, its angles
     and the lane buffers are allocated once per chunk and written through
-    ``out`` by every step and block.
+    ``out`` by every step and block.  Each chunk binds ``np.add``, its
+    profile's ``delta_theta`` and ``circle._mod1`` once, and the step loop
+    passes every output positionally; the drift is still called through the
+    instance once per step, so a wrapper on ``AngularProfile.delta_theta``
+    sees every step.
     """
     _check_start(start)
     configs = list(configs)
@@ -357,14 +361,17 @@ def monte_carlo_grid(configs, start: Angle = DEFAULT_START) -> list[IfsStats]:
         total = np.zeros(lanes)
         th = np.full(lanes, start.value)
         step = np.empty(lanes)
+        # A step on a few hundred lanes costs more in numpy's per-call
+        # overhead than in arithmetic, hence the locals and positional outputs.
+        add, delta_theta, mod1 = np.add, ap.delta_theta, _mod1
         for b in range(0, horizon, block):
             length = min(block, horizon - b)
             # Each row holds its step's half turns until the step adds the angle.
             angles = np.multiply(0.5, cols[b:b + length], out=thetas[:length])
             for t in angles:
-                np.add(th, t, out=t)
-                np.add(th, ap.delta_theta(t, out=step), out=step)
-                _mod1(step, out=th)
+                add(th, t, t)
+                add(th, delta_theta(t, step), step)
+                mod1(step, th)
             # Added one step at a time, as run_ifs's cumsum adds them; a sum
             # over the block would round in another order.
             for row in radial.slow_arc_fraction(angles, out=read[:length]):

@@ -23,6 +23,7 @@ numbers so that out-of-range configurations can still be fed to
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -45,6 +46,19 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+
+
+def _constant(x) -> np.ndarray:
+    """``x`` as a read-only 0-d array: a ufunc takes it as it is, where it
+    boxes a Python float anew on every call."""
+    c = np.array(x)
+    c.setflags(write=False)
+    return c
+
+
+# The raised cosine's constants for float64 turns.
+_FLOAT64 = np.dtype(np.float64)
+_TWO_PI, _ONE = _constant(TWO_PI), _constant(1.0)
 
 DEFAULT_A = 5.0
 DEFAULT_W = 0.125
@@ -121,7 +135,15 @@ class AngularProfile:
     def delta_theta(self, theta, out=None):
         """The drift at ``theta``.  An array ``theta`` may write it through
         ``out``, another array than ``theta``, with no other array allocated
-        for the raised cosine and one for the tent's ``1 - t``."""
+        for the raised cosine and one for the tent's ``1 - t``.
+
+        The raised cosine passes ``out`` to its ufuncs positionally.  On
+        float64 turns it takes ``2 pi``, ``1`` and ``d / 2`` as read-only 0-d
+        arrays, the last held by the instance after its first such call, so
+        numpy boxes no constant per call.  Any other dtype takes Python
+        floats, which are weak under NEP 50, so a float16 or float32 angle
+        gives a drift of its own dtype, and an integer one float64, as before.
+        """
         # An orbit step's float on the raised cosine goes first.  A str enum equals its value: faster than a lookup.
         if isinstance(theta, float) and self.shape == "raised_cosine":
             return 0.5 * self.d * (1.0 - math.cos(TWO_PI * (theta % 1.0)))
@@ -130,9 +152,20 @@ class AngularProfile:
             dist = _dist_to_zero(theta, out)
             dist *= 2.0 * self.d
             return dist
-        x = np.multiply(TWO_PI, _mod1(theta, out), out=out)
-        x = np.subtract(1.0, np.cos(x, out=out), out=out)
-        return np.multiply(0.5 * self.d, x, out=out)
+        t = _mod1(theta, out)
+        # A 0-d float64 constant is not weak: it would widen a narrower float.
+        if getattr(t, "dtype", None) is _FLOAT64:
+            two_pi, one, half_d = _TWO_PI, _ONE, self._half_d
+        else:
+            two_pi, one, half_d = TWO_PI, 1.0, 0.5 * self.d
+        x = np.multiply(two_pi, t, out)
+        x = np.subtract(one, np.cos(x, out), out)
+        return np.multiply(half_d, x, out)
+
+    @functools.cached_property
+    def _half_d(self):
+        """``0.5 * d`` as a ``_constant``, made on the first float64 call; not a field."""
+        return _constant(0.5 * self.d)
 
     def lift(self, x):
         """Lift of ``theta -> theta + delta_theta(theta)``; degree one by construction."""

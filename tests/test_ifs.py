@@ -459,6 +459,28 @@ class TestMonteCarloGrid:
             assert owner(out) is held.setdefault(id(owner(t)), owner(out))
         assert len(held) == chunks
 
+    @pytest.mark.parametrize("chunk, lanes", [(ifs.CHUNK_SYMBOLS, [21]), (3 * 3 * 40, [9, 9, 3])])
+    def test_each_step_calls_the_class_drift_once(self, chunk, lanes, monkeypatch):
+        # A tracer wraps delta_theta on the class before the run, as
+        # perfbench's does: the engine binds the method per chunk and still
+        # calls it once per step, through the 21 lanes of 7 streams under
+        # 3 values of p, in one chunk or in chunks of 3, 3 and 1 streams.
+        monkeypatch.setattr(ifs, "CHUNK_SYMBOLS", chunk)
+        outs = []
+        drift = ifs.AngularProfile.delta_theta
+
+        def traced(ap, theta, out=None):
+            outs.append(out.shape if isinstance(out, np.ndarray) else out)
+            return drift(ap, theta, out)
+
+        monkeypatch.setattr(ifs.AngularProfile, "delta_theta", traced)
+        configs = [small_config(p=p, horizon=40, n_sequences=7) for p in (0.2, 0.5, 0.7)]
+        start = Angle(0.4)
+        stats = monte_carlo_grid(configs, start)
+        monkeypatch.undo()
+        assert outs == [(width,) for width in lanes for _ in range(40)]
+        assert_matches_run_ifs(configs, start, stats)
+
     @pytest.mark.parametrize("n_sequences, chunk", [(40, ifs.CHUNK_SYMBOLS), (400, 3 * 200 * 40)])
     def test_traced_peak_is_one_chunk_and_one_block(self, n_sequences, chunk, monkeypatch):
         # 16 values of a x 3 of p, then 10x the sequences in 10 chunks of 40

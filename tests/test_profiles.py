@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from parrondo_maps.circle import _dist_to_zero, circle_dist
+from parrondo_maps.circle import _dist_to_zero, _mod1, circle_dist
 from parrondo_maps.cli import main
 from parrondo_maps.profiles import (
     DRIFT_LIPSCHITZ_FACTOR,
@@ -217,6 +218,56 @@ class TestOutContract:
         f = _profile_function(name)
         for theta, kind in zip((0, np.float64(0.3), np.array(0.3)), kinds):
             assert type(f(theta)) is kind, theta
+
+
+# Signed zeros, negatives, one ulp either side of 1/2 and 1, whole and huge
+# turns, then seeded turns of both signs.
+PINNED_TURNS = np.concatenate([
+    [0.0, -0.0, -1e-20, -0.25, -0.75, -1.0, -3.5, -1e300],
+    [np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)],
+    [1.25, 7.75, 2.0**51 + 0.5, 2.0**53, 1e300],
+    np.random.default_rng(34).uniform(-4.0, 4.0, 61),
+])
+ARRAY_BRANCHES = {
+    "mod1": _mod1,
+    "raised cosine": AngularProfile(0.25, 0.125).delta_theta,
+    "tent": AngularProfile(0.2, 0.125, AngularShape.PIECEWISE_LINEAR).delta_theta,
+}
+
+
+def test_array_branches_are_pinned():
+    """sha256 over the array results of both drift shapes and of ``_mod1``, with
+    no ``out``, a contiguous ``out`` and a strided one, on (step, lane) blocks."""
+    theta = PINNED_TURNS.reshape(4, 20)
+    h = hashlib.sha256()
+    for name, f in ARRAY_BRANCHES.items():
+        for out in (None, np.full((4, 20), np.nan), np.full((4, 20, 3), np.nan)[..., 1]):
+            got = f(theta, out)
+            assert got.dtype == np.float64 and (out is None or got is out), name
+            h.update(name.encode() + got.tobytes())
+    assert h.hexdigest() == "3a4ebd2819ed8e27e7331f6da4e8c063ed053463e99c1494c13dd036902bccb6"
+
+
+# An integer angle gives a float drift.  _mod1 is left out for it: numpy 2.3
+# floors an integer array to its own dtype, earlier versions to float64.
+@pytest.mark.parametrize("name, dtype, result", [
+    *[(name, dtype, dtype) for name in ARRAY_BRANCHES for dtype in (np.float16, np.float32, np.float64)],
+    ("raised cosine", np.int64, np.float64),
+    ("tent", np.int64, np.float64),
+])
+def test_array_branches_keep_their_result_dtype(name, dtype, result):
+    # A Python-float constant is weak under NEP 50, so a narrow float stays narrow.
+    theta = np.array([0.0, 0.25, -0.75, 1.5, 3.0]).astype(dtype)
+    assert ARRAY_BRANCHES[name](theta).dtype == result
+
+
+def test_the_held_amplitude_is_not_a_field():
+    # The raised cosine keeps d / 2 as an array after a float64 call; the
+    # profile still equals, hashes and prints as a fresh one (it keys caches).
+    ap, fresh = AngularProfile(0.25, 0.125), AngularProfile(0.25, 0.125)
+    ap.delta_theta(np.linspace(0.0, 1.0, 5))
+    assert ap == fresh and hash(ap) == hash(fresh) and repr(ap) == repr(fresh)
+    assert ap._half_d == 0.125 and not ap._half_d.flags.writeable
 
 
 class TestFactories:
