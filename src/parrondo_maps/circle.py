@@ -45,7 +45,10 @@ def _mod1(x, out=None):
     both ufuncs positionally, which numpy parses faster than a keyword: the
     lock-step engine reduces a row of lanes this way once per step.  The
     result has the dtype numpy gives ``x - floor(x)``, so a float array keeps
-    its own.
+    its own; an integer array keeps its own from numpy 2.3 on, and before took
+    the narrowest float holding it (float16 for int8).  This path, the
+    engine's, tests no dtype: each public caller gives float64 for integer
+    turns through ``_float_turns``.
     """
     if isinstance(x, np.ndarray):
         if out is x:
@@ -54,13 +57,18 @@ def _mod1(x, out=None):
     return x % 1.0
 
 
+def _float_turns(x):
+    """An integer array as float64 turns, anything else as it is (see ``_mod1``)."""
+    return x.astype(np.float64) if isinstance(x, np.ndarray) and x.dtype.kind in "iu" else x
+
+
 def wrap_turns(x):
     """Reduce turns to the fundamental domain [0, 1); elementwise on arrays.
 
     ``x % 1.0`` alone can round to exactly 1.0 for tiny negative inputs, so
     that value is folded back to 0.
     """
-    t = _mod1(x)
+    t = _mod1(_float_turns(x))
     if isinstance(t, np.ndarray):
         return np.where(t == 1.0, 0.0, t)
     return 0.0 if t == 1.0 else t
@@ -73,7 +81,7 @@ def _as_turns(x):
 def _dist_to_zero(theta, out=None):
     """Distance from a circle point to 0, in [0, 1/2] turns; elementwise on arrays,
     which may write through ``out`` as ``_mod1`` does."""
-    t = _mod1(theta, out)
+    t = _mod1(_float_turns(theta), out)
     if isinstance(t, np.ndarray):
         return np.minimum(t, 1.0 - t, out=out)
     return t if t <= 0.5 else 1.0 - t

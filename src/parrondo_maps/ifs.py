@@ -11,7 +11,8 @@ probability ``2 p (1 - p)``, which makes the expected per-pair gain at least
 
 One root seed plus a per-sequence stream index gives fully reproducible,
 embarrassingly parallel experiments: stream ``i`` uses the child generator
-``SeedSequence(seed, spawn_key=(i,))``.
+``SeedSequence(seed, spawn_key=(i,))``; the lock-step engine derives a chunk's
+children at once, bit for bit as numpy does (an oracle test holds it).
 
 The angle does not depend on the radius, and ``delta_r = a q - 1`` where
 the slow-arc fraction ``q`` (``RadialProfile.slow_arc_fraction``) does not
@@ -28,6 +29,7 @@ in step order.  Each config then maps its ``p``'s sums to its gains
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -169,8 +171,51 @@ def bernoulli_sequence(p: float, n: int, seed: int, stream: int = 0) -> np.ndarr
 
 
 def _uniforms(seed: int, stream: int, n: int) -> np.ndarray:
-    """The ``n`` uniforms of stream ``stream`` under the root ``seed``, unchecked."""
+    """The ``n`` uniforms of stream ``stream`` under the root ``seed``, unchecked, built as numpy builds them."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,)))).random(n)
+
+
+def _hashmix(values: np.ndarray, h: int, mult: int, n: int) -> tuple[np.ndarray, int]:
+    """numpy's ``SeedSequence`` hash of ``n`` uint32 columns (``values`` broadcast),
+    the i-th under the i-th hash constant from ``h`` on, and the constant after them."""
+    h = [h * pow(mult, i, 1 << 32) & 0xFFFFFFFF for i in range(n + 1)]
+    values = (values ^ np.array(h[:-1], dtype=np.uint32)) * np.array(h[1:], dtype=np.uint32)
+    return values ^ (values >> np.uint32(16)), h[-1]
+
+
+def _stream_words(seed: int, lo: int, hi: int) -> np.ndarray:
+    """Row ``s - lo`` is ``SeedSequence(seed, spawn_key=(s,)).generate_state(4, np.uint64)``,
+    for streams ``lo <= s < hi <= 2**64``: numpy's root pool, then numpy's mixing
+    of each key's uint32 words and its state generation, on all the rows at once.
+    The constants are numpy's INIT_A, MULT_A, MIX_MULT_L, MIX_MULT_R, INIT_B, MULT_B."""
+    if lo < 1 << 32 < hi:
+        return np.concatenate([_stream_words(seed, lo, 1 << 32), _stream_words(seed, 1 << 32, hi)])
+    # The hash constant after the root's words: 4 fills, 12 cross mixes, 4 a word past 4.
+    h = 0x43B0D7E5 * pow(0x931E8875, 16 + 4 * max(0, -(-int(seed).bit_length() // 32) - 4), 1 << 32) & 0xFFFFFFFF
+    keys = np.arange(lo, hi, dtype=np.uint64)[:, None]
+    pool = np.random.SeedSequence(seed).pool
+    # A key below 2**32 is one uint32 word, a larger one two, low word first.
+    for word in [keys] if hi <= 1 << 32 else [keys, keys >> np.uint64(32)]:
+        mixed, h = _hashmix(word.astype(np.uint32), h, 0x931E8875, 4)
+        pool = pool * np.uint32(0xCA01F9DD) - mixed * np.uint32(0x4973F715)
+        pool ^= pool >> np.uint32(16)
+    state = _hashmix(np.concatenate([pool, pool], axis=1), 0x8B51F9DD, 0x58F38DED, 8)[0]
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _seed_words():
+    """An ``ISeedSequence`` handing PCG64 the words it holds, made on first use:
+    importing ``numpy.random`` with the package would add about 12 ms to every run."""
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
 
 
 def _check_start(start) -> None:
@@ -304,20 +349,21 @@ def monte_carlo_grid(configs, start: Angle = DEFAULT_START) -> list[IfsStats]:
     The symbols and the angle orbit depend on ``p``, ``d`` and the seed but
     not on ``a``, so all configs share one run.  Its lanes are (stream) x
     (distinct ``p``), each stream's ``p`` values side by side, and every
-    lane's angle moves once per step.  Each stream's uniforms are drawn once
-    and thresholded against every ``p``.  Streams advance in lock-step, in
-    chunks holding at most ``CHUNK_SYMBOLS`` symbols.  Within a chunk the
-    steps run in blocks of at most ``planar.GAIN_CELLS`` angles: the step
-    loop moves the angles only, and after each block one
-    ``slow_arc_fraction`` call reads every angle of the block, whose rows are
-    added to each lane's sum ``S`` in step order.  Each config maps its
-    ``p``'s sums to its gains ``a S - horizon``.  The block's read, its angles
-    and the lane buffers are allocated once per chunk and written through
-    ``out`` by every step and block.  Each chunk binds ``np.add``, its
-    profile's ``delta_theta`` and ``circle._mod1`` once, and the step loop
-    passes every output positionally; the drift is still called through the
-    instance once per step, so a wrapper on ``AngularProfile.delta_theta``
-    sees every step.
+    lane's angle moves once per step.  Streams advance in lock-step, in chunks
+    holding at most ``CHUNK_SYMBOLS`` symbols.  A chunk seeds its streams in
+    one array pass (``_stream_words``, numpy's children bit for bit), and each
+    stream draws its uniforms into one held buffer and thresholds them against
+    every ``p`` into its rows of the lane-major symbols.  Within a chunk the
+    steps run in blocks of at most ``planar.GAIN_CELLS`` angles: the step loop
+    moves the angles only, and after each block one ``slow_arc_fraction`` call
+    reads every angle of the block, whose rows are added to each lane's sum
+    ``S`` in step order.  Each config maps its ``p``'s sums to its gains
+    ``a S - horizon``.  The block's read, its angles and the lane buffers are
+    allocated once per chunk and written through ``out`` by every step and
+    block.  Each chunk binds ``np.add``, its profile's ``delta_theta`` and
+    ``circle._mod1`` once, and the step loop passes every output positionally;
+    the drift is still called through the instance once per step, so a wrapper
+    on ``AngularProfile.delta_theta`` sees every step.
     """
     _check_start(start)
     configs = list(configs)
@@ -333,24 +379,27 @@ def monte_carlo_grid(configs, start: Angle = DEFAULT_START) -> list[IfsStats]:
     # Distinct p values in first-seen order; duplicate p values read the same lanes.
     p_index = {p: i for i, p in enumerate(dict.fromkeys(c.p for c in configs))}
     radial, ap = base.profiles()
-    p_row = np.array(list(p_index))
+    p_col = np.array(list(p_index))[:, None]
     n_p, n, horizon = len(p_index), base.n_sequences, base.horizon
     sums = np.empty((n_p, n))
     k_counts = np.empty((n_p, n), dtype=np.int64)
     streams = max(1, CHUNK_SYMBOLS // (horizon * n_p))
+    generator, pcg64, seed_words = np.random.Generator, np.random.PCG64, _seed_words()
+    uniforms = np.empty(horizon)
     for lo in range(0, n, streams):
         hi = min(lo + streams, n)
         width = hi - lo
-        # Step-major, so that each step reads one contiguous column; lane
-        # (s - lo) * n_p + i holds stream s under the i-th p, so each stream
-        # thresholds its uniforms against every p straight into one slab of
-        # adjacent columns, as bernoulli_sequence thresholds them.
+        # Lane-major: lane (s - lo) * n_p + i holds stream s under the i-th p,
+        # so each stream thresholds its uniforms against every p straight into
+        # n_p contiguous rows, as bernoulli_sequence thresholds them; each
+        # block reads its steps through the transpose.
         lanes = width * n_p
-        cols = np.empty((horizon, lanes), dtype=np.int8)
-        slabs = cols.reshape(horizon, width, n_p)
-        for s in range(lo, hi):
-            np.greater_equal(_uniforms(base.seed, s, horizon)[:, None], p_row, out=slabs[:, s - lo])
-        k_counts[:, lo:hi] = np.count_nonzero(slabs[0::2] != slabs[1::2], axis=0).T
+        rows = np.empty((lanes, horizon), dtype=np.int8)
+        slabs = rows.reshape(width, n_p, horizon)
+        for words, slab in zip(_stream_words(base.seed, lo, hi), slabs):
+            generator(pcg64(seed_words(words))).random(horizon, out=uniforms)
+            np.greater_equal(uniforms, p_col, out=slab)
+        k_counts[:, lo:hi] = np.count_nonzero(slabs[..., 0::2] != slabs[..., 1::2], axis=2).T
         # The same operations as run_ifs, one lane per (stream, p); x - floor(x)
         # is run_ifs's % 1.0 bit for bit (see circle._mod1).  Every buffer is
         # allocated here, once per chunk: the block's angles and its read of
@@ -367,7 +416,7 @@ def monte_carlo_grid(configs, start: Angle = DEFAULT_START) -> list[IfsStats]:
         for b in range(0, horizon, block):
             length = min(block, horizon - b)
             # Each row holds its step's half turns until the step adds the angle.
-            angles = np.multiply(0.5, cols[b:b + length], out=thetas[:length])
+            angles = np.multiply(0.5, rows[:, b:b + length].T, out=thetas[:length])
             for t in angles:
                 add(th, t, t)
                 add(th, delta_theta(t, step), step)

@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .circle import Angle, CircleInterval, _dist_to_zero, _mod1
+from .circle import Angle, CircleInterval, _dist_to_zero, _float_turns, _mod1
 
 __all__ = [
     "AngularProfile",
@@ -158,6 +158,9 @@ class AngularProfile:
             two_pi, one, half_d = _TWO_PI, _ONE, self._half_d
         else:
             two_pi, one, half_d = TWO_PI, 1.0, 0.5 * self.d
+            turns = _float_turns(theta)
+            if turns is not theta:
+                t = _mod1(turns, out)
         x = np.multiply(two_pi, t, out)
         x = np.subtract(one, np.cos(x, out), out)
         return np.multiply(half_d, x, out)

@@ -704,6 +704,18 @@ class TestIfs:
         assert run(argv) == 0
         assert sweep.read_text().splitlines()[3].endswith(",boundary")
 
+    def test_inadmissible_is_not_a_verdict_on_escape(self, tmp_path):
+        # The label says the cell lies outside the paper's sufficient condition
+        # (K < 0), not that it fails to escape: at the defaults the cell
+        # (0.9, 4) prints empirical_slope 2.8939 and escape_fraction 1.0.
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--p-grid", "0.9", "--a-grid", "4", "--out", str(out)]) == 0
+        header, row = out.read_text().splitlines()[2:]
+        cell = dict(zip(header.split(","), row.split(",")))
+        assert cell["admissibility"] == "inadmissible" and float(cell["K"]) < 0.0
+        assert float(cell["empirical_slope"]) > 0.0
+        assert float(cell["escape_fraction"]) == 1.0
+
     @pytest.mark.parametrize("p, a", [
         ("0.5", "4.0"),  # K = 0
         ("0.08", "13.58695652173913"),  # a p (1 - p) rounds above 1, K is 0

@@ -86,6 +86,62 @@ class TestBernoulliSequences:
             np.testing.assert_array_equal(bernoulli_sequence(p, 500, seed, stream), expected)
 
 
+def numpy_child(seed, stream):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
+
+
+def assert_words_are_numpy_children(seed, lo, hi, n=64):
+    # The engine's derivation against numpy's own construction of each child:
+    # the seed words, and the uniforms PCG64 draws from them.
+    words = ifs._stream_words(seed, lo, hi)
+    assert words.shape == (hi - lo, 4) and words.dtype == np.uint64
+    for stream, row in zip(range(lo, hi), words):
+        child = np.random.SeedSequence(seed, spawn_key=(stream,))
+        assert row.tobytes() == child.generate_state(4, np.uint64).tobytes()
+        drawn = np.random.Generator(np.random.PCG64(ifs._seed_words()(row))).random(n)
+        assert drawn.tobytes() == numpy_child(seed, stream).random(n).tobytes()
+
+
+# Roots of 1 to 7 uint32 words.
+ORACLE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 3, 2**200 + 7]
+
+
+class TestStreamDerivation:
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    @pytest.mark.parametrize("lo, hi", [
+        (0, 2),
+        (299, 300),
+        (2**31, 2**31 + 1),
+        # Keys from 2**32 on are two uint32 words: one range across the
+        # change, and ranges wholly on either side of it.
+        (2**32 - 2, 2**32 + 6),
+        (2**32 - 1, 2**32),
+        (2**32, 2**32 + 1),
+        (2**32 + 5, 2**32 + 6),
+    ])
+    def test_words_are_numpy_children(self, seed, lo, hi):
+        assert_words_are_numpy_children(seed, lo, hi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**256),
+        lo=st.one_of(st.integers(min_value=0, max_value=1000), st.integers(min_value=0, max_value=2**64 - 8)),
+        width=st.integers(min_value=1, max_value=5),
+    )
+    def test_words_are_numpy_children_everywhere(self, seed, lo, width):
+        assert_words_are_numpy_children(seed, lo, lo + width, n=8)
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_engine_symbols_are_numpy_draws(self, seed):
+        # k_counts are the mixed pairs of each stream's own numpy draw, under
+        # two values of p at once.
+        configs = [IfsConfig(p=p, a=5.0, seed=seed, horizon=200, n_sequences=5) for p in (0.5, 0.8)]
+        for cell in monte_carlo_grid(configs):
+            for stream in range(5):
+                symbols = (numpy_child(seed, stream).random(200) >= cell.config.p).astype(np.int8)
+                assert cell.k_counts[stream] == np.count_nonzero(symbols[0::2] != symbols[1::2])
+
+
 class TestTheoreticalBounds:
     def test_reference_values(self):
         b = theoretical_bounds(0.5, 5.0)
@@ -606,9 +662,10 @@ class TestStartMustBeAnAngle:
     ])
     def test_refused_before_any_symbol_is_drawn(self, run, start, name, monkeypatch):
         # A bare number of turns is refused, naming its type, before any work:
-        # every draw goes through _uniforms.
+        # run_ifs draws through _uniforms, the engine seeds through _stream_words.
         drawn = []
         monkeypatch.setattr(ifs, "_uniforms", lambda *args: drawn.append(args))
+        monkeypatch.setattr(ifs, "_stream_words", lambda *args: drawn.append(args))
         with pytest.raises(ValueError, match=f"start must be an Angle, got {name}$"):
             run(start)
         assert drawn == []

@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from parrondo_maps.circle import _dist_to_zero, _mod1, circle_dist
+from parrondo_maps import circle, profiles
+from parrondo_maps.circle import _dist_to_zero, _mod1, circle_dist, wrap_turns
 from parrondo_maps.cli import main
 from parrondo_maps.profiles import (
     DRIFT_LIPSCHITZ_FACTOR,
@@ -249,7 +250,8 @@ def test_array_branches_are_pinned():
 
 
 # An integer angle gives a float drift.  _mod1 is left out for it: numpy 2.3
-# floors an integer array to its own dtype, earlier versions to float64.
+# floors an integer array to its own dtype, earlier versions to the narrowest
+# float that holds it.
 @pytest.mark.parametrize("name, dtype, result", [
     *[(name, dtype, dtype) for name in ARRAY_BRANCHES for dtype in (np.float16, np.float32, np.float64)],
     ("raised cosine", np.int64, np.float64),
@@ -259,6 +261,39 @@ def test_array_branches_keep_their_result_dtype(name, dtype, result):
     # A Python-float constant is weak under NEP 50, so a narrow float stays narrow.
     theta = np.array([0.0, 0.25, -0.75, 1.5, 3.0]).astype(dtype)
     assert ARRAY_BRANCHES[name](theta).dtype == result
+
+
+def _mod1_before_numpy_2_3(x, out=None):
+    """``_mod1`` as numpy before 2.3 computes it: ``floor`` had no integer loop
+    and took an integer array to the narrowest float that holds it."""
+    if isinstance(x, np.ndarray) and x.dtype.kind in "iu":
+        x = x.astype(np.promote_types(x.dtype, np.float16))
+    return _mod1(x, out)
+
+
+PUBLIC_MOD1_CALLERS = {
+    "wrap_turns": wrap_turns,
+    "circle_dist": circle_dist,
+    "slow_arc_fraction": RadialProfile(5.0, 0.125).slow_arc_fraction,
+    "delta_r": RadialProfile(5.0, 0.125).delta_r,
+    **{f"delta_theta {name}": f for name, f in ARRAY_BRANCHES.items() if name != "mod1"},
+}
+
+
+@pytest.mark.parametrize("floor", ["this numpy", "numpy before 2.3"])
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+@pytest.mark.parametrize("name", PUBLIC_MOD1_CALLERS)
+def test_integer_turns_give_float64(name, dtype, floor, monkeypatch):
+    # Whatever dtype numpy floors an integer array to, int8 included, every
+    # public caller of _mod1 gives float64, the same bits as on float64 turns.
+    if floor != "this numpy":
+        monkeypatch.setattr(circle, "_mod1", _mod1_before_numpy_2_3)
+        monkeypatch.setattr(profiles, "_mod1", _mod1_before_numpy_2_3)
+    f = PUBLIC_MOD1_CALLERS[name]
+    turns = np.array([0, 1, -3, 7, 100], dtype=dtype)
+    got = f(turns)
+    assert got.dtype == np.float64
+    assert got.tobytes() == f(turns.astype(np.float64)).tobytes()
 
 
 def test_the_held_amplitude_is_not_a_field():
