@@ -42,13 +42,15 @@ def _mod1(x, out=None):
 
     An array ``x`` may write through ``out``, which holds the floor and then
     the result, so ``out`` must be another array than ``x``.  ``out`` goes to
-    both ufuncs positionally, which numpy parses faster than a keyword: the
-    lock-step engine reduces a row of lanes this way once per step.  The
-    result has the dtype numpy gives ``x - floor(x)``, so a float array keeps
-    its own; an integer array keeps its own from numpy 2.3 on, and before took
-    the narrowest float holding it (float16 for int8).  This path, the
-    engine's, tests no dtype: each public caller gives float64 for integer
-    turns through ``_float_turns``.
+    both ufuncs positionally, which numpy parses faster than a keyword.  The
+    lock-step engine runs the same two ufuncs inline, once per step, on each
+    lane's new angle ``theta + drift`` alone: it reads f1's drift at
+    ``theta`` through the half-turn identity (see ``ifs``), so no shifted
+    angle is reduced.  The result has the dtype numpy gives ``x - floor(x)``,
+    so a float array keeps its own; an integer array keeps its own from numpy
+    2.3 on, and before took the narrowest float holding it (float16 for
+    int8).  This path tests no dtype: each public caller gives float64 for
+    integer turns, and refuses bool turns, through ``_float_turns``.
     """
     if isinstance(x, np.ndarray):
         if out is x:
@@ -58,8 +60,14 @@ def _mod1(x, out=None):
 
 
 def _float_turns(x):
-    """An integer array as float64 turns, anything else as it is (see ``_mod1``)."""
-    return x.astype(np.float64) if isinstance(x, np.ndarray) and x.dtype.kind in "iu" else x
+    """An integer array as float64 turns, anything else as it is (see ``_mod1``).
+    A bool array is no number of turns, so it raises ``ValueError``."""
+    if isinstance(x, np.ndarray):
+        if x.dtype.kind == "b":
+            raise ValueError(f"turns must be numbers, got a bool array {x!r}")
+        if x.dtype.kind in "iu":
+            return x.astype(np.float64)
+    return x
 
 
 def wrap_turns(x):

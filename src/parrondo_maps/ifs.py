@@ -25,6 +25,18 @@ streams in lock-step: the step loop moves only the angles, one numpy step per
 map application, and ``q`` is read once per block of steps and added to ``S``
 in step order.  Each config then maps its ``p``'s sums to its gains
 ``a S - n``.  Each stream's numbers are bit-identical to its ``run_ifs``.
+
+Both engines read f1's drift at ``theta`` through the half-turn identity.
+For the raised cosine, the only drift ``IfsConfig.profiles`` builds,
+``cos 2 pi (theta + 1/2) = -cos 2 pi theta``: f1's drift ``D(theta + 1/2)``
+is ``d/2 + (d/2) cos 2 pi theta`` and f0's is ``d/2 - (d/2) cos 2 pi theta``.
+So a step is ``theta <- (theta + (d/2 + g cos 2 pi theta)) mod 1``, with
+``g = -d/2`` under f0 and ``+d/2`` under f1, and no shifted angle is rounded
+or reduced before the cosine.  When ``d/2`` is a power of two, f0's drift is
+``delta_theta``'s bit for bit; f1's stays within a few ulps of ``d`` of the
+literal ``delta_theta((theta + 1/2) % 1)``.  The slow arc is still read at
+the shifted angle ``theta + s/2``.  ``planar.apply_f1`` keeps the literal
+conjugation and its own rounding.
 """
 
 from __future__ import annotations
@@ -35,11 +47,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .circle import Angle, _is_count, _mod1
+from .circle import Angle, _is_count
 from .planar import GAIN_CELLS
 from .profiles import (
     DEFAULT_D,
     DEFAULT_W,
+    TWO_PI,
     AngularProfile,
     RadialProfile,
     make_angular_profile,
@@ -258,14 +271,22 @@ def run_ifs(
             raise ValueError(f"symbols must be a 1-D sequence of {config.horizon} values, each 0 or 1")
         symbols = symbols.astype(np.int8)
     # The angle does not depend on the radius: the loop moves only the angle
-    # and records where each step reads the profiles.
+    # and records where each step reads the slow arc, at theta + s/2.  The
+    # drift d (1 - cos 2 pi t) / 2 is read at theta itself: f1 reads it at
+    # theta + 1/2, where the cosine is -cos 2 pi theta, so the sign g of the
+    # cosine's term, -d/2 or +d/2, picks the map.
     th = start.value
     shifted = []
-    delta_theta = ap.delta_theta
+    half_d = 0.5 * ap.d
+    cos = math.cos
     for sym in symbols.tolist():
-        t = th + 0.5 if sym else th
-        shifted.append(t)
-        th = (th + delta_theta(t)) % 1.0
+        if sym:
+            shifted.append(th + 0.5)
+            g = half_d
+        else:
+            shifted.append(th)
+            g = -half_d
+        th = (th + (g * cos(TWO_PI * th) + half_d)) % 1.0
     # The a-free fractions are summed from 0, in step order, as the lock-step
     # engine adds them.  A mixed pair reads q = 1.0 exactly at least once, so
     # its gain rounds to at least a - 2.
@@ -358,12 +379,14 @@ def monte_carlo_grid(configs, start: Angle = DEFAULT_START) -> list[IfsStats]:
     moves the angles only, and after each block one ``slow_arc_fraction`` call
     reads every angle of the block, whose rows are added to each lane's sum
     ``S`` in step order.  Each config maps its ``p``'s sums to its gains
-    ``a S - horizon``.  The block's read, its angles and the lane buffers are
-    allocated once per chunk and written through ``out`` by every step and
-    block.  Each chunk binds ``np.add``, its profile's ``delta_theta`` and
-    ``circle._mod1`` once, and the step loop passes every output positionally;
-    the drift is still called through the instance once per step, so a wrapper
-    on ``AngularProfile.delta_theta`` sees every step.
+    ``a S - horizon``.  Every step moves every lane's angle by the half-turn
+    identity (see the module docstring), ``multiply, cos, multiply, add, add,
+    floor, subtract`` on held buffers, with each block's sign rows ``g``
+    written once from its symbols into the block's read buffer; no profile
+    method runs per step, so a wrapper on ``AngularProfile.delta_theta`` sees
+    no call from the engine.  The block's read, its angles and the lane
+    buffers are allocated once per chunk and written through ``out`` by every
+    step and block.
     """
     _check_start(start)
     configs = list(configs)
@@ -386,6 +409,11 @@ def monte_carlo_grid(configs, start: Angle = DEFAULT_START) -> list[IfsStats]:
     streams = max(1, CHUNK_SYMBOLS // (horizon * n_p))
     generator, pcg64, seed_words = np.random.Generator, np.random.PCG64, _seed_words()
     uniforms = np.empty(horizon)
+    # The step's constants as 0-d arrays, which a ufunc takes as they are
+    # where it boxes a Python float anew on every call.
+    d = ap.d
+    two_pi, half_d = np.array(TWO_PI), np.array(0.5 * d)
+    add, multiply, subtract, cos, floor = np.add, np.multiply, np.subtract, np.cos, np.floor
     for lo in range(0, n, streams):
         hi = min(lo + streams, n)
         width = hi - lo
@@ -402,29 +430,43 @@ def monte_carlo_grid(configs, start: Angle = DEFAULT_START) -> list[IfsStats]:
         k_counts[:, lo:hi] = np.count_nonzero(slabs[..., 0::2] != slabs[..., 1::2], axis=2).T
         # The same operations as run_ifs, one lane per (stream, p); x - floor(x)
         # is run_ifs's % 1.0 bit for bit (see circle._mod1).  Every buffer is
-        # allocated here, once per chunk: the block's angles and its read of
-        # the slow-arc fraction, the lanes' angle and its step, and their sums.
+        # allocated here, once per chunk: the block's angles with one row more
+        # for the angle after it, the block's read, which holds its sign rows
+        # until its steps are done, and the lanes' step and sums.
         block = min(horizon, max(1, GAIN_CELLS // lanes))
-        thetas = np.empty((block, lanes))
+        thetas = np.empty((block + 1, lanes))
+        thetas[0] = start.value
         read = np.empty((block, lanes))
-        total = np.zeros(lanes)
-        th = np.full(lanes, start.value)
         step = np.empty(lanes)
-        # A step on a few hundred lanes costs more in numpy's per-call
-        # overhead than in arithmetic, hence the locals and positional outputs.
-        add, delta_theta, mod1 = np.add, ap.delta_theta, _mod1
+        total = np.zeros(lanes)
+        # Each row's view, made once: a step takes three.
+        angle_rows, read_rows = list(thetas), list(read)
         for b in range(0, horizon, block):
             length = min(block, horizon - b)
-            # Each row holds its step's half turns until the step adds the angle.
-            angles = np.multiply(0.5, rows[:, b:b + length].T, out=thetas[:length])
-            for t in angles:
-                add(th, t, t)
-                add(th, delta_theta(t, step), step)
-                mod1(step, th)
+            symbols = rows[:, b:b + length].T
+            angles, signs = thetas[:length], read[:length]
+            # Each step's g, -d/2 under f0 and +d/2 under f1, exactly.
+            multiply(subtract(symbols, 0.5, signs), d, signs)
+            # Step i moves angle i to angle i + 1 in 7 ufunc calls and no
+            # Python call: a step on a few hundred lanes costs more in numpy's
+            # per-call overhead than in arithmetic.
+            for t, g, after in zip(angle_rows[:length], read_rows, angle_rows[1:length + 1]):
+                multiply(two_pi, t, step)
+                cos(step, step)
+                multiply(g, step, step)
+                add(step, half_d, step)
+                add(t, step, step)
+                floor(step, after)
+                subtract(step, after, after)
+            # The block's angles, shifted by their half turns in place, are
+            # read at once; the angle after the block starts the next one.
+            add(angles, multiply(0.5, symbols, signs), angles)
+            radial.slow_arc_fraction(angles, out=signs)
             # Added one step at a time, as run_ifs's cumsum adds them; a sum
             # over the block would round in another order.
-            for row in radial.slow_arc_fraction(angles, out=read[:length]):
+            for row in read_rows[:length]:
                 total += row
+            thetas[0] = thetas[length]
         sums[:, lo:hi] = total.reshape(width, n_p).T
     # Each cell maps its p's sums into a new array, duplicate cells included.
     return [

@@ -23,7 +23,6 @@ numbers so that out-of-range configurations can still be fed to
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -46,19 +45,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-
-
-def _constant(x) -> np.ndarray:
-    """``x`` as a read-only 0-d array: a ufunc takes it as it is, where it
-    boxes a Python float anew on every call."""
-    c = np.array(x)
-    c.setflags(write=False)
-    return c
-
-
-# The raised cosine's constants for float64 turns.
-_FLOAT64 = np.dtype(np.float64)
-_TWO_PI, _ONE = _constant(TWO_PI), _constant(1.0)
 
 DEFAULT_A = 5.0
 DEFAULT_W = 0.125
@@ -132,43 +118,19 @@ class AngularProfile:
     def __post_init__(self):
         object.__setattr__(self, "shape", AngularShape(self.shape))
 
-    def delta_theta(self, theta, out=None):
-        """The drift at ``theta``.  An array ``theta`` may write it through
-        ``out``, another array than ``theta``, with no other array allocated
-        for the raised cosine and one for the tent's ``1 - t``.
-
-        The raised cosine passes ``out`` to its ufuncs positionally.  On
-        float64 turns it takes ``2 pi``, ``1`` and ``d / 2`` as read-only 0-d
-        arrays, the last held by the instance after its first such call, so
-        numpy boxes no constant per call.  Any other dtype takes Python
-        floats, which are weak under NEP 50, so a float16 or float32 angle
-        gives a drift of its own dtype, and an integer one float64, as before.
-        """
+    def delta_theta(self, theta):
+        """The drift at ``theta``.  The constants are Python floats, which are
+        weak under NEP 50, so a float16 or float32 angle gives a drift of its
+        own dtype, and an integer one float64."""
         # An orbit step's float on the raised cosine goes first.  A str enum equals its value: faster than a lookup.
         if isinstance(theta, float) and self.shape == "raised_cosine":
             return 0.5 * self.d * (1.0 - math.cos(TWO_PI * (theta % 1.0)))
         if self.shape == "piecewise_linear":
-            # In place: an array dist is new or out, and a scalar stays the type it was.
-            dist = _dist_to_zero(theta, out)
+            # In place: an array dist is new, and a scalar stays the type it was.
+            dist = _dist_to_zero(theta)
             dist *= 2.0 * self.d
             return dist
-        t = _mod1(theta, out)
-        # A 0-d float64 constant is not weak: it would widen a narrower float.
-        if getattr(t, "dtype", None) is _FLOAT64:
-            two_pi, one, half_d = _TWO_PI, _ONE, self._half_d
-        else:
-            two_pi, one, half_d = TWO_PI, 1.0, 0.5 * self.d
-            turns = _float_turns(theta)
-            if turns is not theta:
-                t = _mod1(turns, out)
-        x = np.multiply(two_pi, t, out)
-        x = np.subtract(one, np.cos(x, out), out)
-        return np.multiply(half_d, x, out)
-
-    @functools.cached_property
-    def _half_d(self):
-        """``0.5 * d`` as a ``_constant``, made on the first float64 call; not a field."""
-        return _constant(0.5 * self.d)
+        return 0.5 * self.d * (1.0 - np.cos(TWO_PI * _mod1(_float_turns(theta))))
 
     def lift(self, x):
         """Lift of ``theta -> theta + delta_theta(theta)``; degree one by construction."""

@@ -857,9 +857,9 @@ class TestIfs:
         assert "expansion a must be finite and positive, got inf" in err and "JSON" not in err
 
     @pytest.mark.parametrize("sequences, digest", [
-        ("20", "a0936e90ae9d5930b525dff2b3da6a00ae4b4d65f98ca4bd8dd3e1b259317e83"),
+        ("20", "91f9fe54cb1ed7ae45fda3a5d0c8869465035ebb532e2a649528e2d8a943a751"),
         # One sequence has no spread: slope_se, both interval ends and stderr are null.
-        ("1", "28dcec189422383b6e1ba9a8bcb0afcfc26ff03dff253e090e2ad462e7bc21cd"),
+        ("1", "edbe0394fbd7a189ebd0ea83e57b996f2dba84442080ea271176cbe63216b32d"),
     ])
     def test_json_bytes_are_pinned(self, sequences, digest, tmp_path):
         out = tmp_path / "stats.json"
@@ -872,7 +872,7 @@ class TestIfs:
         out = tmp_path / "seqs.csv"
         assert run(["ifs", "--format", "csv", "--horizon", "200", "--sequences", "20", "--seed", "3",
                     "--out", str(out)]) == 0
-        digest = "e8a5ebc0945668ff9487f1c25bab11dbc1ec9f50c40a7cdfc4d45b3cd99af70a"
+        digest = "408a8e02cd2cfb84aa4adcded29cc356daa128b7174ac0263cae7dbdfeaff169"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_csv_bytes_are_pinned_over_many_blocks(self, tmp_path):
@@ -881,7 +881,7 @@ class TestIfs:
         out = tmp_path / "seqs.csv"
         assert run(["ifs", "--format", "csv", "--horizon", "2000", "--sequences", "300", "--seed", "7",
                     "--out", str(out)]) == 0
-        digest = "1f9ec15fe0c236729f1a956fd78371bf8f0ca016cd568172ff13bfe2089139de"
+        digest = "53d68c208b1639aa32fb624feab6fd1ed802ee319b13f6cd335e05b25c2647fe"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_negative_seed_is_named(self, capsys):
@@ -1034,7 +1034,7 @@ class TestSweep:
         argv = ["sweep", "--p-grid", "0.1:0.9:9", "--a-grid", "4,5,8", "--horizon", "200",
                 "--sequences", "30", "--seed", "3", "--out", str(out)]
         assert run(argv) == 0
-        digest = "fccf4888a16fc59718059cfa30935a4bdf18cd48c3b2f6e58d70c3105ea540a3"
+        digest = "317dc2d1126d343a536f6e62fd0c116e472bc53cbbe2d76a1631358784ec79ad"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_empty_grid_rejected(self, capsys):

@@ -336,9 +336,10 @@ class TestPlanarMapsAgreeWithTheRecurrence:
             assert abs(trace.rs[-1] - run.delta_total) <= 1e-9
 
     def test_f1_matches_all_one_symbols_to_rounding(self):
-        # apply_f1 reads the profiles at (theta + 1/2) % 1 where run_ifs reads
-        # them at theta + 1/2: the one-ulp rounding-form gap between the two
-        # spellings of the shifted step (ROADMAP item 1), under 2e-11 here.
+        # apply_f1 reads the profiles at (theta + 1/2) % 1.  run_ifs reads the
+        # slow arc at theta + 1/2 and the drift at theta through the half-turn
+        # identity, d/2 + (d/2) cos 2 pi theta: each step's drift is within a
+        # few ulps of d of apply_f1's, and the gains agree within 3e-11 here.
         for trace, run in self._orbits(apply_f1, 1):
             assert abs(trace.rs[-1] - run.delta_total) <= 1e-9
 
@@ -515,26 +516,23 @@ class TestMonteCarloGrid:
             assert owner(out) is held.setdefault(id(owner(t)), owner(out))
         assert len(held) == chunks
 
-    @pytest.mark.parametrize("chunk, lanes", [(ifs.CHUNK_SYMBOLS, [21]), (3 * 3 * 40, [9, 9, 3])])
-    def test_each_step_calls_the_class_drift_once(self, chunk, lanes, monkeypatch):
+    @pytest.mark.parametrize("chunk, chunks", [(ifs.CHUNK_SYMBOLS, 1), (3 * 3 * 40, 3)])
+    def test_the_engine_calls_no_class_drift(self, chunk, chunks, monkeypatch):
         # A tracer wraps delta_theta on the class before the run, as
-        # perfbench's does: the engine binds the method per chunk and still
-        # calls it once per step, through the 21 lanes of 7 streams under
-        # 3 values of p, in one chunk or in chunks of 3, 3 and 1 streams.
+        # perfbench's does: the engine reads the drift through the half-turn
+        # identity, with no profile call per step, through the 21 lanes of 7
+        # streams under 3 values of p, in one chunk or in chunks of 3, 3 and 1
+        # streams (one seeding each); every stream still equals its run_ifs.
         monkeypatch.setattr(ifs, "CHUNK_SYMBOLS", chunk)
-        outs = []
-        drift = ifs.AngularProfile.delta_theta
-
-        def traced(ap, theta, out=None):
-            outs.append(out.shape if isinstance(out, np.ndarray) else out)
-            return drift(ap, theta, out)
-
-        monkeypatch.setattr(ifs.AngularProfile, "delta_theta", traced)
+        calls, seeded = [], []
+        drift, words = ifs.AngularProfile.delta_theta, ifs._stream_words
+        monkeypatch.setattr(ifs.AngularProfile, "delta_theta", lambda ap, theta: calls.append(theta) or drift(ap, theta))
+        monkeypatch.setattr(ifs, "_stream_words", lambda *args: seeded.append(args) or words(*args))
         configs = [small_config(p=p, horizon=40, n_sequences=7) for p in (0.2, 0.5, 0.7)]
         start = Angle(0.4)
         stats = monte_carlo_grid(configs, start)
         monkeypatch.undo()
-        assert outs == [(width,) for width in lanes for _ in range(40)]
+        assert calls == [] and len(seeded) == chunks
         assert_matches_run_ifs(configs, start, stats)
 
     @pytest.mark.parametrize("n_sequences, chunk", [(40, ifs.CHUNK_SYMBOLS), (400, 3 * 200 * 40)])
@@ -624,6 +622,52 @@ class TestMonteCarloGrid:
         for s, (deltas, k_counts) in zip(rest, before):
             np.testing.assert_array_equal(s.deltas, deltas)
             np.testing.assert_array_equal(s.k_counts, k_counts)
+
+
+class TestHalfTurnDrift:
+    """The engines read f1's drift at theta through the half-turn identity,
+    ``d/2 + g cos 2 pi theta`` with ``g = +d/2`` (f0: ``-d/2``), where the
+    literal construction reads ``delta_theta((theta + 1/2) % 1)``."""
+
+    # Streams 0-7 of root seed 3 at p = 1/2 open with both maps.
+    SEED, STREAMS = 3, 8
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=st.one_of(
+            st.floats(min_value=0.0, max_value=1.0 / math.pi, exclude_min=True, exclude_max=True),
+            st.integers(min_value=2, max_value=60).map(lambda k: 2.0**-k),
+        ),
+        theta=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    )
+    @example(d=0.25, theta=0.5).via("the default drift at f1's fixed angle")
+    @example(d=0.25, theta=math.nextafter(0.5, 0.0)).via("an f1 shift that rounds")
+    def test_the_engine_step_is_the_identity_within_ulps_of_d(self, d, theta):
+        config = IfsConfig(p=0.5, a=5.0, seed=self.SEED, horizon=2, n_sequences=self.STREAMS, w=0.05, d=d)
+        ap = config.profiles()[1]
+        half_d = 0.5 * d
+        cos = math.cos(ifs.TWO_PI * theta)
+        drift = {0: half_d + -half_d * cos, 1: half_d + half_d * cos}
+        # Rounding the shift, 2 pi t and each of four operations per form:
+        # under 5 units of d 2**-52 (3.75 seen), so under 10 ulps of d.
+        assert abs(drift[1] - ap.delta_theta((theta + 0.5) % 1.0)) <= 10.0 * math.ulp(d)
+        if math.frexp(half_d)[0] == 0.5 and half_d >= 2.0**-960:
+            # Far from underflow g cos is exact, so d/2 + g cos rounds
+            # d/2 (1 - cos) once, as (1 - cos) rounds.
+            assert drift[0] == ap.delta_theta(theta)
+        # The engine's block read holds each step's angle plus its half turn:
+        # after one step every lane holds (theta + drift) % 1 for its first map.
+        blocks = []
+        with pytest.MonkeyPatch.context() as mp:
+            fraction = ifs.RadialProfile.slow_arc_fraction
+            mp.setattr(ifs.RadialProfile, "slow_arc_fraction",
+                       lambda rp, t, out=None: blocks.append(t.copy()) or fraction(rp, t, out=out))
+            monte_carlo_grid([config], Angle(theta))
+        symbols = np.array([bernoulli_sequence(0.5, 2, self.SEED, s) for s in range(self.STREAMS)]).T
+        assert set(symbols[0].tolist()) == {0, 1}
+        expected = [[theta + 0.5 * s for s in symbols[0].tolist()],
+                    [(theta + drift[s]) % 1.0 + 0.5 * u for s, u in zip(*symbols.tolist())]]
+        assert len(blocks) == 1 and blocks[0].tobytes() == np.array(expected).tobytes()
 
 
 class TestPairBoundHoldsUnderRounding:

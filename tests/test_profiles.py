@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import sys
 import warnings
 
@@ -175,15 +176,16 @@ out_turns = hnp.arrays(
     ),
 )
 
-OUT_PROFILES = {
-    "slow arc fraction": RadialProfile(5.0, 0.125).slow_arc_fraction,
-    "raised cosine": AngularProfile(0.25, 0.125).delta_theta,
-    "tent": AngularProfile(0.2, 0.125, AngularShape.PIECEWISE_LINEAR).delta_theta,
-}
+OUT_PROFILES = {"slow arc fraction": RadialProfile(5.0, 0.125).slow_arc_fraction}
 
 
 def _profile_function(name):
-    return {"radial": RadialProfile(5.0, 0.125).delta_r, **OUT_PROFILES}[name]
+    return {
+        "radial": RadialProfile(5.0, 0.125).delta_r,
+        **OUT_PROFILES,
+        "raised cosine": AngularProfile(0.25, 0.125).delta_theta,
+        "tent": AngularProfile(0.2, 0.125, AngularShape.PIECEWISE_LINEAR).delta_theta,
+    }[name]
 
 
 class TestOutContract:
@@ -237,14 +239,16 @@ ARRAY_BRANCHES = {
 
 
 def test_array_branches_are_pinned():
-    """sha256 over the array results of both drift shapes and of ``_mod1``, with
-    no ``out``, a contiguous ``out`` and a strided one, on (step, lane) blocks."""
+    """sha256 over the array results of both drift shapes and of ``_mod1`` on
+    (step, lane) blocks: ``_mod1``'s with no ``out``, a contiguous ``out`` and
+    a strided one, and each drift's three times, as when the drifts took the
+    same ``out`` arguments."""
     theta = PINNED_TURNS.reshape(4, 20)
     h = hashlib.sha256()
     for name, f in ARRAY_BRANCHES.items():
         for out in (None, np.full((4, 20), np.nan), np.full((4, 20, 3), np.nan)[..., 1]):
-            got = f(theta, out)
-            assert got.dtype == np.float64 and (out is None or got is out), name
+            got = f(theta, out) if f is _mod1 else f(theta)
+            assert got.dtype == np.float64 and (out is None or f is not _mod1 or got is out), name
             h.update(name.encode() + got.tobytes())
     assert h.hexdigest() == "3a4ebd2819ed8e27e7331f6da4e8c063ed053463e99c1494c13dd036902bccb6"
 
@@ -296,13 +300,12 @@ def test_integer_turns_give_float64(name, dtype, floor, monkeypatch):
     assert got.tobytes() == f(turns.astype(np.float64)).tobytes()
 
 
-def test_the_held_amplitude_is_not_a_field():
-    # The raised cosine keeps d / 2 as an array after a float64 call; the
-    # profile still equals, hashes and prints as a fresh one (it keys caches).
-    ap, fresh = AngularProfile(0.25, 0.125), AngularProfile(0.25, 0.125)
-    ap.delta_theta(np.linspace(0.0, 1.0, 5))
-    assert ap == fresh and hash(ap) == hash(fresh) and repr(ap) == repr(fresh)
-    assert ap._half_d == 0.125 and not ap._half_d.flags.writeable
+@pytest.mark.parametrize("name", PUBLIC_MOD1_CALLERS)
+def test_bool_turns_are_refused(name):
+    # A bool array is no number of turns: each public caller refuses it,
+    # naming it, where numpy's boolean subtract raised TypeError.
+    with pytest.raises(ValueError, match=re.escape("turns must be numbers, got a bool array array([ True, False])")):
+        PUBLIC_MOD1_CALLERS[name](np.array([True, False]))
 
 
 class TestFactories:
