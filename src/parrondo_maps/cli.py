@@ -15,11 +15,14 @@ Exit codes: 0 success / checks passed, 1 a verification check failed,
 
 Each option and its default are declared once, in the parser, and each
 command declares only the options it reads.  Flags override values from an
-optional JSON config file (--config), which override the declared defaults;
-every output embeds the fully resolved configuration and the library version,
-and rerunning an echoed configuration reproduces the output byte for byte.
-JSON outputs write non-finite numbers as null; ``_plain`` holds the JSON
-form of every result.
+optional JSON config file (--config), which override the declared defaults.
+Each ``cmd_<command>`` returns ``(exit_code, body)``, a JSON body being a dict
+of the payload's own fields and a CSV body a ``(columns, rows)`` pair;
+``_render``, the one place that writes the record, adds the library version
+and the fully resolved configuration, and ``main`` writes it once.  Rerunning
+an echoed configuration (a config file may repeat its own ``command``)
+reproduces the output byte for byte.  JSON outputs write non-finite numbers
+as null; ``_plain`` holds the JSON form of every result.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .circle import Angle, CircleInterval
 from .dynamics import DEFAULT_TOL, DEFAULT_WINDOW, classify_orbit, iterate
 from .highdim import apply_h, apply_h_k, apply_j_k, check_cone_condition
 from .ifs import (
+    DEFAULT_START,
     ESCAPE_THRESHOLD,
     IfsConfig,
     monte_carlo,
@@ -106,7 +110,8 @@ def _build_parsers():
         return p
 
     def add_start(p):
-        p.add_argument("--start", default="0,0.25", help="cylinder start 'r,theta' (default %(default)s)")
+        p.add_argument("--start", default=f"0,{DEFAULT_START.value!r}",
+                       help="cylinder start 'r,theta' (default %(default)s)")
 
     pv = add_command("verify", "run the structural checks and certified gain bounds (JSON)")
     pv.add_argument("--k", type=int, default=2,
@@ -204,8 +209,11 @@ def _parse(argv) -> argparse.Namespace:
         parser, sub = _build_parsers()
         command = sub.choices[args.command]
         # Every option of the subcommand is a config key; the command and the
-        # config path are not.  argparse offers no public list of a parser's
-        # options, hence ``_actions``.
+        # config path are not, though an echoed config may repeat its own
+        # command.  argparse offers no public list of a parser's options,
+        # hence ``_actions``.
+        if file_cfg.get("command") == args.command:
+            del file_cfg["command"]
         options = {a.dest: a for a in command._actions if a.dest in vars(args) and a.dest != "config"}
         unknown = set(file_cfg) - set(options)
         if unknown:
@@ -215,14 +223,8 @@ def _parse(argv) -> argparse.Namespace:
     return args
 
 
-def _echo_config(params: dict) -> dict:
-    """The reproducibility record: every option except the output and config paths."""
-    return {k: v for k, v in params.items() if k not in ("out", "config")}
-
-
 def _parse_floats(text: str) -> list[float]:
     """The numbers of a comma list; empty text has none, and an empty field is refused."""
-    text = str(text)
     if not text:
         return []
     try:
@@ -234,7 +236,6 @@ def _parse_floats(text: str) -> list[float]:
 def _parse_grid(text) -> list[float]:
     if text is None:
         raise ValueError("missing grid specification")
-    text = str(text)
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -282,27 +283,29 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _csv_header(config: dict, columns: str) -> list[str]:
-    return [
-        f"# version: {__version__}",
-        f"# config: {json.dumps(config, sort_keys=True, allow_nan=False)}",
-        columns,
-    ]
+def _render(params: dict, body) -> str:
+    """The record of a run: its body with the library version and the echoed
+    configuration, every option except the output and config paths."""
+    config = {k: v for k, v in params.items() if k not in ("out", "config")}
+    if isinstance(body, dict):
+        return _dump_json(_plain({"version": __version__, "config": config, **body}))
+    columns, rows = body
+    header = [f"# version: {__version__}", f"# config: {json.dumps(config, sort_keys=True, allow_nan=False)}"]
+    return "\n".join([*header, columns, *rows]) + "\n"
 
 
 def _int_option(params: dict, name: str, least: int) -> int:
     """An integer option that must be at least ``least``; the error names the flag."""
-    value = int(params[name])
+    value = params[name]
     if value < least:
         raise ValueError(f"--{name} must be at least {least}, got {value}")
     return value
 
 
-def cmd_verify(params: dict) -> int:
-    a, w, d = float(params["a"]), float(params["w"]), float(params["d"])
+def cmd_verify(params: dict):
+    a, w, d, seed = params["a"], params["w"], params["d"], params["seed"]
     k = _int_option(params, "k", 2)
     samples, grid = _int_option(params, "samples", 1), _int_option(params, "grid", 2)
-    seed = int(params["seed"])
     if seed < 0:
         raise ValueError(f"--seed must be non-negative, got {seed}")
     for name, value in (("a", a), ("d", d)):
@@ -324,16 +327,13 @@ def cmd_verify(params: dict) -> int:
         cone = check_cone_condition(rp, ap, k, n_samples=samples, seed=seed)
     gains_ok = all(g.certified and g.min_gain > 0.0 for g in (gain_01, gain_10))
     passed = report.passed and gains_ok and (cone is None or cone.holds)
-    payload = {
-        "version": __version__,
-        "config": _echo_config(params),
+    body = {
         "profile_checks": report.checks,
         "compositions": {"f0,f1": gain_01, "f1,f0": gain_10},
         "cone": cone,
         "passed": passed,
     }
-    _write(params["out"], _dump_json(_plain(payload)))
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    return (EXIT_OK if passed else EXIT_CHECK_FAILED), body
 
 
 def _parse_cyl_start(text) -> CylPoint:
@@ -349,12 +349,12 @@ def _parse_cyl_start(text) -> CylPoint:
 def _build_orbit(params: dict):
     """Resolve (step function, start point, trapping arc) from orbit parameters."""
     k = _int_option(params, "k", 3)
-    rp, ap = default_profiles(float(params["a"]), float(params["w"]), float(params["d"]))
+    rp, ap = default_profiles(params["a"], params["w"], params["d"])
     name = params["map"]
     if params["start_cart"] is not None and (params["word"] is not None or name not in ("hk", "jk")):
         raise ValueError("--start-cart applies only to --map hk or jk without --word")
     if params["word"] is not None:
-        word = MapWord.parse(str(params["word"]))
+        word = MapWord.parse(params["word"])
         return word_step(word, rp, ap), _parse_cyl_start(params["start"]), None
     # An arc is built only for the map that reads it, so an arc that rounds
     # to nothing refuses no other map.
@@ -383,59 +383,47 @@ def _trace_rows(trace) -> list[str]:
     return rows
 
 
-def cmd_orbit(params: dict) -> int:
+def cmd_orbit(params: dict):
     steps = _int_option(params, "steps", 1)
     step, start, trap = _build_orbit(params)
-    window = int(params["window"])
+    window = params["window"]
     if window > steps:
         raise ValueError(f"window {window} exceeds the {steps}-step orbit")
     trace = iterate(step, start, steps, trap=trap)
     # An orbit cut short by an escape is classified over the steps it ran.
-    label, rate = classify_orbit(trace, min(window, trace.n_steps), float(params["tol"]))
+    label, rate = classify_orbit(trace, min(window, trace.n_steps), params["tol"])
     print(
         f"classification={label.value} rate={rate:.6g} "
         f"steps={trace.n_steps} trap_entry={trace.entered_trap_at}",
         file=sys.stderr,
     )
-    config = _echo_config(params)
-    if params["format"] == "json":
-        payload = {
-            "version": __version__,
-            "config": config,
-            "points": [[i, r, t] for i, (r, t) in enumerate(zip(trace.rs.tolist(), trace.thetas.tolist()))],
-            "gains": trace.gains.tolist(),
-            "classification": label.value,
-            "rate": rate,
-        }
-        _write(params["out"], _dump_json(_plain(payload)))
-    else:
-        lines = _csv_header(config, "step,r,theta,gain") + _trace_rows(trace)
-        _write(params["out"], "\n".join(lines) + "\n")
-    return EXIT_OK
+    if params["format"] == "csv":
+        return EXIT_OK, ("step,r,theta,gain", _trace_rows(trace))
+    return EXIT_OK, {
+        "points": [[i, r, t] for i, (r, t) in enumerate(zip(trace.rs.tolist(), trace.thetas.tolist()))],
+        "gains": trace.gains.tolist(),
+        "classification": label.value,
+        "rate": rate,
+    }
 
 
-def cmd_ifs(params: dict) -> int:
+def cmd_ifs(params: dict):
     config = IfsConfig(
-        p=float(params["p"]), a=float(params["a"]), seed=int(params["seed"]), horizon=int(params["horizon"]),
-        n_sequences=_int_option(params, "sequences", 1), w=float(params["w"]), d=float(params["d"]),
-        escape_threshold=float(params["escape_threshold"]),
+        p=params["p"], a=params["a"], seed=params["seed"], horizon=params["horizon"],
+        n_sequences=_int_option(params, "sequences", 1), w=params["w"], d=params["d"],
+        escape_threshold=params["escape_threshold"],
     )
     stats = monte_carlo(config, _parse_cyl_start(params["start"]).theta)
-    echo = _echo_config(params)
     if params["format"] == "csv":
-        lines = _csv_header(echo, "sequence_id,m,k_m,delta_2m")
-        for i, (k_m, delta) in enumerate(zip(stats.k_counts, stats.deltas)):
-            lines.append(f"{i},{stats.m},{int(k_m)},{float(delta)!r}")
-        _write(params["out"], "\n".join(lines) + "\n")
-        return EXIT_OK
+        rows = [f"{i},{stats.m},{int(k_m)},{float(delta)!r}"
+                for i, (k_m, delta) in enumerate(zip(stats.k_counts, stats.deltas))]
+        return EXIT_OK, ("sequence_id,m,k_m,delta_2m", rows)
     bounds = theoretical_bounds(config.p, config.a)
     admissible = bounds.label == "admissible"
     # Single-sequence runs have no spread estimate: their standard errors and
     # the interval's ends are infinite, written as null.
     lo, hi = stats.slope_ci()
-    payload = {
-        "version": __version__,
-        "config": echo,
+    return EXIT_OK, {
         "bounds": bounds,
         "admissible": admissible,
         "label": "ADMISSIBLE" if admissible else "INADMISSIBLE",
@@ -451,11 +439,9 @@ def cmd_ifs(params: dict) -> int:
         },
         "recurrence": stats.recurrence,
     }
-    _write(params["out"], _dump_json(_plain(payload)))
-    return EXIT_OK
 
 
-def cmd_sweep(params: dict) -> int:
+def cmd_sweep(params: dict):
     ps = _parse_grid(params["p_grid"])
     a_values = _parse_grid(params["a_grid"])
     n_sequences = _int_option(params, "sequences", 1)
@@ -463,31 +449,29 @@ def cmd_sweep(params: dict) -> int:
     # cells differ only in (p, a), so they all advance in one lock-step run.
     configs = [
         IfsConfig(
-            p=p, a=a, seed=int(params["seed"]), horizon=int(params["horizon"]),
-            n_sequences=n_sequences, w=float(params["w"]), d=float(params["d"]),
+            p=p, a=a, seed=params["seed"], horizon=params["horizon"],
+            n_sequences=n_sequences, w=params["w"], d=params["d"],
         )
         for p in ps
         for a in a_values
     ]
-    cells = monte_carlo_grid(configs)
-    lines = _csv_header(
-        _echo_config(params), "p,a,a_min,K,pair_slope_lb,empirical_slope,escape_fraction,admissibility"
-    )
-    for stats in cells:
+    rows = []
+    for stats in monte_carlo_grid(configs):
         p, a = stats.config.p, stats.config.a
         bounds = theoretical_bounds(p, a)
-        lines.append(
+        rows.append(
             f"{p!r},{a!r},{bounds.a_min!r},{bounds.K!r},{bounds.pair_slope_lb!r},"
             f"{stats.mean_pair_gain!r},{stats.escape_fraction!r},{bounds.label}"
         )
-    _write(params["out"], "\n".join(lines) + "\n")
-    return EXIT_OK
+    return EXIT_OK, ("p,a,a_min,K,pair_slope_lb,empirical_slope,escape_fraction,admissibility", rows)
 
 
 def main(argv=None) -> int:
     try:
         params = vars(_parse(argv))
-        return globals()[f"cmd_{params['command']}"](params)
+        code, body = globals()[f"cmd_{params['command']}"](params)
+        _write(params["out"], _render(params, body))
+        return code
     except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -76,8 +76,11 @@ __all__ = [
 ESCAPE_THRESHOLD = 100.0
 
 # Symbols held at once by the lock-step engine: streams are processed in
-# chunks of at most this many int8 symbols (1 MiB), whatever the horizon and
-# however many distinct p values share the run (each adds one lane per stream).
+# chunks of CHUNK_SYMBOLS // (horizon * n_p) streams, at least one, where each
+# of the n_p distinct p values adds one lane per stream.  A chunk holds at most
+# this many int8 symbols (1 MiB) only while horizon * n_p <= CHUNK_SYMBOLS;
+# past that it is one stream of horizon * n_p symbols, next to its
+# horizon-double uniforms buffer (ROADMAP item 9 chunks in time instead).
 CHUNK_SYMBOLS = 1 << 20
 
 # Generic start angle: off both invariant rays and equidistant from both slow arcs.
@@ -371,7 +374,8 @@ def monte_carlo_grid(configs, start: Angle = DEFAULT_START) -> list[IfsStats]:
     not on ``a``, so all configs share one run.  Its lanes are (stream) x
     (distinct ``p``), each stream's ``p`` values side by side, and every
     lane's angle moves once per step.  Streams advance in lock-step, in chunks
-    holding at most ``CHUNK_SYMBOLS`` symbols.  A chunk seeds its streams in
+    holding at most ``CHUNK_SYMBOLS`` symbols, or one stream's
+    ``horizon * n_p`` when that is more.  A chunk seeds its streams in
     one array pass (``_stream_words``, numpy's children bit for bit), and each
     stream draws its uniforms into one held buffer and thresholds them against
     every ``p`` into its rows of the lane-major symbols.  Within a chunk the
@@ -386,7 +390,11 @@ def monte_carlo_grid(configs, start: Angle = DEFAULT_START) -> list[IfsStats]:
     method runs per step, so a wrapper on ``AngularProfile.delta_theta`` sees
     no call from the engine.  The block's read, its angles and the lane
     buffers are allocated once per chunk and written through ``out`` by every
-    step and block.
+    step and block.  The traced peak also holds, while ``k_counts`` is
+    counted, a bool temporary of half the chunk's symbols, and, for each
+    chunk, two lists of row views, one view (112 B) per row of the block's
+    angles and read: on few lanes and long horizons these lists outweigh the
+    buffers themselves.
     """
     _check_start(start)
     configs = list(configs)

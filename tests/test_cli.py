@@ -41,17 +41,17 @@ ECHOED_DEFAULTS = {
 }
 
 
+def echoed_config(capsys) -> dict:
+    """The config echoed by a stubbed command's rendered output: its empty
+    JSON body gets the version and the echo, as every payload does."""
+    return json.loads(capsys.readouterr().out)["config"]
+
+
 @pytest.mark.parametrize("command", sorted(ECHOED_DEFAULTS))
-def test_echoed_default_config(command, monkeypatch):
-    seen = {}
-
-    def handler(params):
-        seen.update(cli._echo_config(params))
-        return 0
-
-    monkeypatch.setattr(cli, f"cmd_{command}", handler)
+def test_echoed_default_config(command, monkeypatch, capsys):
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda params: (0, {}))
     assert run([command]) == 0
-    assert json.dumps(seen, sort_keys=True) == ECHOED_DEFAULTS[command]
+    assert json.dumps(echoed_config(capsys), sort_keys=True) == ECHOED_DEFAULTS[command]
 
 
 def test_build_parser_is_built_once():
@@ -60,7 +60,7 @@ def test_build_parser_is_built_once():
 
 def test_plain_runs_build_no_parser_after_the_first(monkeypatch):
     for command in ECHOED_DEFAULTS:
-        monkeypatch.setattr(cli, f"cmd_{command}", lambda params: 0)
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda params: (0, {}))
     assert run(["verify"]) == 0
     built = []
     init = argparse.ArgumentParser.__init__
@@ -77,22 +77,48 @@ def test_plain_runs_build_no_parser_after_the_first(monkeypatch):
 
 
 @pytest.mark.parametrize("command", sorted(ECHOED_DEFAULTS))
-def test_config_run_leaves_the_declared_defaults(command, monkeypatch, tmp_path):
+def test_config_run_leaves_the_declared_defaults(command, monkeypatch, tmp_path, capsys):
     # --config parses on a parser pair of its own, so a plain run after it
     # echoes the declared defaults again.
-    seen = []
-
-    def handler(params):
-        seen.append(cli._echo_config(params))
-        return 0
-
-    monkeypatch.setattr(cli, f"cmd_{command}", handler)
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda params: (0, {}))
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"w": 0.1, "d": 0.2}))
     assert run([command, "--config", str(cfg)]) == 0
+    seen = [echoed_config(capsys)]
     assert run([command]) == 0
+    seen.append(echoed_config(capsys))
     assert (seen[0]["w"], seen[0]["d"]) == (0.1, 0.2)
     assert json.dumps(seen[1], sort_keys=True) == ECHOED_DEFAULTS[command]
+
+
+# One small run of each rendering: JSON and CSV of orbit and ifs, verify's
+# JSON and sweep's CSV.
+RENDERINGS = {
+    "verify": ["verify", "--k", "3", "--grid", "500", "--samples", "200", "--seed", "4"],
+    "orbit-json": ["orbit", "--map", "jk", "--k", "5", "--steps", "60", "--window", "30", "--format", "json"],
+    "orbit-csv": ["orbit", "--word", "f0,f1", "--start", "0,0.3", "--steps", "60", "--window", "30"],
+    "ifs-json": ["ifs", "--horizon", "40", "--sequences", "5", "--seed", "3"],
+    "ifs-csv": ["ifs", "--format", "csv", "--horizon", "40", "--sequences", "5", "--p", "0.3"],
+    "sweep": ["sweep", "--p-grid", "0.2:0.8:3", "--a-grid", "4,6", "--horizon", "20", "--sequences", "4"],
+}
+
+
+@pytest.mark.parametrize("rendering", sorted(RENDERINGS))
+def test_echoed_config_reproduces_the_output(rendering, tmp_path):
+    # The echo, command included, read back through --config alone gives
+    # the same bytes.
+    argv = RENDERINGS[rendering]
+    out, again, cfg = tmp_path / "out", tmp_path / "again", tmp_path / "echo.json"
+    assert run([*argv, "--out", str(out)]) == 0
+    text = out.read_text()
+    if text.startswith("{"):
+        echo = json.loads(text)["config"]
+    else:
+        echo = json.loads(text.splitlines()[1].removeprefix("# config: "))
+    assert echo["command"] == argv[0]
+    cfg.write_text(json.dumps(echo))
+    assert run([argv[0], "--config", str(cfg), "--out", str(again)]) == 0
+    assert again.read_bytes() == out.read_bytes()
 
 
 def test_help_shows_the_declared_defaults(capsys):
@@ -422,7 +448,8 @@ class TestVerify:
 
     def test_unknown_config_key(self, tmp_path, capsys):
         # command and config live in the parsed namespace but are not
-        # options, so a config file may not set them, nor any other name.
+        # options, so a config file may not set them, nor any other name;
+        # only an echoed command equal to the one being run is read back.
         cfg = tmp_path / "c.json"
         for key in ("bogus", "command", "config", "handler"):
             cfg.write_text(json.dumps({key: "ifs"}))

@@ -540,9 +540,14 @@ class TestMonteCarloGrid:
         # 16 values of a x 3 of p, then 10x the sequences in 10 chunks of 40
         # streams.  Each chunk holds its block's angles and one a-free read of
         # at most GAIN_CELLS fractions, and the read's distance takes one more
-        # such temporary; the run keeps one a-free sum per (p, stream), so the
-        # peak stays below one chunk of int8 symbols, 3 float64 blocks and the
-        # outputs, whatever the number of sequences or of values of a.
+        # such temporary; the run keeps one a-free sum per (p, stream), so no
+        # term grows with the number of sequences or of values of a.  The
+        # bound is not the peak of every shape: counting k_counts holds a bool
+        # temporary of half the chunk, and each chunk holds one 112 B view
+        # per row of its block's angles and read.  At these shapes the bound's
+        # slack covers both, but at 300 x 2000 the peak is 1.00 MB (0.60 MB of
+        # symbols, 0.30 MB of that temporary) and at one lane x 20 000 steps
+        # it is 2.41 MB, mostly 2 x 8 193 row views (ROADMAP item 9).
         monkeypatch.setattr(ifs, "CHUNK_SYMBOLS", chunk)
         n_a, n_p, horizon = 16, 3, 200
         configs = [small_config(p=p, a=4.0 + 0.5 * i, horizon=horizon, n_sequences=n_sequences)
