@@ -27,8 +27,11 @@ INVERSE_BUDGET = 200
 
 
 def _is_count(x, least: int) -> bool:
-    """Whether ``x`` is an integer (numpy's included, ``bool`` not) of at least ``least``."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= least
+    """Whether ``x`` is an integer (numpy's included, ``bool`` not) of at least ``least``.
+
+    A plain ``int`` is tested by its type first, which skips the
+    ``numbers.Integral`` ABC lookup on the common path."""
+    return (type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool)) and x >= least
 
 
 def _mod1(x, out=None):

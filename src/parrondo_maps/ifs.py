@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -116,10 +117,12 @@ class IfsConfig:
             raise ValueError(f"n_sequences must be a positive integer, got {self.n_sequences}")
         if not (math.isfinite(self.a) and self.a > 0.0):
             raise ValueError(f"expansion a must be finite and positive, got {self.a}")
-        # Bounds every sum of gains, each gain within [-1, a - 1]; an int
-        # compares with a float exactly, and below a = 1 the bound is max / 2,
-        # where max / (2 a) would overflow.
-        if not self.horizon * self.n_sequences <= np.finfo(float).max / 2.0 / max(self.a, 1.0):
+        # Bounds every sum of gains, each gain within [-1, a - 1]; below a = 1
+        # the bound is max / 2, where max / (2 a) would overflow.  Python's
+        # product of the counts cannot wrap, as numpy's int64 one can, and a
+        # Python float compares with an int of any size exactly, where a
+        # numpy float raises OverflowError past the largest double.
+        if not int(self.horizon) * int(self.n_sequences) <= sys.float_info.max / 2.0 / max(float(self.a), 1.0):
             raise ValueError(f"expansion a = {self.a} is too large for {self.n_sequences} x {self.horizon} steps")
         if not 0.0 < self.w < 0.25:
             raise ValueError(f"w must lie in (0, 1/4), got {self.w}")
@@ -309,7 +312,9 @@ class IfsStats:
     """Aggregated growth statistics over independent sequences.
 
     Stores the per-sequence terminal gains and mixed-pair counts; the
-    aggregates derive from them.
+    aggregates derive from them.  Each mean is ``np.mean``'s own sum and
+    division, ``np.add.reduce(x) / len(x)``, bit for bit, without its Python
+    wrapper: a sweep reads the aggregates once per cell.
     """
 
     config: IfsConfig
@@ -327,16 +332,18 @@ class IfsStats:
     @property
     def mean_pair_gain(self) -> float:
         """Mean realized gain per pair step, the empirical counterpart of K."""
-        return float(np.mean(self.deltas)) / self.m
+        return float(np.add.reduce(self.deltas) / self.n) / self.m
 
     @property
     def mean_mixed_fraction(self) -> float:
         """Mean of k_m / m; converges to 2 p (1-p)."""
-        return float(np.mean(self.k_counts / self.m))
+        fractions = self.k_counts / self.m
+        return float(np.add.reduce(fractions) / len(fractions))
 
     @property
     def escape_fraction(self) -> float:
-        return float(np.mean(self.deltas > self.config.escape_threshold))
+        # np.mean sums the bools as float64, exactly, and divides the same two numbers.
+        return int(np.count_nonzero(self.deltas > self.config.escape_threshold)) / self.n
 
     @property
     def slope_se(self) -> float:
@@ -390,11 +397,15 @@ def monte_carlo_grid(configs, start: Angle = DEFAULT_START) -> list[IfsStats]:
     method runs per step, so a wrapper on ``AngularProfile.delta_theta`` sees
     no call from the engine.  The block's read, its angles and the lane
     buffers are allocated once per chunk and written through ``out`` by every
-    step and block.  The traced peak also holds, while ``k_counts`` is
-    counted, a bool temporary of half the chunk's symbols, and, for each
+    step and block, and dropped, with the chunk's symbols, before the next
+    chunk allocates its own.  The traced peak also holds, while ``k_counts``
+    is counted, a bool temporary of half the chunk's symbols, and, for each
     chunk, two lists of row views, one view (112 B) per row of the block's
     angles and read: on few lanes and long horizons these lists outweigh the
-    buffers themselves.
+    buffers themselves.  After the run, one gather builds every cell's
+    ``deltas`` and one its ``k_counts``: each is a row of a (cells x
+    sequences) array that no other cell shares, so a cell that is kept keeps
+    both arrays of its grid.
     """
     _check_start(start)
     configs = list(configs)
@@ -476,15 +487,16 @@ def monte_carlo_grid(configs, start: Angle = DEFAULT_START) -> list[IfsStats]:
                 total += row
             thetas[0] = thetas[length]
         sums[:, lo:hi] = total.reshape(width, n_p).T
-    # Each cell maps its p's sums into a new array, duplicate cells included.
-    return [
-        IfsStats(
-            config=c,
-            deltas=c.a * sums[p_index[c.p]] - horizon,
-            k_counts=k_counts[p_index[c.p]].copy(),
-        )
-        for c in configs
-    ]
+        # Every name holding this chunk's symbols or blocks, the loops' last
+        # views included, is dropped before the next chunk allocates its own.
+        del rows, slabs, slab, symbols, thetas, read, angles, signs, angle_rows, read_rows, t, g, after, row
+    # One gather gives every cell its p's row, duplicate cells included, and
+    # maps it in place to the cell's gains a S - horizon.
+    cells = [p_index[c.p] for c in configs]
+    deltas = sums[cells]
+    deltas *= np.array([c.a for c in configs], dtype=float)[:, None]
+    deltas -= horizon
+    return [IfsStats(c, row, counts) for c, row, counts in zip(configs, deltas, k_counts[cells])]
 
 
 @dataclass(frozen=True)

@@ -168,10 +168,13 @@ def test_config_file_numeric_option_of_the_wrong_json_type(command, key, tmp_pat
     ["verify", "--k", "3", "--samples", "100000000000000000", "--grid", "2000"],
     ["verify", "--grid", "100000000000000000"],
     ["ifs", "--sequences", "100000000000000000", "--horizon", "2"],
+    ["ifs", "--sequences", str(10**400), "--horizon", "2"],
+    ["sweep", "--p-grid", "0.5", "--a-grid", "5", "--sequences", str(10**400), "--horizon", "2"],
 ])
 def test_unallocatable_size_is_a_bad_config(argv, tmp_path, capsys):
     # 1e17 float64 values exceed the address space, so numpy refuses the
-    # array before touching any memory.
+    # array before touching any memory; a count past the largest double
+    # fails the config's size bound.
     out = tmp_path / "out.json"
     assert run(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -443,6 +446,13 @@ class TestVerify:
         assert f"error: {message}" in err and "JSON" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("w", ["0.6", "0.5"])
+    def test_w_that_describes_no_arc_is_named(self, w, tmp_path, capsys):
+        out = tmp_path / "verify.json"
+        assert run(["verify", "--w", w, "--grid", "100", "--out", str(out)]) == 2
+        assert f"error: w must lie in (0, 1/2) to describe an arc, got {float(w)}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file(self):
         assert run(["verify", "--config", "/no/such/file.json"]) == 2
 
@@ -456,10 +466,12 @@ class TestVerify:
             assert run(["verify", "--config", str(cfg)]) == 2
             assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
 
-    def test_invalid_json_config(self, tmp_path):
+    def test_invalid_json_config(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
-        cfg.write_text("{not json")
-        assert run(["verify", "--config", str(cfg)]) == 2
+        for text, message in (("{not json", "is not valid JSON"), ("[1, 2]", "must hold a JSON object")):
+            cfg.write_text(text)
+            assert run(["verify", "--config", str(cfg)]) == 2
+            assert f"error: config file {message}" in capsys.readouterr().err
 
 
 class TestOrbit:
@@ -1122,6 +1134,18 @@ class TestSweep:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err == f"error: range grid ends and their span must be finite, got {grid!r}\n"
+
+    @pytest.mark.parametrize("grid, message", [
+        ("0.1:0.9", "range grids use 'start:stop:count', got '0.1:0.9'"),
+        ("0.1:x:3", "bad range grid '0.1:x:3'"),
+        ("0.1:0.9:0", "grid count must be positive"),
+    ])
+    def test_malformed_range_grid_is_named(self, grid, message, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--p-grid", grid, "--a-grid", "5", "--horizon", "10", "--sequences", "2"]
+        assert run(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_missing_grid_rejected(self):
         assert run(["sweep", "--a-grid", "5"]) == 2

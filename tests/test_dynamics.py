@@ -104,6 +104,11 @@ class TestIterate:
         with pytest.raises(ValueError, match=f"needs k >= 3 coordinates, got shape \\({len(start)},\\)"):
             iterate(lambda x: apply_h_k(rp, ap, x), start, 10)
 
+    def test_cartesian_start_at_the_origin_is_rejected(self, profiles):
+        rp, ap = profiles
+        with pytest.raises(ValueError, match="^Cartesian orbits must start off the origin$"):
+            iterate(lambda x: apply_h_k(rp, ap, x), np.zeros(3), 5)
+
     def test_trace_is_frozen(self, profiles):
         trace = iterate(_f0_step(profiles), CylPoint(0.0, Angle(0.3)), 10)
         with pytest.raises(AttributeError):

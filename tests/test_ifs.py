@@ -1,15 +1,18 @@
 import json
 import math
+import numbers
 import re
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from parrondo_maps import ifs
-from parrondo_maps.circle import Angle
+from parrondo_maps.circle import Angle, _is_count
 from parrondo_maps.cli import main
 from parrondo_maps.dynamics import iterate
 from parrondo_maps.ifs import (
@@ -208,6 +211,26 @@ class TestConfig:
         # below a = 1/2; the test settings make that warning an error.
         config = small_config(a=a, horizon=4, n_sequences=2)
         assert monte_carlo(config).deltas.shape == (2,)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(n_sequences=10**400), dict(horizon=2 * 10**400), dict(n_sequences=10**400, a=np.float64(5.0)),
+        dict(horizon=np.int64(2**32), n_sequences=np.int64(2**31), a=1e300),
+    ], ids=["sequences", "horizon", "numpy-a", "numpy-counts"])
+    def test_counts_past_the_size_bound_are_refused(self, overrides):
+        # A numpy float bound raised OverflowError on an int past the largest
+        # double, which the CLI printed as a traceback, and a product of numpy
+        # integers wrapped past 2**63 to a negative count that passed.
+        with pytest.raises(ValueError, match="too large"):
+            small_config(**overrides)
+
+    def test_size_bound_compares_the_exact_product(self):
+        # The bound is a multiple of a large power of two, so a float near it
+        # cannot tell it from the next product, 2 more: an even horizon makes
+        # every product even.
+        bound = int(sys.float_info.max / 2.0 / 5.0)
+        assert small_config(horizon=2, n_sequences=bound // 2).n_sequences * 2 == bound
+        with pytest.raises(ValueError, match="too large"):
+            small_config(horizon=2, n_sequences=bound // 2 + 1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_escape_threshold_rejected(self, bad):
@@ -566,6 +589,25 @@ class TestMonteCarloGrid:
         outputs = 2 * n_p * n_sequences * 8 + len(stats) * (16 * n_sequences + 1024)
         assert peak < chunk_bytes + 3 * ifs.GAIN_CELLS * 8 + outputs
 
+    def test_traced_peak_holds_one_chunk_at_a_time(self, monkeypatch):
+        # One chunk of 300 streams x 2000 steps, then two.  Every view of the
+        # first chunk, the loops' last ones included, is dropped before the
+        # second allocates, so the peak grows only by the outputs of 300 more
+        # streams; holding the first chunk's symbols read 0.75 MB more.
+        monkeypatch.setattr(ifs, "CHUNK_SYMBOLS", 2000 * 300)
+        monte_carlo_grid([small_config(horizon=20, n_sequences=2)])
+        peaks = {}
+        for n in (300, 600):
+            tracemalloc.start()
+            try:
+                monte_carlo_grid([small_config(horizon=2000, n_sequences=n)])
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # Each more stream adds a sum and a count, and the cell a delta and
+        # a count; the slack is less than one block's angles (67 KB here).
+        assert peaks[600] - peaks[300] < 300 * 4 * 8 + 32 * 1024, peaks
+
     def test_steady_calls_take_few_minor_page_faults(self):
         # 9 values of p x 64 of a x 50 x 400: one a-free read of 64 KiB, held
         # for the call, where a read of every a allocated every block made
@@ -752,3 +794,44 @@ class TestRecurrence:
         stats = IfsStats(config=small_config(n_sequences=1), deltas=np.array([-1.0]), k_counts=np.zeros(1))
         assert stats.recurrence.stderr == math.inf
         assert stats.recurrence.satisfied
+
+
+def _bits(x: float) -> str:
+    return "nan" if math.isnan(x) else x.hex()
+
+
+class _Count(int):
+    pass
+
+
+class TestCheapForms:
+    """The aggregates and the count check against the numpy and ABC forms they replace."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_aggregates_are_np_means_bit_for_bit(self, data):
+        # A 1-D array, or each row view of a 2-D one; any float, inf and NaN included.
+        shape = data.draw(st.one_of(st.tuples(st.integers(1, 500)), st.tuples(st.integers(1, 6), st.integers(1, 80))))
+        pairs = data.draw(st.sampled_from([1, 200, 3**20]))
+        deltas = data.draw(hnp.arrays(np.float64, shape, elements=st.floats()))
+        k_counts = data.draw(hnp.arrays(np.int64, shape, elements=st.integers(0, pairs)))
+        threshold = data.draw(st.floats(allow_nan=False, allow_infinity=False))
+        config = small_config(horizon=2 * pairs, escape_threshold=threshold)
+        rows = zip(deltas, k_counts) if deltas.ndim == 2 else [(deltas, k_counts)]
+        with np.errstate(invalid="ignore", over="ignore"):
+            for d, k in rows:
+                stats = IfsStats(config, d, k)
+                got = (stats.mean_pair_gain, stats.mean_mixed_fraction, stats.escape_fraction)
+                expected = (float(np.mean(d)) / pairs, float(np.mean(k / pairs)), float(np.mean(d > threshold)))
+                assert [_bits(x) for x in got] == [_bits(x) for x in expected]
+
+    @given(
+        st.one_of(
+            st.integers(), st.booleans(), st.booleans().map(np.bool_), st.integers(-2**63, 2**63 - 1).map(np.int64),
+            st.integers(0, 255).map(np.uint8), st.floats(), st.integers().map(_Count),
+        ),
+        st.integers(-3, 3),
+    )
+    def test_is_count_is_the_abc_form(self, x, least):
+        abc_form = isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= least
+        assert bool(_is_count(x, least)) == bool(abc_form)

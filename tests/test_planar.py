@@ -50,6 +50,7 @@ class TestMapWord:
         assert MapWord.parse("f0,f1").symbols == (0, 1)
         assert MapWord.parse("01").symbols == (0, 1)
         assert MapWord.parse("f1 f0").symbols == (1, 0)
+        assert len(MapWord.parse("010")) == 3
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -70,6 +71,10 @@ class TestMapWord:
 
 
 class TestApplyMaps:
+    def test_a_float_angle_becomes_an_angle(self):
+        p = CylPoint(1.0, 0.3)
+        assert isinstance(p.theta, Angle) and p == CylPoint(1.0, Angle(0.3))
+
     def test_f0_on_invariant_ray(self, profiles):
         rp, ap = profiles
         q = apply_f0(rp, ap, CylPoint(0.0, Angle(0.0)))

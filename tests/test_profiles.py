@@ -385,6 +385,8 @@ class TestValidateProfiles:
         report = validate_profiles(*profiles)
         assert report.passed
         assert [c.code for c in report.checks] == ["C1", "C2", "C3", "C4", "C5"]
+        with pytest.raises(KeyError):
+            report["C9"]
 
     def test_wide_arc_fails_c5(self):
         report = validate_profiles(RadialProfile(5.0, 0.3), AngularProfile(0.1, 0.3))
